@@ -1,6 +1,7 @@
 #include "cluster/cluster_head.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "obs/names.h"
 #include "obs/recorder.h"
@@ -217,7 +218,7 @@ void ClusterHead::decide_binary_window() {
         if (is_member_.empty() || is_member_[n]) all.push_back(n);
     }
 
-    const auto decision = engine_.decide_binary(all, window_reporters_);
+    auto decision = engine_.decide_binary(all, window_reporters_);
     window_reporters_.clear();
 
     DecisionRecord rec;
@@ -236,20 +237,20 @@ void ClusterHead::decide_binary_window() {
     // own TI have nothing to react to — they just keep lying).
     std::vector<core::NodeId> correct, faulty;
     if (engine_.config().policy == core::DecisionPolicy::TrustIndex) {
-        correct = decision.event_declared ? decision.reporters : decision.silent;
-        faulty = decision.event_declared ? decision.silent : decision.reporters;
+        correct = std::move(decision.event_declared ? decision.reporters : decision.silent);
+        faulty = std::move(decision.event_declared ? decision.silent : decision.reporters);
     }
     if (corrupt_) {
-        announce(rec, faulty, correct);  // a corrupt CH lies consistently
+        announce(rec, std::move(faulty), std::move(correct));  // a corrupt CH lies consistently
     } else {
-        announce(rec, correct, faulty);
+        announce(rec, std::move(correct), std::move(faulty));
     }
     if (decision_cb_) decision_cb_(rec);
 }
 
 void ClusterHead::collect_location_windows() {
-    const auto decisions = engine_.collect(sim().now(), engine_positions());
-    for (const auto& d : decisions) {
+    auto decisions = engine_.collect(sim().now(), engine_positions());
+    for (auto& d : decisions) {
         DecisionRecord rec;
         rec.seq = next_seq_++;
         rec.time = sim().now();
@@ -265,32 +266,35 @@ void ClusterHead::collect_location_windows() {
 
         std::vector<core::NodeId> correct, faulty;
         if (engine_.config().policy == core::DecisionPolicy::TrustIndex) {
-            correct = d.event_declared ? d.reporters : d.silent;
-            faulty = d.event_declared ? d.silent : d.reporters;
+            correct = std::move(d.event_declared ? d.reporters : d.silent);
+            faulty = std::move(d.event_declared ? d.silent : d.reporters);
             faulty.insert(faulty.end(), d.thrown_out.begin(), d.thrown_out.end());
         }
         if (corrupt_) {
-            announce(rec, faulty, correct);
+            announce(rec, std::move(faulty), std::move(correct));
         } else {
-            announce(rec, correct, faulty);
+            announce(rec, std::move(correct), std::move(faulty));
         }
         if (decision_cb_) decision_cb_(rec);
     }
 }
 
-void ClusterHead::announce(const DecisionRecord& rec,
-                           const std::vector<core::NodeId>& judged_correct,
-                           const std::vector<core::NodeId>& judged_faulty) {
+void ClusterHead::announce(const DecisionRecord& rec, std::vector<core::NodeId> judged_correct,
+                           std::vector<core::NodeId> judged_faulty) {
     net::DecisionPayload payload;
     payload.decision_seq = rec.seq;
     payload.event_declared = rec.event_declared;
     payload.has_location = rec.has_location;
     payload.location = rec.location;
-    payload.judged_correct = judged_correct;
-    payload.judged_faulty = judged_faulty;
-    radio_.broadcast(payload);
-    if (base_station_ != sim::kNoProcess) {
-        radio_.send(base_station_, payload);
+    payload.judged_correct = std::move(judged_correct);
+    payload.judged_faulty = std::move(judged_faulty);
+    // The judgement lists move into the broadcast body; only a base station,
+    // whose unicast needs a body of its own, costs one copy of them.
+    if (base_station_ == sim::kNoProcess) {
+        radio_.broadcast(std::move(payload));
+    } else {
+        radio_.broadcast(payload);
+        radio_.send(base_station_, std::move(payload));
     }
     util::log_debug() << "CH " << id() << " decision#" << rec.seq
                       << (rec.event_declared ? " EVENT" : " no-event") << " R="

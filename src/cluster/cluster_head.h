@@ -134,8 +134,8 @@ class ClusterHead : public sim::Process {
     void collect_location_windows();
     void note_window_opened(core::NodeId first_reporter);
     void note_decision(const DecisionRecord& rec);
-    void announce(const DecisionRecord& rec, const std::vector<core::NodeId>& judged_correct,
-                  const std::vector<core::NodeId>& judged_faulty);
+    void announce(const DecisionRecord& rec, std::vector<core::NodeId> judged_correct,
+                  std::vector<core::NodeId> judged_faulty);
 
     /// Topology as exposed to the decision engine: members keep their real
     /// position, non-members sit at an unreachable sentinel position so

@@ -1,7 +1,9 @@
 #include "net/channel.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
+#include <utility>
 
 #include "obs/names.h"
 #include "obs/recorder.h"
@@ -53,19 +55,19 @@ void Channel::remove_monitor(sim::ProcessId monitor, sim::ProcessId target) {
     if (list.empty()) monitors_.erase(it);
 }
 
-void Channel::snoop(const Packet& packet, const Endpoint& src) {
+void Channel::snoop(const std::shared_ptr<Packet>& body, const Endpoint& src) {
     // Copies for monitors of either endpoint of a unicast.
-    for (sim::ProcessId watched : {packet.src, packet.dst}) {
+    for (sim::ProcessId watched : {body->src, body->dst}) {
         auto it = monitors_.find(watched);
         if (it == monitors_.end()) continue;
         for (sim::ProcessId mon : it->second) {
-            if (mon == packet.src || mon == packet.dst) continue;
+            if (mon == body->src || mon == body->dst) continue;
             auto mon_it = endpoints_.find(mon);
             if (mon_it == endpoints_.end()) continue;
             const double dist = util::distance(src.position, mon_it->second.position);
             if (dist > src.range) continue;
             if (rng_.chance(sender_drop_probability(src))) continue;
-            deliver(mon_it->second, packet, dist);
+            deliver(mon_it->second, body, dist);
         }
     }
 }
@@ -140,15 +142,33 @@ double Channel::sender_drop_probability(const Endpoint& sender) const {
     return sender.drop_override >= 0.0 ? sender.drop_override : params_.drop_probability;
 }
 
-void Channel::deliver(Endpoint& to, Packet packet, double dist, double extra_delay) {
+namespace {
+
+/// Passes a delivery closure through unchanged, failing the build if it
+/// would not fit EventCallback's inline buffer: a delivery must never
+/// heap-allocate, whatever fields Packet grows.
+template <typename F>
+F&& inline_delivery(F&& closure) {
+    static_assert(sim::EventCallback::stores_inline<F>,
+                  "a channel delivery closure must fit EventCallback's inline buffer");
+    return std::forward<F>(closure);
+}
+
+}  // namespace
+
+void Channel::deliver(Endpoint& to, std::shared_ptr<Packet> body, double dist,
+                      double extra_delay) {
     const double delay = params_.base_latency + dist / params_.propagation_speed + extra_delay;
-    packet.rssi = 1.0 / (1.0 + dist * dist);
+    const double rssi = 1.0 / (1.0 + dist * dist);
     sim::Process* process = to.process;
 
+    // Every delivery of a send shares its body; only rssi is per receiver,
+    // stamped just before the handler runs (see Process::handle_packet).
     if (params_.airtime <= 0.0) {
-        sim_->schedule(delay, [process, packet = std::move(packet)]() mutable {
-            process->handle_packet(packet);
-        });
+        sim_->schedule(delay, inline_delivery([process, body = std::move(body), rssi] {
+                           body->rssi = rssi;
+                           process->handle_packet(*body);
+                       }));
         ++delivered_;
         if (c_delivered_) c_delivered_->inc();
         return;
@@ -180,15 +200,17 @@ void Channel::deliver(Endpoint& to, Packet packet, double dist, double extra_del
     if (collided) {
         ++collisions_;
         if (c_collisions_) c_collisions_->inc();
-        note_drop(packet, obs::DropReason::Collision);
+        note_drop(*body, obs::DropReason::Collision);
         flights.push_back(Reception{arrive, end, sim::Timer{}});  // jam marker
         return;
     }
-    sim::Timer t = sim_->schedule(delay, [this, process, packet = std::move(packet)]() mutable {
-        ++delivered_;
-        if (c_delivered_) c_delivered_->inc();
-        process->handle_packet(packet);
-    });
+    sim::Timer t = sim_->schedule(delay, inline_delivery([this, process, body = std::move(body),
+                                                          rssi] {
+                                      ++delivered_;
+                                      if (c_delivered_) c_delivered_->inc();
+                                      body->rssi = rssi;
+                                      process->handle_packet(*body);
+                                  }));
     flights.push_back(Reception{arrive, end, t});
 }
 
@@ -210,11 +232,13 @@ bool Channel::unicast(Packet packet) {
         return false;
     }
     packet.sent_at = sim_->now();
-    snoop(packet, src_it->second);
+    // One body for the delivery, every monitor copy and any duplicate.
+    auto body = std::make_shared<Packet>(std::move(packet));
+    snoop(body, src_it->second);
     if (rng_.chance(sender_drop_probability(src_it->second))) {
         ++dropped_;
         if (c_dropped_) c_dropped_->inc();
-        note_drop(packet, obs::DropReason::Natural);
+        note_drop(*body, obs::DropReason::Natural);
         return false;
     }
     // Injected faults stack after the natural model, drawing only from the
@@ -224,7 +248,7 @@ bool Channel::unicast(Packet packet) {
         if (w->extra_drop > 0.0 && fault_rng_.chance(w->extra_drop)) {
             ++injected_drops_;
             if (c_injected_drops_) c_injected_drops_->inc();
-            note_drop(packet, obs::DropReason::Injected);
+            note_drop(*body, obs::DropReason::Injected);
             return false;
         }
         const double extra = injected_extra_delay(*w);
@@ -233,12 +257,12 @@ bool Channel::unicast(Packet packet) {
         if (duplicate) {
             ++injected_duplicates_;
             if (c_injected_duplicates_) c_injected_duplicates_->inc();
-            deliver(dst_it->second, packet, dist, injected_extra_delay(*w));
+            deliver(dst_it->second, body, dist, injected_extra_delay(*w));
         }
-        deliver(dst_it->second, std::move(packet), dist, extra);
+        deliver(dst_it->second, std::move(body), dist, extra);
         return true;
     }
-    deliver(dst_it->second, std::move(packet), dist);
+    deliver(dst_it->second, std::move(body), dist);
     return true;
 }
 
@@ -248,10 +272,12 @@ std::size_t Channel::broadcast(Packet packet) {
     const Endpoint& src = src_it->second;
     packet.sent_at = sim_->now();
     packet.dst = kBroadcast;
+    // Built once: every receiver's delivery shares this body.
+    const auto body = std::make_shared<Packet>(std::move(packet));
 
     std::size_t n = 0;
     for (auto& [id, ep] : endpoints_) {
-        if (id == packet.src) continue;
+        if (id == body->src) continue;
         const double dist = util::distance(src.position, ep.position);
         if (dist > src.range) {
             ++out_of_range_;
@@ -261,7 +287,7 @@ std::size_t Channel::broadcast(Packet packet) {
         if (rng_.chance(sender_drop_probability(src))) {
             ++dropped_;
             if (c_dropped_) c_dropped_->inc();
-            note_drop(packet, obs::DropReason::Natural);
+            note_drop(*body, obs::DropReason::Natural);
             continue;
         }
         // Same injection stack as unicast, with independent coins per
@@ -270,20 +296,20 @@ std::size_t Channel::broadcast(Packet packet) {
             if (w->extra_drop > 0.0 && fault_rng_.chance(w->extra_drop)) {
                 ++injected_drops_;
                 if (c_injected_drops_) c_injected_drops_->inc();
-                note_drop(packet, obs::DropReason::Injected);
+                note_drop(*body, obs::DropReason::Injected);
                 continue;
             }
             const double extra = injected_extra_delay(*w);
             if (w->duplicate_probability > 0.0 && fault_rng_.chance(w->duplicate_probability)) {
                 ++injected_duplicates_;
                 if (c_injected_duplicates_) c_injected_duplicates_->inc();
-                deliver(ep, packet, dist, injected_extra_delay(*w));
+                deliver(ep, body, dist, injected_extra_delay(*w));
             }
-            deliver(ep, packet, dist, extra);
+            deliver(ep, body, dist, extra);
             ++n;
             continue;
         }
-        deliver(ep, packet, dist);
+        deliver(ep, body, dist);
         ++n;
     }
     return n;

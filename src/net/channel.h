@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstddef>
+#include <memory>
 #include <unordered_map>
 
 #include "net/packet.h"
@@ -131,8 +132,10 @@ class Channel {
     };
 
     double sender_drop_probability(const Endpoint& sender) const;
-    void deliver(Endpoint& to, Packet packet, double dist, double extra_delay = 0.0);
-    void snoop(const Packet& packet, const Endpoint& src);
+    /// Schedules one reception of the shared `body` at `to`.
+    void deliver(Endpoint& to, std::shared_ptr<Packet> body, double dist,
+                 double extra_delay = 0.0);
+    void snoop(const std::shared_ptr<Packet>& body, const Endpoint& src);
     void note_drop(const Packet& packet, obs::DropReason reason);
 
     /// Fault window covering the current simulation time, or nullptr.

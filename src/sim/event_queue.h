@@ -83,15 +83,27 @@ inline constexpr CallbackOps kHeapCallbackOps = {
 
 /// A move-only `void()` callable with inline storage for small captures.
 /// Every scheduling lambda in the simulator (a `this` pointer plus a few
-/// scalars or a payload struct) fits inline; larger callables fall back to
-/// one heap allocation, exactly like std::function — the fallback keeps
-/// the type general, the inline path keeps the hot path allocation-free.
+/// scalars, a payload struct, or a shared packet body) fits inline; larger
+/// callables fall back to one heap allocation, exactly like std::function
+/// — the fallback keeps the type general, the inline path keeps the hot
+/// path allocation-free.
 class EventCallback {
   public:
-    /// Inline capture budget. Sized for the largest scheduling lambda in
-    /// the tree (SensorNode's jittered transmit closure: this + sink + a
-    /// ReportPayload) with headroom.
+    /// Inline capture budget. The largest closures in the tree are
+    /// SensorNode's jittered transmit closure (this + sink + a
+    /// ReportPayload) and the channel's delivery closures (a process
+    /// pointer, a shared_ptr to the packet body and the receiver's rssi,
+    /// plus `this` on the collision path: 40 bytes). Packet contents never
+    /// enter a closure, so growing Packet cannot push deliveries onto the
+    /// heap; channel.cc static_asserts that with stores_inline.
     static constexpr std::size_t kInlineSize = 64;
+
+    /// True if a callable of type F is stored in the inline buffer; false
+    /// if constructing an EventCallback from it heap-allocates.
+    template <typename F, typename D = std::decay_t<F>>
+    static constexpr bool stores_inline = sizeof(D) <= kInlineSize &&
+                                          alignof(D) <= alignof(std::max_align_t) &&
+                                          std::is_nothrow_move_constructible_v<D>;
 
     EventCallback() = default;
 
@@ -161,8 +173,7 @@ class EventCallback {
         if constexpr (std::is_same_v<D, std::function<void()>>) {
             if (!f) return;
         }
-        if constexpr (sizeof(D) <= kInlineSize && alignof(D) <= alignof(std::max_align_t) &&
-                      std::is_nothrow_move_constructible_v<D>) {
+        if constexpr (stores_inline<D>) {
             ::new (static_cast<void*>(storage_)) D(std::forward<F>(f));
             ops_ = &detail::kInlineCallbackOps<D>;
         } else {

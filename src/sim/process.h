@@ -33,6 +33,12 @@ class Process {
     Simulator& sim() const { return *sim_; }
 
     /// Delivery hook invoked by the channel when a packet arrives.
+    ///
+    /// `packet` is the send's shared body: every receiver of a broadcast
+    /// (and every monitor or duplicate copy of a unicast) is handed the same
+    /// object, with `rssi` stamped for this receiver just before the call.
+    /// The reference is valid only for the duration of the call; copy the
+    /// packet (or the fields needed) to keep anything past it.
     virtual void handle_packet(const net::Packet& packet) = 0;
 
   private:

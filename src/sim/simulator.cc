@@ -1,21 +1,6 @@
 #include "sim/simulator.h"
 
-#include <stdexcept>
-
 namespace tibfit::sim {
-
-Timer Simulator::schedule(Time delay, EventCallback action) {
-    if (delay < 0.0) throw std::invalid_argument("Simulator::schedule: negative delay");
-    return schedule_at(now_ + delay, std::move(action));
-}
-
-Timer Simulator::schedule_at(Time at, EventCallback action) {
-    if (at < now_) throw std::invalid_argument("Simulator::schedule_at: time in the past");
-    if (!action) throw std::invalid_argument("Simulator::schedule_at: empty action");
-    const EventId id = queue_.push(at, std::move(action));
-    if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
-    return Timer(id, true);
-}
 
 bool Simulator::cancel(Timer& timer) {
     if (!timer.armed_) return false;

@@ -2,6 +2,11 @@
 // Replaces ns-2 as the scheduling substrate (see DESIGN.md §2).
 #pragma once
 
+#include <functional>
+#include <stdexcept>
+#include <type_traits>
+#include <utility>
+
 #include "sim/event_queue.h"
 
 namespace tibfit::sim {
@@ -34,13 +39,31 @@ class Simulator {
     /// Current virtual time.
     Time now() const { return now_; }
 
-    /// Schedules `action` after `delay` (>= 0) from now. Small closures
-    /// are stored inline in the event arena (see EventCallback) — the
-    /// common path performs no heap allocation.
-    Timer schedule(Time delay, EventCallback action);
+    /// Schedules `action` after `delay` (>= 0) from now. A lambda is
+    /// constructed directly in its event-arena slot, and small closures are
+    /// stored inline there (see EventCallback): the common path performs no
+    /// heap allocation and no callback relocation. Throws
+    /// std::invalid_argument on a negative delay or an empty action.
+    template <typename F>
+    Timer schedule(Time delay, F&& action) {
+        if (delay < 0.0) throw std::invalid_argument("Simulator::schedule: negative delay");
+        return schedule_at(now_ + delay, std::forward<F>(action));
+    }
 
-    /// Schedules `action` at absolute time `at` (>= now()).
-    Timer schedule_at(Time at, EventCallback action);
+    /// Schedules `action` at absolute time `at` (>= now()). Throws
+    /// std::invalid_argument on a time in the past or an empty action.
+    template <typename F>
+    Timer schedule_at(Time at, F&& action) {
+        if (at < now_) throw std::invalid_argument("Simulator::schedule_at: time in the past");
+        using D = std::decay_t<F>;
+        if constexpr (std::is_same_v<D, EventCallback> ||
+                      std::is_same_v<D, std::function<void()>>) {
+            if (!action) throw std::invalid_argument("Simulator::schedule_at: empty action");
+        }
+        const EventId id = queue_.push(at, std::forward<F>(action));
+        if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
+        return Timer(id, true);
+    }
 
     /// Cancels a pending timer. Returns false if it already fired or was
     /// cancelled. The handle is disarmed either way.

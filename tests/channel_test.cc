@@ -2,19 +2,64 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdlib>
+#include <new>
 #include <vector>
 
 #include "net/radio.h"
 
+// Counts live global heap allocations so the shared-body tests can see when
+// a packet body is freed (and that a delivery allocates nothing). The
+// replacement forwards to malloc/free, so it is transparent to every other
+// test in this binary and to the sanitizers' malloc interception.
+namespace {
+std::atomic<long> g_live_allocations{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+    void* p = std::malloc(n == 0 ? 1 : n);
+    if (!p) throw std::bad_alloc();
+    g_live_allocations.fetch_add(1, std::memory_order_relaxed);
+    return p;
+}
+
+// GCC cannot tell that this is the replacement paired with the malloc above.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmismatched-new-delete"
+void operator delete(void* p) noexcept {
+    if (!p) return;
+    g_live_allocations.fetch_sub(1, std::memory_order_relaxed);
+    std::free(p);
+}
+#pragma GCC diagnostic pop
+
+void operator delete(void* p, std::size_t) noexcept { ::operator delete(p); }
+
 namespace tibfit::net {
 namespace {
 
-/// Test process that records every delivered packet.
+long live_allocations() { return g_live_allocations.load(std::memory_order_relaxed); }
+
+/// Test process that records every delivered packet (a copy) and the
+/// address it was handed.
 class Sink : public sim::Process {
   public:
     Sink(sim::Simulator& s, sim::ProcessId id) : sim::Process(s, id) {}
-    void handle_packet(const Packet& p) override { received.push_back(p); }
+    void handle_packet(const Packet& p) override {
+        received.push_back(p);
+        bodies.push_back(&p);
+    }
     std::vector<Packet> received;
+    std::vector<const Packet*> bodies;
+};
+
+/// Test process that only counts deliveries, so it allocates nothing.
+class Tally : public sim::Process {
+  public:
+    Tally(sim::Simulator& s, sim::ProcessId id) : sim::Process(s, id) {}
+    void handle_packet(const Packet&) override { ++received; }
+    std::size_t received = 0;
 };
 
 class ChannelTest : public ::testing::Test {
@@ -304,6 +349,135 @@ TEST_F(ChannelTest, PayloadVariantRoundTrip) {
     EXPECT_TRUE(got->event_declared);
     EXPECT_EQ(got->judged_faulty, (std::vector<core::NodeId>{3, 4}));
     EXPECT_EQ(b.received[0].as<ReportPayload>(), nullptr);
+}
+
+Packet decision_packet(sim::ProcessId src, std::vector<core::NodeId> correct,
+                       std::vector<core::NodeId> faulty, sim::ProcessId dst = kBroadcast) {
+    DecisionPayload d;
+    d.decision_seq = 11;
+    d.event_declared = true;
+    d.judged_correct = std::move(correct);
+    d.judged_faulty = std::move(faulty);
+    Packet p;
+    p.src = src;
+    p.dst = dst;
+    p.payload = std::move(d);
+    return p;
+}
+
+TEST_F(ChannelTest, BroadcastStampsEachReceiverItsOwnRssi) {
+    Sink ch(simulator_, 0), a(simulator_, 1), b(simulator_, 2), c(simulator_, 3);
+    channel_.attach(ch, {0, 0}, 100.0);
+    channel_.attach(a, {3, 0}, 100.0);
+    channel_.attach(b, {0, 4}, 100.0);
+    channel_.attach(c, {-12, 0}, 100.0);
+    EXPECT_EQ(channel_.broadcast(decision_packet(0, {1, 2}, {3})), 3u);
+    simulator_.run();
+
+    const std::vector<std::pair<const Sink*, double>> expected = {
+        {&a, 3.0}, {&b, 4.0}, {&c, 12.0}};
+    for (const auto& [sink, dist] : expected) {
+        ASSERT_EQ(sink->received.size(), 1u);
+        const Packet& got = sink->received[0];
+        EXPECT_EQ(got.rssi, 1.0 / (1.0 + dist * dist));
+        EXPECT_EQ(got.src, 0u);
+        EXPECT_EQ(got.dst, kBroadcast);
+        const auto* d = got.as<DecisionPayload>();
+        ASSERT_NE(d, nullptr);
+        EXPECT_EQ(d->decision_seq, 11u);
+        EXPECT_TRUE(d->event_declared);
+        EXPECT_EQ(d->judged_correct, (std::vector<core::NodeId>{1, 2}));
+        EXPECT_EQ(d->judged_faulty, (std::vector<core::NodeId>{3}));
+    }
+    // One body for the whole broadcast: every handler saw the same object.
+    EXPECT_EQ(a.bodies[0], b.bodies[0]);
+    EXPECT_EQ(a.bodies[0], c.bodies[0]);
+}
+
+TEST_F(ChannelTest, CopiedPacketKeepsItsRssiAfterLaterDeliveries) {
+    Sink ch(simulator_, 0), near(simulator_, 1), far(simulator_, 2);
+    channel_.attach(ch, {0, 0}, 1000.0);
+    channel_.attach(near, {1, 0}, 1000.0);
+    channel_.attach(far, {600, 0}, 1000.0);
+    channel_.broadcast(decision_packet(0, {1}, {2}));
+    simulator_.run();
+    ASSERT_EQ(near.received.size(), 1u);
+    ASSERT_EQ(far.received.size(), 1u);
+    // The near receiver ran first; the far delivery then re-stamped the
+    // shared body, but the near handler's copy kept its own value.
+    ASSERT_EQ(near.bodies[0], far.bodies[0]);
+    EXPECT_EQ(near.received[0].rssi, 1.0 / (1.0 + 1.0));
+    EXPECT_EQ(far.received[0].rssi, 1.0 / (1.0 + 600.0 * 600.0));
+}
+
+TEST_F(ChannelTest, SharedBodyFreedAfterLastDelivery) {
+    Tally ch(simulator_, 0), a(simulator_, 1), b(simulator_, 2), c(simulator_, 3);
+    channel_.attach(ch, {0, 0}, 100.0);
+    channel_.attach(a, {1, 0}, 100.0);
+    channel_.attach(b, {2, 0}, 100.0);
+    channel_.attach(c, {3, 0}, 100.0);
+    // Warm-up round: grows the event arena to its steady-state size.
+    channel_.broadcast(decision_packet(0, {}, {}));
+    simulator_.run();
+
+    Packet packet = decision_packet(0, {}, {});
+    const long before = live_allocations();
+    const std::size_t scheduled = channel_.broadcast(std::move(packet));
+    const long during = live_allocations();
+    simulator_.step();
+    const long after_first = live_allocations();
+    simulator_.run();
+    const long after = live_allocations();
+
+    EXPECT_EQ(scheduled, 3u);
+    EXPECT_EQ(during - before, 1);       // one body, no per-delivery allocation
+    EXPECT_EQ(after_first - before, 1);  // still shared by the pending deliveries
+    EXPECT_EQ(after, before);            // freed once the last one ran
+    EXPECT_EQ(a.received + b.received + c.received, 6u);
+}
+
+TEST_F(ChannelTest, SharedBodyFreedWhenCollisionCancelsDelivery) {
+    ChannelParams p = lossless();
+    p.airtime = 0.01;
+    Channel ch(simulator_, util::Rng(3), p);
+    Tally a(simulator_, 0), b(simulator_, 1), rx(simulator_, 2);
+    ch.attach(a, {0, 0}, 100.0);
+    ch.attach(b, {1, 0}, 100.0);
+    ch.attach(rx, {0.5, 1}, 100.0);
+    auto collide = [&] {
+        ch.unicast(decision_packet(0, {}, {}, 2));
+        ch.unicast(decision_packet(1, {}, {}, 2));
+    };
+    // Warm-up round: sizes the arena, free list and reception list.
+    collide();
+    simulator_.run_until(1.0);
+
+    const long before = live_allocations();
+    collide();
+    const long after = live_allocations();
+    EXPECT_EQ(simulator_.pending(), 0u);  // the first delivery was cancelled
+    EXPECT_EQ(after, before);             // ...and its body freed with it
+    simulator_.run();
+    EXPECT_EQ(rx.received, 0u);
+}
+
+TEST_F(ChannelTest, SharedBodyFreedWhenSimulatorDestroyedWithPendingDeliveries) {
+    std::size_t pending = 0;
+    const long before = live_allocations();
+    {
+        sim::Simulator sim;
+        Channel ch(sim, util::Rng(9), lossless());
+        Tally a(sim, 0), b(sim, 1), c(sim, 2);
+        ch.attach(a, {0, 0}, 100.0);
+        ch.attach(b, {1, 0}, 100.0);
+        ch.attach(c, {2, 0}, 100.0);
+        ch.add_monitor(2, 1);
+        ch.broadcast(decision_packet(0, {1, 2}, {0}));
+        ch.unicast(decision_packet(0, {1}, {2}, 1));
+        pending = sim.pending();
+    }
+    EXPECT_EQ(pending, 4u);  // two broadcast receivers, the unicast, one snoop
+    EXPECT_EQ(live_allocations(), before);
 }
 
 }  // namespace

@@ -1,5 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstddef>
+#include <cstdint>
+#include <functional>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -335,6 +339,58 @@ TEST(EventCallback, NonTriviallyCopyableCapturesRelocateCorrectly) {
     assigned = std::move(moved);
     assigned();
     EXPECT_EQ(total, 6);
+}
+
+/// Invokes `cb`, whose callable stores its own address into `where`, and
+/// reports whether that callable lives inside `cb` (the inline buffer)
+/// rather than in a separate heap block.
+bool ran_inline(EventCallback& cb, const void* const& where) {
+    cb();
+    const auto lo = reinterpret_cast<std::uintptr_t>(&cb);
+    const auto p = reinterpret_cast<std::uintptr_t>(where);
+    return p >= lo && p < lo + sizeof(cb);
+}
+
+TEST(EventCallback, StoresInlineMatchesWhereTheCallableLives) {
+    const void* where = nullptr;
+    const void** out = &where;
+
+    std::array<unsigned char, EventCallback::kInlineSize - sizeof(out)> fill{};
+    auto fits = [fill, out] { *out = &fill; };
+    static_assert(sizeof(fits) == EventCallback::kInlineSize);
+    static_assert(EventCallback::stores_inline<decltype(fits)>);
+
+    std::array<unsigned char, EventCallback::kInlineSize - sizeof(out) + 1> spill{};
+    auto too_big = [spill, out] { *out = &spill; };
+    static_assert(!EventCallback::stores_inline<decltype(too_big)>);
+
+    struct alignas(2 * alignof(std::max_align_t)) Wide {
+        unsigned char bytes[8];
+    };
+    Wide wide{};
+    auto over_aligned = [wide, out] { *out = &wide; };
+    static_assert(sizeof(over_aligned) <= EventCallback::kInlineSize);
+    static_assert(!EventCallback::stores_inline<decltype(over_aligned)>);
+
+    EventCallback a(fits), b(too_big), c(over_aligned);
+    EXPECT_TRUE(ran_inline(a, where));
+    EXPECT_FALSE(ran_inline(b, where));
+    EXPECT_FALSE(ran_inline(c, where));
+}
+
+TEST(Simulator, ScheduleForwardsEventCallbacksAndLvalueLambdas) {
+    Simulator s;
+    std::vector<int> order;
+    EventCallback cb([&order] { order.push_back(1); });
+    auto lambda = [&order] { order.push_back(2); };
+    s.schedule(0.1, std::move(cb));
+    s.schedule_at(0.2, lambda);
+    s.schedule(0.3, lambda);  // an lvalue is copied, not consumed
+    EXPECT_THROW(s.schedule(0.5, EventCallback{}), std::invalid_argument);
+    EXPECT_THROW(s.schedule_at(-1.0, lambda), std::invalid_argument);
+    EXPECT_EQ(s.pending(), 3u);
+    s.run();
+    EXPECT_EQ(order, (std::vector<int>{1, 2, 2}));
 }
 
 }  // namespace
