@@ -86,6 +86,14 @@ int report_check(check::Mode mode, std::size_t checked, std::size_t divergences)
     return divergences ? 1 : 0;
 }
 
+/// Prints every validate() error of `s` to stderr; true if there are none.
+/// Knobs arrive as parsed text, so "nan" or "inf" can reach any field.
+bool valid(const exp::Scenario& s) {
+    const std::vector<std::string> errors = s.validate();
+    for (const std::string& e : errors) std::fprintf(stderr, "%s\n", e.c_str());
+    return errors.empty();
+}
+
 int run_binary(const util::Config& args, obs::Recorder* rec, check::Mode check_mode) {
     exp::BinaryConfig c;
     c.recorder = rec;
@@ -106,6 +114,7 @@ int run_binary(const util::Config& args, obs::Recorder* rec, check::Mode check_m
 
     exp::Scenario s = exp::to_scenario(c);
     s.check.mode = check_mode;
+    if (!valid(s)) return 2;
     if (runs > 1) {
         std::printf("accuracy (mean of %zu runs): %.4f\n", runs, exp::mean_accuracy(s, runs));
         return 0;
@@ -162,6 +171,7 @@ int run_location(const util::Config& args, obs::Recorder* rec, check::Mode check
     c.keep_trace = !trace_path.empty();
     exp::Scenario s = exp::to_scenario(c);
     s.check.mode = check_mode;
+    if (!valid(s)) return 2;
     if (runs > 1) {
         std::printf("accuracy (mean of %zu runs): %.4f\n", runs, exp::mean_accuracy(s, runs));
         return 0;
@@ -194,6 +204,7 @@ int run_decay(const util::Config& args, obs::Recorder* rec, check::Mode check_mo
     c.decay_epoch_events = c.epoch_events;
     exp::Scenario s = exp::to_scenario(c);
     s.check.mode = check_mode;
+    if (!valid(s)) return 2;
     const auto r = run_location_experiment(s);
     std::printf("epoch  %%compromised  accuracy\n");
     for (std::size_t e = 0; e < r.epoch_accuracy.size(); ++e) {

@@ -144,31 +144,27 @@ double Channel::sender_drop_probability(const Endpoint& sender) const {
 
 namespace {
 
-/// Passes a delivery closure through unchanged, failing the build if it
-/// would not fit EventCallback's inline buffer: a delivery must never
-/// heap-allocate, whatever fields Packet grows.
-template <typename F>
-F&& inline_delivery(F&& closure) {
-    static_assert(sim::EventCallback::stores_inline<F>,
-                  "a channel delivery closure must fit EventCallback's inline buffer");
-    return std::forward<F>(closure);
+/// Runs one no-airtime delivery of a fan-out: stamps the receiver's rssi on
+/// the send's shared body just before its handler runs (see
+/// Process::handle_packet).
+void receive(void* body, void* process, double rssi) {
+    auto* packet = static_cast<Packet*>(body);
+    packet->rssi = rssi;
+    static_cast<sim::Process*>(process)->handle_packet(*packet);
 }
 
 }  // namespace
 
-void Channel::deliver(Endpoint& to, std::shared_ptr<Packet> body, double dist,
+void Channel::deliver(Endpoint& to, const std::shared_ptr<Packet>& body, double dist,
                       double extra_delay) {
     const double delay = params_.base_latency + dist / params_.propagation_speed + extra_delay;
     const double rssi = 1.0 / (1.0 + dist * dist);
     sim::Process* process = to.process;
 
-    // Every delivery of a send shares its body; only rssi is per receiver,
-    // stamped just before the handler runs (see Process::handle_packet).
+    // Without collisions a delivery is never cancelled: it joins the send's
+    // fan-out, scheduled by flush() once the send has drawn all its coins.
     if (params_.airtime <= 0.0) {
-        sim_->schedule(delay, inline_delivery([process, body = std::move(body), rssi] {
-                           body->rssi = rssi;
-                           process->handle_packet(*body);
-                       }));
+        staged_.push_back(sim::FanoutItem{sim_->now() + delay, process, rssi});
         ++delivered_;
         if (c_delivered_) c_delivered_->inc();
         return;
@@ -204,14 +200,61 @@ void Channel::deliver(Endpoint& to, std::shared_ptr<Packet> body, double dist,
         flights.push_back(Reception{arrive, end, sim::Timer{}});  // jam marker
         return;
     }
-    sim::Timer t = sim_->schedule(delay, inline_delivery([this, process, body = std::move(body),
-                                                          rssi] {
-                                      ++delivered_;
-                                      if (c_delivered_) c_delivered_->inc();
-                                      body->rssi = rssi;
-                                      process->handle_packet(*body);
-                                  }));
-    flights.push_back(Reception{arrive, end, t});
+    // Each collision-model delivery is its own cancellable timer; the
+    // closure (40 bytes) must stay inline in EventCallback, whatever fields
+    // Packet grows.
+    auto closure = [this, process, body, rssi] {
+        ++delivered_;
+        if (c_delivered_) c_delivered_->inc();
+        body->rssi = rssi;
+        process->handle_packet(*body);
+    };
+    static_assert(sim::EventCallback::stores_inline<decltype(closure)>,
+                  "a channel delivery closure must fit EventCallback's inline buffer");
+    flights.push_back(Reception{arrive, end, sim_->schedule(delay, std::move(closure))});
+}
+
+void Channel::flush(std::shared_ptr<Packet> body) {
+    if (staged_.empty()) return;
+    // Cleared on every path, so a rejected fan-out cannot leak its items
+    // into the next send.
+    struct Clear {
+        std::vector<sim::FanoutItem>& items;
+        ~Clear() { items.clear(); }
+    } clear{staged_};
+    sim_->schedule_fanout(&receive, std::move(body), staged_);
+}
+
+bool Channel::transmit(Endpoint& to, const std::shared_ptr<Packet>& body, double dist,
+                       const Endpoint& src) {
+    if (rng_.chance(sender_drop_probability(src))) {
+        ++dropped_;
+        if (c_dropped_) c_dropped_->inc();
+        note_drop(*body, obs::DropReason::Natural);
+        return false;
+    }
+    // Injected faults stack after the natural model, drawing only from the
+    // dedicated fault stream. Per delivery the draw order is: drop coin,
+    // delay extras (jitter then reorder), duplicate coin.
+    const ChannelFaultWindow* w = active_fault_window();
+    if (!w) {
+        deliver(to, body, dist);
+        return true;
+    }
+    if (w->extra_drop > 0.0 && fault_rng_.chance(w->extra_drop)) {
+        ++injected_drops_;
+        if (c_injected_drops_) c_injected_drops_->inc();
+        note_drop(*body, obs::DropReason::Injected);
+        return false;
+    }
+    const double extra = injected_extra_delay(*w);
+    if (w->duplicate_probability > 0.0 && fault_rng_.chance(w->duplicate_probability)) {
+        ++injected_duplicates_;
+        if (c_injected_duplicates_) c_injected_duplicates_->inc();
+        deliver(to, body, dist, injected_extra_delay(*w));
+    }
+    deliver(to, body, dist, extra);
+    return true;
 }
 
 bool Channel::unicast(Packet packet) {
@@ -235,35 +278,9 @@ bool Channel::unicast(Packet packet) {
     // One body for the delivery, every monitor copy and any duplicate.
     auto body = std::make_shared<Packet>(std::move(packet));
     snoop(body, src_it->second);
-    if (rng_.chance(sender_drop_probability(src_it->second))) {
-        ++dropped_;
-        if (c_dropped_) c_dropped_->inc();
-        note_drop(*body, obs::DropReason::Natural);
-        return false;
-    }
-    // Injected faults stack after the natural model, drawing only from the
-    // dedicated fault stream. Per delivery the draw order is: drop coin,
-    // delay extras (jitter then reorder), duplicate coin.
-    if (const ChannelFaultWindow* w = active_fault_window()) {
-        if (w->extra_drop > 0.0 && fault_rng_.chance(w->extra_drop)) {
-            ++injected_drops_;
-            if (c_injected_drops_) c_injected_drops_->inc();
-            note_drop(*body, obs::DropReason::Injected);
-            return false;
-        }
-        const double extra = injected_extra_delay(*w);
-        const bool duplicate =
-            w->duplicate_probability > 0.0 && fault_rng_.chance(w->duplicate_probability);
-        if (duplicate) {
-            ++injected_duplicates_;
-            if (c_injected_duplicates_) c_injected_duplicates_->inc();
-            deliver(dst_it->second, body, dist, injected_extra_delay(*w));
-        }
-        deliver(dst_it->second, std::move(body), dist, extra);
-        return true;
-    }
-    deliver(dst_it->second, std::move(body), dist);
-    return true;
+    const bool sent = transmit(dst_it->second, body, dist, src_it->second);
+    flush(std::move(body));
+    return sent;
 }
 
 std::size_t Channel::broadcast(Packet packet) {
@@ -273,7 +290,7 @@ std::size_t Channel::broadcast(Packet packet) {
     packet.sent_at = sim_->now();
     packet.dst = kBroadcast;
     // Built once: every receiver's delivery shares this body.
-    const auto body = std::make_shared<Packet>(std::move(packet));
+    auto body = std::make_shared<Packet>(std::move(packet));
 
     std::size_t n = 0;
     for (auto& [id, ep] : endpoints_) {
@@ -284,34 +301,11 @@ std::size_t Channel::broadcast(Packet packet) {
             if (c_out_of_range_) c_out_of_range_->inc();
             continue;
         }
-        if (rng_.chance(sender_drop_probability(src))) {
-            ++dropped_;
-            if (c_dropped_) c_dropped_->inc();
-            note_drop(*body, obs::DropReason::Natural);
-            continue;
-        }
-        // Same injection stack as unicast, with independent coins per
-        // receiver (broadcast receptions fail independently).
-        if (const ChannelFaultWindow* w = active_fault_window()) {
-            if (w->extra_drop > 0.0 && fault_rng_.chance(w->extra_drop)) {
-                ++injected_drops_;
-                if (c_injected_drops_) c_injected_drops_->inc();
-                note_drop(*body, obs::DropReason::Injected);
-                continue;
-            }
-            const double extra = injected_extra_delay(*w);
-            if (w->duplicate_probability > 0.0 && fault_rng_.chance(w->duplicate_probability)) {
-                ++injected_duplicates_;
-                if (c_injected_duplicates_) c_injected_duplicates_->inc();
-                deliver(ep, body, dist, injected_extra_delay(*w));
-            }
-            deliver(ep, body, dist, extra);
-            ++n;
-            continue;
-        }
-        deliver(ep, body, dist);
-        ++n;
+        // Same loss and injection stack as unicast, with independent coins
+        // per receiver (broadcast receptions fail independently).
+        if (transmit(ep, body, dist, src)) ++n;
     }
+    flush(std::move(body));
     return n;
 }
 

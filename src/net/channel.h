@@ -132,9 +132,17 @@ class Channel {
     };
 
     double sender_drop_probability(const Endpoint& sender) const;
-    /// Schedules one reception of the shared `body` at `to`.
-    void deliver(Endpoint& to, std::shared_ptr<Packet> body, double dist,
+    /// Draws the natural and injected loss coins for one reception of
+    /// `body` at `to` (sent by `src`), and delivers it (plus any injected
+    /// duplicate) if it survives. Returns true if it was delivered.
+    bool transmit(Endpoint& to, const std::shared_ptr<Packet>& body, double dist,
+                  const Endpoint& src);
+    /// Delivers one reception of the shared `body` at `to`: staged for the
+    /// send's fan-out without airtime, a cancellable timer with it.
+    void deliver(Endpoint& to, const std::shared_ptr<Packet>& body, double dist,
                  double extra_delay = 0.0);
+    /// Schedules the send's staged deliveries as one fan-out sharing `body`.
+    void flush(std::shared_ptr<Packet> body);
     void snoop(const std::shared_ptr<Packet>& body, const Endpoint& src);
     void note_drop(const Packet& packet, obs::DropReason reason);
 
@@ -153,6 +161,8 @@ class Channel {
     std::unordered_map<sim::ProcessId, Endpoint> endpoints_;
     /// target -> monitors listening on it
     std::unordered_map<sim::ProcessId, std::vector<sim::ProcessId>> monitors_;
+    /// The current send's no-airtime deliveries, in scheduling order.
+    std::vector<sim::FanoutItem> staged_;
     std::vector<ChannelFaultWindow> fault_windows_;
     util::Rng fault_rng_{0};
     std::size_t delivered_ = 0;

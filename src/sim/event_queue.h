@@ -20,7 +20,9 @@
 #include <cstring>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <new>
+#include <span>
 #include <stdexcept>
 #include <string>
 #include <type_traits>
@@ -91,11 +93,11 @@ class EventCallback {
   public:
     /// Inline capture budget. The largest closures in the tree are
     /// SensorNode's jittered transmit closure (this + sink + a
-    /// ReportPayload) and the channel's delivery closures (a process
-    /// pointer, a shared_ptr to the packet body and the receiver's rssi,
-    /// plus `this` on the collision path: 40 bytes). Packet contents never
-    /// enter a closure, so growing Packet cannot push deliveries onto the
-    /// heap; channel.cc static_asserts that with stores_inline.
+    /// ReportPayload) and the channel's collision-model delivery closure
+    /// (`this`, a process pointer, a shared_ptr to the packet body and the
+    /// receiver's rssi: 40 bytes). Packet contents never enter a closure,
+    /// so growing Packet cannot push deliveries onto the heap; channel.cc
+    /// static_asserts that with stores_inline.
     static constexpr std::size_t kInlineSize = 64;
 
     /// True if a callable of type F is stored in the inline buffer; false
@@ -194,10 +196,29 @@ class EventCallback {
     const detail::CallbackOps* ops_ = nullptr;
 };
 
+/// Runs one delivery of a fan-out: `body` is the fan-out's shared body,
+/// `target` and `arg` the delivery's own fields (see EventQueue::push_fanout).
+using FanoutHandler = void (*)(void* body, void* target, double arg);
+
+/// One delivery of a fan-out: at time `at`, the handler runs with `target`
+/// and `arg`.
+struct FanoutItem {
+    Time at;
+    void* target;
+    double arg;
+};
+
 /// Min-heap of (time, seq) -> action with lazy cancellation and slot
 /// recycling. All hot methods are defined inline below: the queue sits on
 /// the innermost simulator loop, and keeping push/pop visible to the
 /// caller's TU (no LTO required) is worth several ns per event.
+///
+/// Besides single events (timers), the queue holds *fan-outs*: every
+/// delivery of one send, sorted by (time, seq), behind a single heap entry
+/// that always carries the fan-out's earliest remaining delivery. Each
+/// delivery is still its own event — it takes the seq an individual push
+/// would have taken, counts once in size(), and pops on its own — so the
+/// pop order is exactly that of pushing every delivery separately.
 class EventQueue {
   public:
     /// Schedules `action` at absolute time `at`; returns a cancellation id.
@@ -219,33 +240,64 @@ class EventQueue {
         return commit_push(at, slot);
     }
 
+    /// Schedules one event per item, each running handler(body.get(),
+    /// item.target, item.arg) at item.at. The items take consecutive seqs
+    /// in the order given, exactly as if each had been pushed in turn, so
+    /// same-instant items (and same-instant events pushed before or after)
+    /// keep scheduling order. Fan-out events cannot be cancelled; `body` is
+    /// released after the last one runs. Storage is pooled: once the pool
+    /// has grown to the number of fan-outs in flight and their sizes, a
+    /// push allocates nothing. Throws std::invalid_argument on a null
+    /// handler; an empty `items` schedules nothing.
+    void push_fanout(FanoutHandler handler, std::shared_ptr<void> body,
+                     std::span<const FanoutItem> items) {
+        if (!handler) throw std::invalid_argument("EventQueue::push_fanout: empty handler");
+        if (items.empty()) return;
+        const std::uint32_t index = acquire_fanout();
+        Fanout& f = fanouts_[index];
+        f.handler = handler;
+        f.body = std::move(body);
+        for (const FanoutItem& item : items) {
+            f.items.push_back(Delivery{item.at, (next_seq_++ << kSlotBits) | kFanoutBit | index,
+                                       item.target, item.arg});
+        }
+        std::sort(f.items.begin(), f.items.end(), [](const Delivery& a, const Delivery& b) {
+            if (a.at != b.at) return a.at < b.at;
+            return a.key < b.key;
+        });
+        heap_push(Entry{f.items.front().at, f.items.front().key});
+        ++live_entries_;
+        live_ += items.size();
+    }
+
     /// Marks an event cancelled. Cancelled events are skipped on pop.
     /// Returns false if the id was already executed, cancelled, or unknown
     /// — double-cancel and cancel-after-pop (even from inside the running
     /// action itself, and even after the slot was recycled by a later
     /// push) are safe no-ops that leave size()/empty() intact.
     ///
-    /// A slot is released exactly once per incarnation — here or in pop()
-    /// — so an id that is unknown, already executed, already cancelled, or
-    /// from a recycled incarnation (the key check: keys never repeat) is
-    /// rejected before live_ is touched; live_ cannot underflow and
-    /// size()/empty() stay consistent.
+    /// A slot is released exactly once per incarnation — here or in
+    /// run_next() — so an id that is unknown, already executed, already
+    /// cancelled, or from a recycled incarnation (the key check: keys never
+    /// repeat) is rejected before live_ is touched; live_ cannot underflow
+    /// and size()/empty() stay consistent.
     bool cancel(EventId id) {
         const auto slot = static_cast<std::uint32_t>(id & kSlotMask);
-        if (slot >= slots_.size()) return false;
+        if (slot >= slots_.size()) return false;  // also every fan-out key
         Slot& s = slots_[slot];
         if (s.key != id) return false;
         assert(s.action && "live slot must hold an action");
         assert(live_ > 0 && "live slot implies live_ > 0");
         release_slot(slot);
         --live_;
+        --live_entries_;
         return true;
     }
 
     /// True if no runnable (non-cancelled) events remain.
     bool empty() const { return live_ == 0; }
 
-    /// Number of runnable events.
+    /// Number of runnable events; each fan-out delivery counts once.
     std::size_t size() const { return live_; }
 
     /// Time of the earliest runnable event; requires !empty().
@@ -256,32 +308,38 @@ class EventQueue {
         return heap_.front().at;
     }
 
-    /// Pops and returns the earliest runnable event (time + action);
-    /// requires !empty().
-    std::pair<Time, EventCallback> pop() {
+    /// Pops the earliest runnable event, stores its time in `now`, and runs
+    /// it; requires !empty(). The event is off the queue before it runs,
+    /// so it may push further events, and cancel(own id) from inside it is
+    /// a key-checked no-op.
+    void run_next(Time& now) {
         drop_cancelled_top();
-        if (heap_.empty()) throw std::logic_error("EventQueue::pop on empty queue");
-        const Entry e = heap_pop();
+        if (heap_.empty()) throw std::logic_error("EventQueue::run_next on empty queue");
+        const Entry top = heap_.front();
         // The future event list never runs backwards: each pop's timestamp
         // is >= every earlier pop's (same-instant ties break by push order).
-        TIBFIT_CHECK(e.at >= last_pop_at_,
-                     "time ran backwards: " + std::to_string(e.at) + " after " +
+        TIBFIT_CHECK(top.at >= last_pop_at_,
+                     "time ran backwards: " + std::to_string(top.at) + " after " +
                          std::to_string(last_pop_at_));
-        last_pop_at_ = e.at;
-        const auto slot = static_cast<std::uint32_t>(e.key & kSlotMask);
-        // Move the action straight into the NRVO'd return value (one
-        // relocation, not two). Releasing before the caller invokes the
-        // action means cancel(own id) from inside the running action is a
-        // key-checked no-op.
-        std::pair<Time, EventCallback> out{e.at, std::move(slots_[slot].action)};
-        release_slot(slot);
-        assert(live_ > 0 && "popped a live entry, so live_ > 0");
+        last_pop_at_ = top.at;
+        now = top.at;
+        assert(live_ > 0 && "a live top entry implies live_ > 0");
         --live_;
-        return out;
+        // The tag bit in the key, already loaded, tells the two kinds apart.
+        if (top.key & kFanoutBit) {
+            run_fanout_delivery(top);
+            return;
+        }
+        heap_pop();
+        --live_entries_;
+        const auto slot = static_cast<std::uint32_t>(top.key & kSlotMask);
+        EventCallback action = std::move(slots_[slot].action);
+        release_slot(slot);
+        action();
     }
 
     /// Arena footprint: slots ever allocated. Bounded by the maximum
-    /// number of *simultaneously pending* events, not the total pushed —
+    /// number of *simultaneously pending* timers, not the total pushed —
     /// the slot-recycling regression tests pin this down.
     std::size_t slot_count() const { return slots_.size(); }
 
@@ -290,14 +348,31 @@ class EventQueue {
     // at 1 and only grows, so ids are unique across the queue's lifetime
     // and never zero; a slot stores the id of its current tenant (0 when
     // free), which makes liveness / staleness checking one 64-bit compare
-    // — no separate generation counter or live flag. 2^40 pushes and 2^24
-    // concurrent events are far beyond any simulated trial.
+    // — no separate generation counter or live flag. A fan-out delivery's
+    // key is (seq << kSlotBits) | kFanoutBit | fan-out index: the seq alone
+    // orders keys, so the tag never changes the pop order. 2^40 pushes and
+    // 2^23 concurrent timers (or fan-outs) are far beyond any trial.
     static constexpr unsigned kSlotBits = 24;
     static constexpr std::uint64_t kSlotMask = (std::uint64_t{1} << kSlotBits) - 1;
+    static constexpr std::uint64_t kFanoutBit = std::uint64_t{1} << (kSlotBits - 1);
 
     struct Slot {
         EventCallback action;
         EventId key = 0;  ///< id of the pending event in this slot; 0 = free
+    };
+
+    struct Delivery {
+        Time at;
+        EventId key;
+        void* target;
+        double arg;
+    };
+
+    struct Fanout {
+        FanoutHandler handler = nullptr;
+        std::shared_ptr<void> body;
+        std::vector<Delivery> items;  ///< sorted by (at, key); capacity is pooled
+        std::size_t next = 0;         ///< first delivery not yet run
     };
 
     struct Entry {
@@ -315,8 +390,11 @@ class EventQueue {
         }
     };
 
+    /// Fan-out entries are never cancelled; a timer entry is live while its
+    /// slot still holds its key.
     bool entry_live(const Entry& e) const {
-        return slots_[static_cast<std::uint32_t>(e.key & kSlotMask)].key == e.key;
+        return (e.key & kFanoutBit) != 0 ||
+               slots_[static_cast<std::uint32_t>(e.key & kSlotMask)].key == e.key;
     }
 
     /// Timestamp of the most recent pop, for the monotonic-time invariant.
@@ -346,11 +424,12 @@ class EventQueue {
             free_.push_back(slot);
             throw std::invalid_argument("EventQueue::push: empty action");
         }
-        assert(slot <= kSlotMask && "arena exceeded 2^24 concurrent events");
+        assert(slot < kFanoutBit && "arena exceeded 2^23 concurrent events");
         const EventId key = (next_seq_++ << kSlotBits) | slot;
         s.key = key;
         heap_push(Entry{at, key});
         ++live_;
+        ++live_entries_;
         return key;
     }
 
@@ -364,33 +443,91 @@ class EventQueue {
         free_.push_back(slot);
     }
 
-    /// Every live slot has exactly one heap entry, so heap_.size() ==
-    /// live_ means no stale (cancelled) entries exist anywhere — the
-    /// common no-cancellation steady state skips the slot probe entirely.
+    std::uint32_t acquire_fanout() {
+        if (!free_fanouts_.empty()) {
+            const std::uint32_t index = free_fanouts_.back();
+            free_fanouts_.pop_back();
+            return index;
+        }
+        const auto index = static_cast<std::uint32_t>(fanouts_.size());
+        assert(index < kFanoutBit && "more than 2^23 fan-outs in flight");
+        fanouts_.emplace_back();
+        return index;
+    }
+
+    /// Runs the fan-out delivery `top` stands for (its time is already
+    /// checked and stored). The next delivery, if any, replaces it at the
+    /// heap top; it is usually still the earliest event, so the sift stops
+    /// at once. Kept out of line so that run_next's timer path stays as
+    /// small as before fan-outs existed (inlined, it slowed the timer
+    /// microbenchmarks by about 20%).
+    [[gnu::noinline]] void run_fanout_delivery(const Entry& top) {
+        const auto index = static_cast<std::uint32_t>(top.key & (kFanoutBit - 1));
+        Fanout& f = fanouts_[index];
+        const Delivery d = f.items[f.next++];
+        const FanoutHandler handler = f.handler;
+        // The handler may push (growing fanouts_) and reuse this fan-out
+        // once it is released, so it runs on copies; the last delivery
+        // keeps the body alive itself.
+        if (f.next < f.items.size()) {
+            void* const body = f.body.get();
+            replace_top(Entry{f.items[f.next].at, f.items[f.next].key});
+            handler(body, d.target, d.arg);
+            return;
+        }
+        heap_pop();
+        --live_entries_;
+        const std::shared_ptr<void> body = std::move(f.body);
+        f.items.clear();
+        f.next = 0;
+        free_fanouts_.push_back(index);
+        handler(body.get(), d.target, d.arg);
+    }
+
+    /// live_entries_ counts the heap entries that are not cancelled, so
+    /// heap_.size() == live_entries_ means no stale entries exist anywhere
+    /// — the common no-cancellation steady state skips the slot probe
+    /// entirely. (live_ cannot serve: one fan-out entry stands for many
+    /// events.)
     void drop_cancelled_top() {
-        while (heap_.size() != live_ && !entry_live(heap_.front())) heap_pop();
+        while (heap_.size() != live_entries_ && !entry_live(heap_.front())) heap_pop();
     }
 
     // Binary min-heap via std::push_heap/pop_heap. (A 4-ary heap was
-    // measured here and lost: libstdc++'s bottom-up pop_heap sift does
-    // fewer comparisons than a naive d-ary sift-down at these depths.)
+    // measured here and lost at a queue depth of 32: libstdc++'s bottom-up
+    // pop_heap sift does fewer comparisons than a naive d-ary sift-down.)
     void heap_push(const Entry& e) {
         heap_.push_back(e);
         std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
     }
 
-    Entry heap_pop() {
+    void heap_pop() {
         std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
-        const Entry top = heap_.back();
         heap_.pop_back();
-        return top;
+    }
+
+    /// Replaces the top entry with `e` and sifts it down, keeping the
+    /// std::push_heap/pop_heap layout (no parent greater than a child).
+    void replace_top(const Entry& e) {
+        const std::size_t n = heap_.size();
+        std::size_t i = 0;
+        for (std::size_t child = 1; child < n; child = 2 * i + 1) {
+            if (child + 1 < n && heap_[child] > heap_[child + 1]) ++child;
+            if (!(e > heap_[child])) break;
+            heap_[i] = heap_[child];
+            i = child;
+        }
+        heap_[i] = e;
     }
 
     std::vector<Entry> heap_;
     std::vector<Slot> slots_;
     std::vector<std::uint32_t> free_;  ///< recycled slot indices (LIFO)
-    std::uint64_t next_seq_ = 1;       ///< 0 is reserved for "slot free"
-    std::size_t live_ = 0;
+    std::vector<Fanout> fanouts_;
+    std::vector<std::uint32_t> free_fanouts_;  ///< recycled fan-out indices (LIFO)
+    std::uint64_t next_seq_ = 1;               ///< 0 is reserved for "slot free"
+    std::size_t live_ = 0;                     ///< runnable events
+    std::size_t live_entries_ = 0;             ///< heap entries not cancelled
 };
 
 }  // namespace tibfit::sim

@@ -10,10 +10,8 @@ bool Simulator::cancel(Timer& timer) {
 
 bool Simulator::step() {
     if (queue_.empty()) return false;
-    auto [at, action] = queue_.pop();
-    now_ = at;
     ++executed_;
-    action();
+    queue_.run_next(now_);
     return true;
 }
 

@@ -3,7 +3,10 @@
 #pragma once
 
 #include <functional>
+#include <memory>
+#include <span>
 #include <stdexcept>
+#include <string>
 #include <type_traits>
 #include <utility>
 
@@ -43,18 +46,21 @@ class Simulator {
     /// constructed directly in its event-arena slot, and small closures are
     /// stored inline there (see EventCallback): the common path performs no
     /// heap allocation and no callback relocation. Throws
-    /// std::invalid_argument on a negative delay or an empty action.
+    /// std::invalid_argument on a negative or NaN delay or an empty action.
     template <typename F>
     Timer schedule(Time delay, F&& action) {
-        if (delay < 0.0) throw std::invalid_argument("Simulator::schedule: negative delay");
+        if (!(delay >= 0.0)) {
+            throw std::invalid_argument("Simulator::schedule: negative or NaN delay");
+        }
         return schedule_at(now_ + delay, std::forward<F>(action));
     }
 
     /// Schedules `action` at absolute time `at` (>= now()). Throws
-    /// std::invalid_argument on a time in the past or an empty action.
+    /// std::invalid_argument on a time in the past, a NaN time (it would
+    /// break the queue's strict weak order) or an empty action.
     template <typename F>
     Timer schedule_at(Time at, F&& action) {
-        if (at < now_) throw std::invalid_argument("Simulator::schedule_at: time in the past");
+        check_time(at, "Simulator::schedule_at");
         using D = std::decay_t<F>;
         if constexpr (std::is_same_v<D, EventCallback> ||
                       std::is_same_v<D, std::function<void()>>) {
@@ -63,6 +69,20 @@ class Simulator {
         const EventId id = queue_.push(at, std::forward<F>(action));
         if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
         return Timer(id, true);
+    }
+
+    /// Schedules one event per item: at item.at, handler(body.get(),
+    /// item.target, item.arg). The events fire exactly as if each item had
+    /// been passed to schedule_at in turn — same order, same executed() and
+    /// pending() counts — but share one queue entry (see
+    /// EventQueue::push_fanout), and cannot be cancelled. `body` is
+    /// released after the last one runs. Throws std::invalid_argument on a
+    /// null handler or any item time in the past or NaN, scheduling nothing.
+    void schedule_fanout(FanoutHandler handler, std::shared_ptr<void> body,
+                         std::span<const FanoutItem> items) {
+        for (const FanoutItem& item : items) check_time(item.at, "Simulator::schedule_fanout");
+        queue_.push_fanout(handler, std::move(body), items);
+        if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
     }
 
     /// Cancels a pending timer. Returns false if it already fired or was
@@ -92,6 +112,12 @@ class Simulator {
     std::size_t queue_high_water() const { return queue_high_water_; }
 
   private:
+    void check_time(Time at, const char* who) const {
+        if (!(at >= now_)) {
+            throw std::invalid_argument(std::string(who) + ": time in the past or NaN");
+        }
+    }
+
     EventQueue queue_;
     Time now_ = 0.0;
     std::size_t executed_ = 0;

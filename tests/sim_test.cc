@@ -4,6 +4,10 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <limits>
+#include <memory>
+#include <random>
+#include <utility>
 #include <vector>
 
 #include "sim/event_queue.h"
@@ -12,12 +16,19 @@
 namespace tibfit::sim {
 namespace {
 
+/// Pops and runs the earliest event of `q`; returns its time.
+Time run_one(EventQueue& q) {
+    Time now = 0.0;
+    q.run_next(now);
+    return now;
+}
+
 TEST(EventQueue, EmptyBehaviour) {
     EventQueue q;
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.size(), 0u);
     EXPECT_THROW(q.next_time(), std::logic_error);
-    EXPECT_THROW(q.pop(), std::logic_error);
+    EXPECT_THROW(run_one(q), std::logic_error);
 }
 
 TEST(EventQueue, PopsInTimeOrder) {
@@ -26,7 +37,7 @@ TEST(EventQueue, PopsInTimeOrder) {
     q.push(3.0, [&] { order.push_back(3); });
     q.push(1.0, [&] { order.push_back(1); });
     q.push(2.0, [&] { order.push_back(2); });
-    while (!q.empty()) q.pop().second();
+    while (!q.empty()) run_one(q);
     EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
 }
 
@@ -36,7 +47,7 @@ TEST(EventQueue, StableAtSameTime) {
     for (int i = 0; i < 10; ++i) {
         q.push(1.0, [&order, i] { order.push_back(i); });
     }
-    while (!q.empty()) q.pop().second();
+    while (!q.empty()) run_one(q);
     for (int i = 0; i < 10; ++i) EXPECT_EQ(order[i], i);
 }
 
@@ -49,7 +60,7 @@ TEST(EventQueue, CancelSkipsEvent) {
     EXPECT_TRUE(q.cancel(id));
     EXPECT_FALSE(q.cancel(id));  // double cancel
     EXPECT_EQ(q.size(), 2u);
-    while (!q.empty()) q.pop().second();
+    while (!q.empty()) run_one(q);
     EXPECT_EQ(fired, 2);
 }
 
@@ -64,13 +75,13 @@ TEST(EventQueue, CancelAfterPopIsRejected) {
     EventQueue q;
     const EventId id = q.push(1.0, [] {});
     q.push(2.0, [] {});
-    q.pop();  // executes id
+    run_one(q);  // executes id
     EXPECT_FALSE(q.cancel(id));
     EXPECT_FALSE(q.cancel(id));  // and again
     // live_ must not have underflowed: exactly one runnable event remains.
     EXPECT_EQ(q.size(), 1u);
     EXPECT_FALSE(q.empty());
-    q.pop();
+    run_one(q);
     EXPECT_TRUE(q.empty());
 }
 
@@ -81,7 +92,7 @@ TEST(EventQueue, DoubleCancelKeepsSizeConsistent) {
     EXPECT_TRUE(q.cancel(a));
     for (int i = 0; i < 3; ++i) EXPECT_FALSE(q.cancel(a));
     EXPECT_EQ(q.size(), 1u);
-    q.pop();
+    run_one(q);
     EXPECT_TRUE(q.empty());
     EXPECT_EQ(q.size(), 0u);
 }
@@ -106,7 +117,7 @@ TEST(EventQueue, ActionCancellingItselfWhilePoppedIsANoOp) {
         ++fired;
     });
     q.push(1.0, [&] { ++fired; });  // same instant, must still run
-    while (!q.empty()) q.pop().second();
+    while (!q.empty()) run_one(q);
     EXPECT_EQ(fired, 2);
     EXPECT_EQ(q.size(), 0u);
 }
@@ -121,7 +132,7 @@ TEST(EventQueue, CancelOtherEventAtSameInstant) {
         EXPECT_FALSE(q.cancel(second));  // double-cancel inside the action
     });
     second = q.push(1.0, [&] { fired += 100; });
-    while (!q.empty()) q.pop().second();
+    while (!q.empty()) run_one(q);
     EXPECT_EQ(fired, 1);
 }
 
@@ -241,7 +252,7 @@ TEST(EventQueue, SlotCountTracksConcurrentNotTotalEvents) {
     int fired = 0;
     for (int round = 0; round < 1000; ++round) {
         for (int i = 0; i < 8; ++i) q.push(static_cast<Time>(i), [&] { ++fired; });
-        while (!q.empty()) q.pop().second();
+        while (!q.empty()) run_one(q);
     }
     EXPECT_EQ(fired, 8000);
     EXPECT_LE(q.slot_count(), 8u);
@@ -255,7 +266,7 @@ TEST(EventQueue, CancelChurnKeepsSlotCountBounded) {
             ids.push_back(q.push(static_cast<Time>(i), [] {}));
         }
         for (std::size_t i = 0; i < ids.size(); i += 2) EXPECT_TRUE(q.cancel(ids[i]));
-        while (!q.empty()) q.pop().second();
+        while (!q.empty()) run_one(q);
     }
     EXPECT_LE(q.slot_count(), 16u);
 }
@@ -266,7 +277,7 @@ TEST(EventQueue, StaleIdCannotCancelRecycledSlot) {
     // must still work.
     EventQueue q;
     const EventId old_id = q.push(1.0, [] {});
-    q.pop().second();
+    run_one(q);
     EXPECT_TRUE(q.empty());
 
     int fired = 0;
@@ -286,7 +297,7 @@ TEST(EventQueue, StaleIdFromCancelledEventCannotCancelRecycledSlot) {
     int fired = 0;
     q.push(1.0, [&] { ++fired; });  // reuses a's slot
     EXPECT_FALSE(q.cancel(a));
-    while (!q.empty()) q.pop().second();
+    while (!q.empty()) run_one(q);
     EXPECT_EQ(fired, 1);
 }
 
@@ -304,7 +315,7 @@ TEST(EventQueue, CancelAndRepushPreservesDeterministicOrdering) {
     // were scheduled later, so they run after the survivors 0, 2, 4.
     for (int i = 1; i < 6; i += 2) EXPECT_TRUE(q.cancel(ids[static_cast<std::size_t>(i)]));
     for (int i = 10; i < 13; ++i) q.push(1.0, [&order, i] { order.push_back(i); });
-    while (!q.empty()) q.pop().second();
+    while (!q.empty()) run_one(q);
     EXPECT_EQ(order, (std::vector<int>{0, 2, 4, 10, 11, 12}));
 }
 
@@ -391,6 +402,233 @@ TEST(Simulator, ScheduleForwardsEventCallbacksAndLvalueLambdas) {
     EXPECT_EQ(s.pending(), 3u);
     s.run();
     EXPECT_EQ(order, (std::vector<int>{1, 2, 2}));
+}
+
+TEST(Simulator, RejectsNaNTimes) {
+    // NaN compares false against everything, so `delay < 0.0` and
+    // `at < now` would let it in and break the queue's strict weak order.
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    Simulator s;
+    EXPECT_THROW(s.schedule(nan, [] {}), std::invalid_argument);
+    EXPECT_THROW(s.schedule_at(nan, [] {}), std::invalid_argument);
+    int target = 0;
+    const FanoutHandler handler = [](void*, void*, double) {};
+    const std::vector<FanoutItem> items{{1.0, &target, 0.0}, {nan, &target, 1.0}};
+    EXPECT_THROW(s.schedule_fanout(handler, nullptr, items), std::invalid_argument);
+    EXPECT_EQ(s.pending(), 0u);  // a rejected fan-out schedules none of its items
+    EXPECT_TRUE(s.idle());
+}
+
+// --- Fan-outs ---------------------------------------------------------------
+
+/// Fan-out handler for the tests: appends (arg, now) to the log `target`
+/// points at. The body is unused.
+struct FanoutLog {
+    Simulator* sim;
+    std::vector<std::pair<double, Time>> runs;
+};
+
+void log_delivery(void*, void* target, double arg) {
+    auto* log = static_cast<FanoutLog*>(target);
+    log->runs.emplace_back(arg, log->sim->now());
+}
+
+TEST(Simulator, FanoutItemsAreEventsInScheduleOrder) {
+    Simulator s;
+    FanoutLog log{&s, {}};
+    s.schedule_at(1.0, [&] { log.runs.emplace_back(-1.0, s.now()); });
+    // Unsorted, with ties among the items and with the timers around them.
+    const std::vector<FanoutItem> items{
+        {2.0, &log, 0.0}, {1.0, &log, 1.0}, {1.5, &log, 2.0}, {1.0, &log, 3.0}, {2.0, &log, 4.0}};
+    s.schedule_fanout(&log_delivery, nullptr, items);
+    s.schedule_at(1.0, [&] { log.runs.emplace_back(-2.0, s.now()); });
+    EXPECT_EQ(s.pending(), 7u);
+    EXPECT_EQ(s.queue_high_water(), 7u);
+    EXPECT_TRUE(s.step());
+    EXPECT_EQ(s.executed(), 1u);
+    EXPECT_EQ(s.pending(), 6u);
+    s.run();
+    EXPECT_EQ(s.executed(), 7u);
+    const std::vector<std::pair<double, Time>> expected{
+        {-1.0, 1.0}, {1.0, 1.0}, {3.0, 1.0}, {-2.0, 1.0}, {2.0, 1.5}, {0.0, 2.0}, {4.0, 2.0}};
+    EXPECT_EQ(log.runs, expected);
+}
+
+TEST(Simulator, FanoutValidatesLikeScheduleAt) {
+    Simulator s;
+    FanoutLog log{&s, {}};
+    s.schedule(1.0, [] {});
+    s.run();
+    const std::vector<FanoutItem> past{{2.0, &log, 0.0}, {0.5, &log, 1.0}};
+    EXPECT_THROW(s.schedule_fanout(&log_delivery, nullptr, past), std::invalid_argument);
+    const std::vector<FanoutItem> now{{1.0, &log, 0.0}};
+    EXPECT_THROW(s.schedule_fanout(nullptr, nullptr, now), std::invalid_argument);
+    EXPECT_EQ(s.pending(), 0u);
+    s.schedule_fanout(&log_delivery, nullptr, {});  // nothing to schedule
+    s.schedule_fanout(&log_delivery, nullptr, now);  // at now() is allowed
+    EXPECT_EQ(s.run(), 1u);
+}
+
+TEST(Simulator, FanoutBodyLivesUntilItsLastItemRuns) {
+    std::weak_ptr<int> watch;
+    bool alive_in_last = false;
+    {
+        Simulator s;
+        auto body = std::make_shared<int>(7);
+        watch = body;
+        struct Probe {
+            std::weak_ptr<int>* watch;
+            bool* alive_in_last;
+        } probe{&watch, &alive_in_last};
+        const FanoutHandler handler = [](void* b, void* target, double arg) {
+            auto* p = static_cast<Probe*>(target);
+            if (arg == 1.0) *p->alive_in_last = !p->watch->expired() && *static_cast<int*>(b) == 7;
+        };
+        const std::vector<FanoutItem> items{{1.0, &probe, 0.0}, {2.0, &probe, 1.0}};
+        s.schedule_fanout(handler, std::move(body), items);
+        s.step();
+        EXPECT_FALSE(watch.expired());
+        s.step();
+        EXPECT_TRUE(alive_in_last);
+        EXPECT_TRUE(watch.expired());
+
+        // A simulator destroyed with a fan-out pending releases its body.
+        body = std::make_shared<int>(8);
+        watch = body;
+        const std::vector<FanoutItem> later{{3.0, &probe, 0.0}, {4.0, &probe, 1.0}};
+        s.schedule_fanout(handler, std::move(body), later);
+        s.run_until(3.5);
+        EXPECT_FALSE(watch.expired());
+    }
+    EXPECT_TRUE(watch.expired());
+}
+
+/// One side of the differential test: a Simulator driven by a shared
+/// operation stream. The reference side (`split`) schedules every fan-out
+/// item with its own schedule_at, in item order; the other side schedules
+/// the same items with schedule_fanout. Deliveries may schedule further
+/// fan-outs and timers, so fan-outs are also pushed while others drain.
+class DifferentialSide {
+  public:
+    explicit DifferentialSide(bool split) : split_(split) {}
+
+    Simulator sim;
+    std::vector<std::pair<std::uint64_t, Time>> log;  ///< (event id, time) in run order
+    std::vector<Timer> timers;                        ///< every timer ever scheduled
+
+    void timer(Time delay) {
+        const std::uint64_t id = next_id_++;
+        timers.push_back(sim.schedule(delay, [this, id] { record(id); }));
+    }
+
+    void timer_at(Time at) {
+        const std::uint64_t id = next_id_++;
+        timers.push_back(sim.schedule_at(at, [this, id] { record(id); }));
+    }
+
+    /// Schedules `offsets.size()` events at now() + offset, as one fan-out.
+    void fanout(const std::vector<Time>& offsets) {
+        std::vector<FanoutItem> items;
+        for (Time offset : offsets) {
+            items.push_back(FanoutItem{sim.now() + offset, this, static_cast<double>(next_id_++)});
+        }
+        if (!split_) {
+            sim.schedule_fanout(&deliver, nullptr, items);
+            return;
+        }
+        for (const FanoutItem& item : items) {
+            sim.schedule_at(item.at, [this, id = item.arg] { deliver(nullptr, this, id); });
+        }
+    }
+
+  private:
+    static void deliver(void*, void* target, double arg) {
+        static_cast<DifferentialSide*>(target)->record(static_cast<std::uint64_t>(arg));
+    }
+
+    /// Logs the event; some events schedule more work, derived from the id
+    /// alone so both sides do the same.
+    void record(std::uint64_t id) {
+        log.emplace_back(id, sim.now());
+        if (id % 11 == 0) {
+            std::vector<Time> offsets;
+            for (std::uint64_t k = 0; k < id % 7 + 1; ++k) {
+                offsets.push_back(0.25 * static_cast<double>((id + k) % 3));
+            }
+            fanout(offsets);
+        } else if (id % 13 == 0) {
+            timer(0.25 * static_cast<double>(id % 4));
+        }
+    }
+
+    bool split_;
+    std::uint64_t next_id_ = 0;
+};
+
+TEST(Simulator, FanoutMatchesIndividualSchedulingUnderRandomOperations) {
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u}) {
+        std::mt19937_64 rng(seed);
+        const auto draw = [&rng](std::uint64_t n) { return rng() % n; };
+        // Times on a coarse grid, so ties between timers, fan-out items and
+        // nested events are common.
+        const auto grid = [&draw](std::uint64_t steps) {
+            return 0.25 * static_cast<double>(draw(steps));
+        };
+        DifferentialSide ref(true), fan(false);
+        std::size_t checked = 0;
+        for (int op = 0; op < 4000; ++op) {
+            switch (draw(6)) {
+                case 0: {
+                    const Time delay = grid(12);
+                    ref.timer(delay);
+                    fan.timer(delay);
+                    break;
+                }
+                case 1: {
+                    const Time at = ref.sim.now() + grid(12);
+                    ref.timer_at(at);
+                    fan.timer_at(at);
+                    break;
+                }
+                case 2: {
+                    // Any timer ever scheduled: pending, fired, cancelled or
+                    // with a recycled slot. A copy keeps the handle armed, so
+                    // stale ids reach the queue too.
+                    if (ref.timers.empty()) break;
+                    const auto i = static_cast<std::size_t>(draw(ref.timers.size()));
+                    Timer a = ref.timers[i], b = fan.timers[i];
+                    ASSERT_EQ(ref.sim.cancel(a), fan.sim.cancel(b)) << "seed " << seed;
+                    break;
+                }
+                case 3: {
+                    std::vector<Time> offsets(static_cast<std::size_t>(1 + draw(120)));
+                    for (Time& o : offsets) o = grid(8);
+                    ref.fanout(offsets);
+                    fan.fanout(offsets);
+                    break;
+                }
+                default: {
+                    const Time deadline = ref.sim.now() + grid(6);
+                    ASSERT_EQ(ref.sim.run_until(deadline), fan.sim.run_until(deadline));
+                    break;
+                }
+            }
+            ASSERT_EQ(ref.sim.executed(), fan.sim.executed()) << "seed " << seed << " op " << op;
+            ASSERT_EQ(ref.sim.pending(), fan.sim.pending()) << "seed " << seed << " op " << op;
+            ASSERT_EQ(ref.sim.queue_high_water(), fan.sim.queue_high_water())
+                << "seed " << seed << " op " << op;
+            ASSERT_EQ(ref.sim.now(), fan.sim.now());
+            ASSERT_EQ(ref.log.size(), fan.log.size()) << "seed " << seed << " op " << op;
+            for (; checked < ref.log.size(); ++checked) {
+                ASSERT_EQ(ref.log[checked], fan.log[checked]) << "seed " << seed << " op " << op;
+            }
+        }
+        ref.sim.run();
+        fan.sim.run();
+        EXPECT_EQ(ref.log, fan.log) << "seed " << seed;
+        EXPECT_EQ(ref.sim.executed(), fan.sim.executed());
+        EXPECT_GT(ref.sim.executed(), 10000u) << "the operation mix should keep the queue busy";
+    }
 }
 
 }  // namespace
