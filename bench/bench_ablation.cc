@@ -18,10 +18,10 @@ int main(int argc, char** argv) {
     using namespace tibfit;
     exp::BenchIo io("bench_ablation", argc, argv);
 
-    exp::LocationConfig base;
-    base.fault_level = sensor::NodeClass::Level0;
-    base.pct_faulty = 0.5;
-    base.events = 200;
+    exp::Scenario base = exp::Scenario::location_defaults();
+    base.location.fault_level = sensor::NodeClass::Level0;
+    base.location.pct_faulty = 0.5;
+    base.location.events = 200;
     base.seed = 20050628;
     const std::size_t runs = io.trial_runs(5);
 
@@ -29,79 +29,77 @@ int main(int argc, char** argv) {
     t.header({"variant", "accuracy"});
 
     {
-        exp::LocationConfig c = base;
+        exp::Scenario c = base;
         t.row({"baseline config (isolation on, lambda 0.25, f_r 0.1, grid, rot 20)",
-               util::Table::num(exp::mean_location_accuracy(c, runs), 3)});
+               util::Table::num(exp::mean_accuracy(c, runs), 3)});
     }
     {
-        exp::LocationConfig c = base;
-        c.removal_ti = 0.0;
-        t.row({"isolation off",
-               util::Table::num(exp::mean_location_accuracy(c, runs), 3)});
+        exp::Scenario c = base;
+        c.engine.trust.removal_ti = 0.0;
+        t.row({"isolation off", util::Table::num(exp::mean_accuracy(c, runs), 3)});
     }
     for (double lambda : {0.1, 0.5}) {
-        exp::LocationConfig c = base;
-        c.lambda = lambda;
+        exp::Scenario c = base;
+        c.engine.trust.lambda = lambda;
         t.row({"lambda = " + util::Table::num(lambda, 2),
-               util::Table::num(exp::mean_location_accuracy(c, runs), 3)});
+               util::Table::num(exp::mean_accuracy(c, runs), 3)});
     }
     for (double fr : {0.05, 0.2}) {
-        exp::LocationConfig c = base;
-        c.fault_rate = fr;
+        exp::Scenario c = base;
+        c.engine.trust.fault_rate = fr;
         t.row({"f_r = " + util::Table::num(fr, 2),
-               util::Table::num(exp::mean_location_accuracy(c, runs), 3)});
+               util::Table::num(exp::mean_accuracy(c, runs), 3)});
     }
     {
-        exp::LocationConfig c = base;
-        c.grid_layout = false;
-        t.row({"random placement",
-               util::Table::num(exp::mean_location_accuracy(c, runs), 3)});
+        exp::Scenario c = base;
+        c.location.grid_layout = false;
+        t.row({"random placement", util::Table::num(exp::mean_accuracy(c, runs), 3)});
     }
     {
-        exp::LocationConfig c = base;
-        c.rotation_period = 0;  // single CH for the whole run
-        t.row({"no CH rotation",
-               util::Table::num(exp::mean_location_accuracy(c, runs), 3)});
+        exp::Scenario c = base;
+        c.location.rotation_period = 0;  // single CH for the whole run
+        t.row({"no CH rotation", util::Table::num(exp::mean_accuracy(c, runs), 3)});
     }
     {
-        exp::LocationConfig c = base;
-        c.rotation_period = 5;
-        t.row({"CH rotation every 5 events",
-               util::Table::num(exp::mean_location_accuracy(c, runs), 3)});
+        exp::Scenario c = base;
+        c.location.rotation_period = 5;
+        t.row({"CH rotation every 5 events", util::Table::num(exp::mean_accuracy(c, runs), 3)});
     }
     {
-        exp::LocationConfig c = base;
-        c.trust_weighted_location = true;
+        exp::Scenario c = base;
+        c.engine.trust_weighted_location = true;
         t.row({"trust-weighted location estimate",
-               util::Table::num(exp::mean_location_accuracy(c, runs), 3)});
+               util::Table::num(exp::mean_accuracy(c, runs), 3)});
     }
     {
         // The substrate matters: with a contending medium and no MAC the
         // same-instant reports of every event annihilate each other;
         // CSMA-like random access restores the protocol.
-        exp::LocationConfig c = base;
-        c.channel_airtime = 2e-4;
-        const double no_mac = exp::mean_location_accuracy(c, runs);
-        c.tx_jitter = 0.05;
-        const double with_mac = exp::mean_location_accuracy(c, runs);
+        exp::Scenario c = base;
+        c.channel.airtime = 2e-4;
+        const double no_mac = exp::mean_accuracy(c, runs);
+        c.location.tx_jitter = 0.05;
+        const double with_mac = exp::mean_accuracy(c, runs);
         t.row({"MAC collisions on (airtime 0.2 ms), no random access",
                util::Table::num(no_mac, 3)});
         t.row({"MAC collisions on + 50 ms random-access jitter",
                util::Table::num(with_mac, 3)});
     }
     {
-        exp::LocationConfig c = base;
-        c.fault_level = sensor::NodeClass::Level2;
-        const double off = exp::mean_location_accuracy(c, runs);
-        c.trust_weighted_location = true;
-        const double on = exp::mean_location_accuracy(c, runs);
+        exp::Scenario c = base;
+        c.location.fault_level = sensor::NodeClass::Level2;
+        const double off = exp::mean_accuracy(c, runs);
+        c.engine.trust_weighted_location = true;
+        const double on = exp::mean_accuracy(c, runs);
         t.row({"level 2: plain cg -> trust-weighted cg",
                util::Table::num(off, 3) + " -> " + util::Table::num(on, 3)});
     }
     io.emit(t);
-    io.params().set("pct_faulty", base.pct_faulty).set("events", static_cast<long>(base.events));
+    io.params()
+        .set("pct_faulty", base.location.pct_faulty)
+        .set("events", static_cast<long>(base.location.events));
     return io.finish([&](obs::Recorder& rec) {
-        exp::LocationConfig c = base;
+        exp::Scenario c = base;
         c.recorder = &rec;
         exp::run_location_experiment(c);
     });

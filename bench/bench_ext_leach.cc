@@ -97,8 +97,8 @@ int main(int argc, char** argv) {
     const std::vector<double> pct = {0.10, 0.30, 0.50};
     const std::size_t runs = io.trial_runs(3);
 
-    tibfit::exp::LocationConfig dedicated;
-    dedicated.events = 200;
+    tibfit::exp::Scenario dedicated = tibfit::exp::Scenario::location_defaults();
+    dedicated.location.events = 200;
     dedicated.seed = 20050628;
 
     tibfit::util::Table t(
@@ -109,8 +109,8 @@ int main(int argc, char** argv) {
         std::vector<double> row{100.0 * p};
         {
             auto c = dedicated;
-            c.pct_faulty = p;
-            row.push_back(tibfit::exp::mean_location_accuracy(c, runs));
+            c.location.pct_faulty = p;
+            row.push_back(tibfit::exp::mean_accuracy(c, runs));
         }
         row.push_back(mean_self_organized(p, tibfit::core::DecisionPolicy::TrustIndex, runs));
         row.push_back(mean_self_organized(p, tibfit::core::DecisionPolicy::MajorityVote, runs));
@@ -120,7 +120,7 @@ int main(int argc, char** argv) {
     io.params().set("pct_faulty", 0.3);
     return io.finish([&](tibfit::obs::Recorder& rec) {
         auto c = dedicated;
-        c.pct_faulty = 0.3;
+        c.location.pct_faulty = 0.3;
         c.recorder = &rec;
         tibfit::exp::run_location_experiment(c);
     });

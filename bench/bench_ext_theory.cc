@@ -25,9 +25,9 @@ int main(int argc, char** argv) {
     util::Table t("Theory vs simulation: binary model, missed alarms only (N=10, NER 1%)");
     t.header({"% faulty", "mean-field detection", "mean-field TI_faulty@100",
               "simulated accuracy"});
-    exp::BinaryConfig sim_cfg;
-    sim_cfg.events = 100;
-    sim_cfg.channel_drop = 0.0;
+    exp::Scenario sim_cfg = exp::Scenario::binary_defaults();
+    sim_cfg.binary.events = 100;
+    sim_cfg.channel.drop_probability = 0.0;
     sim_cfg.seed = 20050628;
     for (std::size_t m = 4; m <= 9; ++m) {
         analysis::TrajectoryParams p;
@@ -38,10 +38,10 @@ int main(int argc, char** argv) {
         p.lambda = 0.1;
         p.fault_rate = 0.01;
         const auto traj = analysis::mean_field_trajectory(p, 100);
-        sim_cfg.pct_faulty = static_cast<double>(m) / 10.0;
+        sim_cfg.binary.pct_faulty = static_cast<double>(m) / 10.0;
         t.row_values({100.0 * static_cast<double>(m) / 10.0,
                       analysis::predicted_detection_rate(p, 100), traj.back().ti_faulty,
-                      exp::mean_binary_accuracy(sim_cfg, io.trial_runs(20))},
+                      exp::mean_accuracy(sim_cfg, io.trial_runs(20))},
                      3);
     }
     io.emit(t);
@@ -65,8 +65,8 @@ int main(int argc, char** argv) {
     util::Table loc("Location-model theory vs simulation (field-averaged, sigma 1.6-4.25)");
     loc.header({"% faulty", "closed-form baseline", "simulated baseline",
                 "TIBFIT steady-state bound", "simulated TIBFIT"});
-    exp::LocationConfig lc;
-    lc.events = 200;
+    exp::Scenario lc = exp::Scenario::location_defaults();
+    lc.location.events = 200;
     lc.seed = 20050628;
     analysis::LocationModelParams report_params;
     analysis::FieldGeometry geometry;
@@ -75,26 +75,26 @@ int main(int argc, char** argv) {
         row.push_back(analysis::expected_field_detection(report_params, geometry, pct,
                                                          /*asymptotic=*/false));
         {
-            exp::LocationConfig c = lc;
-            c.pct_faulty = pct;
-            c.policy = core::DecisionPolicy::MajorityVote;
-            row.push_back(exp::mean_location_accuracy(c, io.trial_runs(5)));
+            exp::Scenario c = lc;
+            c.location.pct_faulty = pct;
+            c.engine.policy = core::DecisionPolicy::MajorityVote;
+            row.push_back(exp::mean_accuracy(c, io.trial_runs(5)));
         }
         row.push_back(analysis::expected_field_detection(report_params, geometry, pct,
                                                          /*asymptotic=*/true));
         {
-            exp::LocationConfig c = lc;
-            c.pct_faulty = pct;
-            row.push_back(exp::mean_location_accuracy(c, io.trial_runs(5)));
+            exp::Scenario c = lc;
+            c.location.pct_faulty = pct;
+            row.push_back(exp::mean_accuracy(c, io.trial_runs(5)));
         }
         loc.row_values(row, 3);
     }
     io.emit(loc);
     io.params().set("pct_faulty", 0.5).set("correct_ner", 0.01);
     return io.finish([&](obs::Recorder& rec) {
-        exp::BinaryConfig c = sim_cfg;
-        c.pct_faulty = 0.5;
-        c.correct_ner = 0.01;
+        exp::Scenario c = sim_cfg;
+        c.binary.pct_faulty = 0.5;
+        c.faults.natural_error_rate = 0.01;
         c.recorder = &rec;
         exp::run_binary_experiment(c);
     });

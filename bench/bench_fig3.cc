@@ -17,13 +17,13 @@ int main(int argc, char** argv) {
     using namespace tibfit;
     exp::BenchIo io("bench_fig3", argc, argv);
 
-    exp::BinaryConfig base;
-    base.n_nodes = 10;
-    base.events = 100;
-    base.lambda = 0.1;
-    base.correct_ner = 0.01;
-    base.missed_alarm_rate = 0.5;
-    base.channel_drop = 0.0;
+    exp::Scenario base = exp::Scenario::binary_defaults();
+    base.binary.n_nodes = 10;
+    base.binary.events = 100;
+    base.engine.trust.lambda = 0.1;
+    base.faults.natural_error_rate = 0.01;
+    base.faults.missed_alarm_rate = 0.5;
+    base.channel.drop_probability = 0.0;
     base.seed = 20050628;
 
     const std::vector<double> pct = {0.40, 0.50, 0.60, 0.70, 0.80, 0.90};
@@ -35,19 +35,19 @@ int main(int argc, char** argv) {
     for (double p : pct) {
         std::vector<double> row{100.0 * p};
         for (double fa : fas) {
-            exp::BinaryConfig c = base;
-            c.pct_faulty = p;
-            c.false_alarm_rate = fa;
-            row.push_back(exp::mean_binary_accuracy(c, runs));
+            exp::Scenario c = base;
+            c.binary.pct_faulty = p;
+            c.faults.false_alarm_rate = fa;
+            row.push_back(exp::mean_accuracy(c, runs));
         }
         t.row_values(row, 3);
     }
     io.emit(t);
     io.params().set("pct_faulty", 0.5).set("false_alarm_rate", 0.10);
     return io.finish([&](obs::Recorder& rec) {
-        exp::BinaryConfig c = base;
-        c.pct_faulty = 0.5;
-        c.false_alarm_rate = 0.10;
+        exp::Scenario c = base;
+        c.binary.pct_faulty = 0.5;
+        c.faults.false_alarm_rate = 0.10;
         c.recorder = &rec;
         exp::run_binary_experiment(c);
     });

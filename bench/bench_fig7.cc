@@ -16,10 +16,10 @@ int main(int argc, char** argv) {
     using namespace tibfit;
     exp::BenchIo io("bench_fig7", argc, argv);
 
-    exp::LocationConfig base;
-    base.fault_level = sensor::NodeClass::Level0;
-    base.policy = core::DecisionPolicy::TrustIndex;
-    base.events = 200;
+    exp::Scenario base = exp::Scenario::location_defaults();
+    base.location.fault_level = sensor::NodeClass::Level0;
+    base.engine.policy = core::DecisionPolicy::TrustIndex;
+    base.location.events = 200;
     base.seed = 20050628;
 
     const std::vector<double> pct = {0.10, 0.20, 0.30, 0.40, 0.50, 0.58};
@@ -41,23 +41,23 @@ int main(int argc, char** argv) {
     for (double p : pct) {
         std::vector<double> row{100.0 * p};
         for (const auto& s : series) {
-            exp::LocationConfig c = base;
-            c.pct_faulty = p;
-            c.correct_sigma = s.cs;
-            c.faulty_sigma = s.fs;
-            c.burst = s.burst;
-            row.push_back(exp::mean_location_accuracy(c, runs));
+            exp::Scenario c = base;
+            c.location.pct_faulty = p;
+            c.faults.correct_sigma = s.cs;
+            c.faults.faulty_sigma = s.fs;
+            c.location.burst = s.burst;
+            row.push_back(exp::mean_accuracy(c, runs));
         }
         t.row_values(row, 3);
     }
     io.emit(t);
     io.params().set("pct_faulty", 0.3).set("burst", 2);
     return io.finish([&](obs::Recorder& rec) {
-        exp::LocationConfig c = base;
-        c.pct_faulty = 0.3;
-        c.correct_sigma = 1.6;
-        c.faulty_sigma = 4.25;
-        c.burst = 2;
+        exp::Scenario c = base;
+        c.location.pct_faulty = 0.3;
+        c.faults.correct_sigma = 1.6;
+        c.faults.faulty_sigma = 4.25;
+        c.location.burst = 2;
         c.recorder = &rec;
         exp::run_location_experiment(c);
     });

@@ -101,15 +101,15 @@ void BM_LocationDecision(benchmark::State& state) {
 BENCHMARK(BM_LocationDecision);
 
 void BM_WholeBinaryExperiment(benchmark::State& state) {
-    exp::BinaryConfig c;
-    c.events = 50;
-    c.pct_faulty = 0.5;
-    c.channel_drop = 0.0;
+    exp::Scenario c = exp::Scenario::binary_defaults();
+    c.binary.events = 50;
+    c.binary.pct_faulty = 0.5;
+    c.channel.drop_probability = 0.0;
     for (auto _ : state) {
         c.seed = static_cast<std::uint64_t>(state.iterations()) + 1;
         benchmark::DoNotOptimize(exp::run_binary_experiment(c));
     }
-    state.SetItemsProcessed(state.iterations() * c.events);
+    state.SetItemsProcessed(state.iterations() * c.binary.events);
 }
 BENCHMARK(BM_WholeBinaryExperiment)->Unit(benchmark::kMillisecond);
 

@@ -21,24 +21,24 @@ int main(int argc, char** argv) {
     util::Config args;
     args.parse_args(argc, argv);
 
-    exp::BinaryConfig cfg;
-    cfg.n_nodes = 10;
-    cfg.events = static_cast<std::size_t>(args.get_int("events", 100));
-    cfg.pct_faulty = static_cast<double>(args.get_int("faulty", 6)) / 10.0;
-    cfg.correct_ner = 0.01;        // honest sensors still glitch occasionally
-    cfg.missed_alarm_rate = 0.5;   // compromised sensors suppress half the fires
-    cfg.false_alarm_rate = 0.3;    // ... and cry wolf
-    cfg.lambda = 0.1;
-    cfg.removal_ti = 0.05;         // diagnose and ignore hopeless sensors
-    cfg.channel_drop = 0.01;
+    exp::Scenario cfg = exp::Scenario::binary_defaults();
+    cfg.binary.n_nodes = 10;
+    cfg.binary.events = static_cast<std::size_t>(args.get_int("events", 100));
+    cfg.binary.pct_faulty = static_cast<double>(args.get_int("faulty", 6)) / 10.0;
+    cfg.faults.natural_error_rate = 0.01;  // honest sensors still glitch occasionally
+    cfg.faults.missed_alarm_rate = 0.5;    // compromised sensors suppress half the fires
+    cfg.faults.false_alarm_rate = 0.3;     // ... and cry wolf
+    cfg.engine.trust.lambda = 0.1;
+    cfg.engine.trust.removal_ti = 0.05;    // diagnose and ignore hopeless sensors
+    cfg.channel.drop_probability = 0.01;
     cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
 
     std::printf("Forest-fire watch: %zu fire events, %d of 10 sensors compromised\n\n",
-                cfg.events, static_cast<int>(cfg.pct_faulty * 10));
+                cfg.binary.events, static_cast<int>(cfg.binary.pct_faulty * 10));
 
     const auto tibfit = exp::run_binary_experiment(cfg);
     auto baseline_cfg = cfg;
-    baseline_cfg.policy = core::DecisionPolicy::MajorityVote;
+    baseline_cfg.engine.policy = core::DecisionPolicy::MajorityVote;
     const auto baseline = exp::run_binary_experiment(baseline_cfg);
 
     std::printf("                       TIBFIT     majority vote\n");

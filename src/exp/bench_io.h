@@ -35,6 +35,8 @@ class BenchIo {
     /// The replication count for this bench's sweeps: the `runs=<n>`
     /// command-line override when given (echoed into the artifact like any
     /// parameter), else `dflt` — the bench's paper-faithful default.
+    /// `runs=0` also means the default; a negative count exits (see
+    /// option()).
     std::size_t trial_runs(std::size_t dflt) const;
 
     /// One-line bench description printed at the top of --help.
@@ -47,6 +49,9 @@ class BenchIo {
     /// parameter echo keeps carrying exactly what the user typed plus what
     /// the bench sets explicitly (artifact shape is part of the
     /// determinism-CI diff).
+    ///
+    /// Integer options are counts or seeds: a negative or non-integer
+    /// value prints a message naming the key and exits with status 2.
     long option(const std::string& key, long dflt, const std::string& help);
     long option(const std::string& key, int dflt, const std::string& help) {
         return option(key, static_cast<long>(dflt), help);
@@ -105,6 +110,8 @@ class BenchIo {
     void declare(const std::string& key, std::string dflt, const std::string& help);
     bool declared(const std::string& key) const;
     void warn_undeclared() const;
+    /// util::Config::get_count, exiting 2 with its message on a bad value.
+    std::size_t count(const std::string& key, std::size_t dflt) const;
 
     std::string name_;
     std::string description_;

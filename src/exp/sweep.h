@@ -9,8 +9,7 @@
 // an attached recorder receives the per-trial registries/traces merged in
 // trial order (docs/PARALLELISM.md).
 //
-// The drivers take an exp::Scenario and dispatch on its kind; the old
-// per-config entry points remain as [[deprecated]] shims for one release.
+// The drivers take an exp::Scenario and dispatch on its kind.
 #pragma once
 
 #include <cstdint>
@@ -39,26 +38,5 @@ std::vector<double> mean_epoch_accuracy(Scenario scenario, std::size_t runs);
 std::vector<double> sweep(Scenario scenario, const std::vector<double>& xs,
                           const std::function<void(Scenario&, double)>& set,
                           std::size_t runs);
-
-// ---- Legacy per-config entry points (one-release shims) ----
-
-[[deprecated("use mean_accuracy(Scenario, runs)")]]
-double mean_binary_accuracy(BinaryConfig config, std::size_t runs);
-
-[[deprecated("use mean_accuracy(Scenario, runs)")]]
-double mean_location_accuracy(LocationConfig config, std::size_t runs);
-
-[[deprecated("use mean_epoch_accuracy(Scenario, runs)")]]
-std::vector<double> mean_epoch_accuracy(LocationConfig config, std::size_t runs);
-
-[[deprecated("use sweep(Scenario, xs, set, runs)")]]
-std::vector<double> sweep_binary(BinaryConfig config, const std::vector<double>& xs,
-                                 const std::function<void(BinaryConfig&, double)>& set,
-                                 std::size_t runs);
-
-[[deprecated("use sweep(Scenario, xs, set, runs)")]]
-std::vector<double> sweep_location(LocationConfig config, const std::vector<double>& xs,
-                                   const std::function<void(LocationConfig&, double)>& set,
-                                   std::size_t runs);
 
 }  // namespace tibfit::exp

@@ -58,6 +58,15 @@ long Config::get_int(const std::string& key, long dflt) const {
     wrong_type(key);
 }
 
+std::size_t Config::get_count(const std::string& key, std::size_t dflt) const {
+    const long n = get_int(key, static_cast<long>(dflt));
+    if (n < 0) {
+        throw std::out_of_range("Config: key '" + key +
+                                "' must be a non-negative integer, got " + std::to_string(n));
+    }
+    return static_cast<std::size_t>(n);
+}
+
 double Config::get_double(const std::string& key, double dflt) const {
     const Value* v = find(key);
     if (!v) return dflt;

@@ -3,6 +3,7 @@
 // from command-line `key=value` arguments.
 #pragma once
 
+#include <cstddef>
 #include <map>
 #include <optional>
 #include <string>
@@ -33,6 +34,10 @@ class Config {
 
     bool get_bool(const std::string& key, bool dflt) const;
     long get_int(const std::string& key, long dflt) const;
+    /// A count knob (events, runs, node counts, seeds): get_int, except
+    /// that a negative value throws std::out_of_range naming the key, so
+    /// `events=-5` is rejected instead of wrapping to a huge size.
+    std::size_t get_count(const std::string& key, std::size_t dflt) const;
     double get_double(const std::string& key, double dflt) const;
     std::string get_string(const std::string& key, const std::string& dflt) const;
 

@@ -33,11 +33,11 @@ void expect_identical(const std::vector<cluster::DecisionRecord>& a,
 }
 
 TEST(Determinism, BinaryDecisionsUnchangedByRecorder) {
-    exp::BinaryConfig cfg;
-    cfg.events = 60;
-    cfg.pct_faulty = 0.5;
-    cfg.false_alarm_rate = 0.1;
-    cfg.channel_drop = 0.05;
+    exp::Scenario cfg = exp::Scenario::binary_defaults();
+    cfg.binary.events = 60;
+    cfg.binary.pct_faulty = 0.5;
+    cfg.faults.false_alarm_rate = 0.1;
+    cfg.channel.drop_probability = 0.05;
     cfg.seed = 20050628;
     cfg.keep_decisions = true;
 
@@ -45,7 +45,7 @@ TEST(Determinism, BinaryDecisionsUnchangedByRecorder) {
 
     obs::Recorder rec;
     rec.trace().set_enabled(true);
-    exp::BinaryConfig instrumented = cfg;
+    exp::Scenario instrumented = cfg;
     instrumented.recorder = &rec;
     const auto traced = exp::run_binary_experiment(instrumented);
 
@@ -61,16 +61,16 @@ TEST(Determinism, BinaryDecisionsUnchangedByRecorder) {
 }
 
 TEST(Determinism, BinaryRunsAreRepeatableWithRecorderAttached) {
-    exp::BinaryConfig cfg;
-    cfg.events = 40;
-    cfg.pct_faulty = 0.6;
+    exp::Scenario cfg = exp::Scenario::binary_defaults();
+    cfg.binary.events = 40;
+    cfg.binary.pct_faulty = 0.6;
     cfg.seed = 7;
     cfg.keep_decisions = true;
 
     obs::Recorder rec1, rec2;
     rec1.trace().set_enabled(true);
     rec2.trace().set_enabled(true);
-    exp::BinaryConfig a = cfg, b = cfg;
+    exp::Scenario a = cfg, b = cfg;
     a.recorder = &rec1;
     b.recorder = &rec2;
     const auto r1 = exp::run_binary_experiment(a);
@@ -80,17 +80,17 @@ TEST(Determinism, BinaryRunsAreRepeatableWithRecorderAttached) {
 }
 
 TEST(Determinism, LocationDecisionsUnchangedByRecorder) {
-    exp::LocationConfig cfg;
-    cfg.events = 40;
-    cfg.pct_faulty = 0.3;
+    exp::Scenario cfg = exp::Scenario::location_defaults();
+    cfg.location.events = 40;
+    cfg.location.pct_faulty = 0.3;
     cfg.seed = 20050628;
-    cfg.keep_trace = true;
+    cfg.location.keep_trace = true;
 
     const auto plain = exp::run_location_experiment(cfg);
 
     obs::Recorder rec;
     rec.trace().set_enabled(true);
-    exp::LocationConfig instrumented = cfg;
+    exp::Scenario instrumented = cfg;
     instrumented.recorder = &rec;
     const auto traced = exp::run_location_experiment(instrumented);
 
@@ -105,19 +105,19 @@ TEST(Determinism, LocationDecisionsUnchangedByRecorder) {
 TEST(Determinism, MultihopUnchangedByRecorder) {
     // The relay transport is the layer with the densest instrumentation
     // (retransmissions, duplicate suppression); make sure it too is inert.
-    exp::LocationConfig cfg;
-    cfg.events = 25;
-    cfg.pct_faulty = 0.3;
-    cfg.multihop = true;
-    cfg.radio_range = 30.0;
+    exp::Scenario cfg = exp::Scenario::location_defaults();
+    cfg.location.events = 25;
+    cfg.location.pct_faulty = 0.3;
+    cfg.location.multihop = true;
+    cfg.location.radio_range = 30.0;
     cfg.seed = 99;
-    cfg.keep_trace = true;
+    cfg.location.keep_trace = true;
 
     const auto plain = exp::run_location_experiment(cfg);
 
     obs::Recorder rec;
     rec.trace().set_enabled(true);
-    exp::LocationConfig instrumented = cfg;
+    exp::Scenario instrumented = cfg;
     instrumented.recorder = &rec;
     const auto traced = exp::run_location_experiment(instrumented);
 

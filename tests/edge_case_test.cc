@@ -122,29 +122,29 @@ TEST_F(BsOrderingTest, ChTrustAccruesAcrossVotes) {
 // ---------- Binary false-alarm coincidence knob ----------
 
 TEST(BinarySpreadKnob, SynchronizedAlarmsAreWorseAtHighCompromise) {
-    exp::BinaryConfig base;
-    base.pct_faulty = 0.7;
-    base.false_alarm_rate = 0.75;
-    base.events = 100;
-    base.channel_drop = 0.0;
+    exp::Scenario base = exp::Scenario::binary_defaults();
+    base.binary.pct_faulty = 0.7;
+    base.faults.false_alarm_rate = 0.75;
+    base.binary.events = 100;
+    base.channel.drop_probability = 0.0;
     base.seed = 5;
 
     auto spread_out = base;
-    spread_out.false_alarm_spread_touts = 8.0;  // nearly independent alarms
+    spread_out.binary.false_alarm_spread_touts = 8.0;  // nearly independent alarms
     auto synchronized = base;
-    synchronized.false_alarm_spread_touts = 0.0;  // one phantom bloc
+    synchronized.binary.false_alarm_spread_touts = 0.0;  // one phantom bloc
 
-    const double acc_spread = exp::mean_binary_accuracy(spread_out, 10);
-    const double acc_sync = exp::mean_binary_accuracy(synchronized, 10);
+    const double acc_spread = exp::mean_accuracy(spread_out, 10);
+    const double acc_sync = exp::mean_accuracy(synchronized, 10);
     EXPECT_GT(acc_spread, acc_sync + 0.05);
 }
 
 TEST(BinarySpreadKnob, QuietWindowsCountedAsInstances) {
-    exp::BinaryConfig c;
-    c.pct_faulty = 0.5;
-    c.false_alarm_rate = 0.5;
-    c.events = 50;
-    c.channel_drop = 0.0;
+    exp::Scenario c = exp::Scenario::binary_defaults();
+    c.binary.pct_faulty = 0.5;
+    c.faults.false_alarm_rate = 0.5;
+    c.binary.events = 50;
+    c.channel.drop_probability = 0.0;
     c.seed = 6;
     const auto r = run_binary_experiment(c);
     EXPECT_GT(r.false_alarm_windows, 10u);

@@ -14,21 +14,21 @@
 namespace tibfit::exp {
 namespace {
 
-BinaryConfig binary_base() {
-    BinaryConfig c;
-    c.n_nodes = 10;
-    c.events = 100;
-    c.lambda = 0.1;
-    c.correct_ner = 0.01;
-    c.missed_alarm_rate = 0.5;
-    c.channel_drop = 0.0;
+Scenario binary_base() {
+    Scenario c = Scenario::binary_defaults();
+    c.binary.n_nodes = 10;
+    c.binary.events = 100;
+    c.engine.trust.lambda = 0.1;
+    c.faults.natural_error_rate = 0.01;
+    c.faults.missed_alarm_rate = 0.5;
+    c.channel.drop_probability = 0.0;
     c.seed = 42;
     return c;
 }
 
-LocationConfig location_base() {
-    LocationConfig c;
-    c.events = 100;
+Scenario location_base() {
+    Scenario c = Scenario::location_defaults();
+    c.location.events = 100;
     c.seed = 42;
     return c;
 }
@@ -48,14 +48,14 @@ TEST(BinaryExperiment, RunsAllEvents) {
 
 TEST(BinaryExperiment, HighAccuracyAtModerateCompromise) {
     auto c = binary_base();
-    c.pct_faulty = 0.5;
+    c.binary.pct_faulty = 0.5;
     const auto r = run_binary_experiment(c);
     EXPECT_GT(r.accuracy, 0.9);
 }
 
 TEST(BinaryExperiment, FaultyNodesLoseTrust) {
     auto c = binary_base();
-    c.pct_faulty = 0.5;
+    c.binary.pct_faulty = 0.5;
     const auto r = run_binary_experiment(c);
     // Correct nodes occasionally miss (NER) and recover slowly; faulty
     // nodes' trust collapses well below theirs.
@@ -65,18 +65,18 @@ TEST(BinaryExperiment, FaultyNodesLoseTrust) {
 
 TEST(BinaryExperiment, TibfitBeatsBaselineAtHighCompromise) {
     auto tib = binary_base();
-    tib.pct_faulty = 0.8;
+    tib.binary.pct_faulty = 0.8;
     auto base = tib;
-    base.policy = core::DecisionPolicy::MajorityVote;
-    const double a_tib = mean_binary_accuracy(tib, 10);
-    const double a_base = mean_binary_accuracy(base, 10);
+    base.engine.policy = core::DecisionPolicy::MajorityVote;
+    const double a_tib = mean_accuracy(tib, 10);
+    const double a_base = mean_accuracy(base, 10);
     EXPECT_GT(a_tib, a_base);
 }
 
 TEST(BinaryExperiment, FalseAlarmsCreateNegativeInstances) {
     auto c = binary_base();
-    c.pct_faulty = 0.5;
-    c.false_alarm_rate = 0.75;
+    c.binary.pct_faulty = 0.5;
+    c.faults.false_alarm_rate = 0.75;
     const auto r = run_binary_experiment(c);
     EXPECT_GT(r.false_alarm_windows, 0u);
     // With half the network fresh-compromised, the honest majority CTI
@@ -87,27 +87,27 @@ TEST(BinaryExperiment, FalseAlarmsCreateNegativeInstances) {
 TEST(BinaryExperiment, ModerateFalseAlarmsDoNotHurtDetection) {
     // The Figure-3 effect: false alarms drain faulty nodes' trust.
     auto quiet = binary_base();
-    quiet.pct_faulty = 0.7;
+    quiet.binary.pct_faulty = 0.7;
     auto noisy = quiet;
-    noisy.false_alarm_rate = 0.75;
-    const double det_quiet = mean_binary_accuracy(quiet, 10);
-    const double det_noisy = mean_binary_accuracy(noisy, 10);
+    noisy.faults.false_alarm_rate = 0.75;
+    const double det_quiet = mean_accuracy(quiet, 10);
+    const double det_noisy = mean_accuracy(noisy, 10);
     EXPECT_GT(det_noisy, det_quiet - 0.05);
 }
 
 TEST(BinaryExperiment, CorruptChDestroysAccuracy) {
     auto c = binary_base();
-    c.pct_faulty = 0.4;
-    c.corrupt_ch = true;
+    c.binary.pct_faulty = 0.4;
+    c.binary.corrupt_ch = true;
     const auto r = run_binary_experiment(c);
     EXPECT_LT(r.accuracy, 0.1);  // every announcement inverted
 }
 
 TEST(BinaryExperiment, ShadowsMaskCorruptCh) {
     auto c = binary_base();
-    c.pct_faulty = 0.4;
-    c.corrupt_ch = true;
-    c.use_shadows = true;
+    c.binary.pct_faulty = 0.4;
+    c.binary.corrupt_ch = true;
+    c.binary.use_shadows = true;
     const auto r = run_binary_experiment(c);
     EXPECT_GT(r.accuracy, 0.95);
     EXPECT_GT(r.ch_overrides, 90u);  // nearly every decision was corrected
@@ -115,9 +115,9 @@ TEST(BinaryExperiment, ShadowsMaskCorruptCh) {
 
 TEST(BinaryExperiment, ShadowsNeutralWithHonestCh) {
     auto c = binary_base();
-    c.pct_faulty = 0.4;
+    c.binary.pct_faulty = 0.4;
     auto with = c;
-    with.use_shadows = true;
+    with.binary.use_shadows = true;
     const auto plain = run_binary_experiment(c);
     const auto shadowed = run_binary_experiment(with);
     EXPECT_NEAR(shadowed.accuracy, plain.accuracy, 0.03);
@@ -134,7 +134,7 @@ TEST(LocationExperiment, Deterministic) {
 
 TEST(LocationExperiment, NearPerfectWithFewFaults) {
     auto c = location_base();
-    c.pct_faulty = 0.1;
+    c.location.pct_faulty = 0.1;
     const auto r = run_location_experiment(c);
     EXPECT_GT(r.accuracy, 0.95);
     EXPECT_EQ(r.events, 100u);
@@ -142,8 +142,8 @@ TEST(LocationExperiment, NearPerfectWithFewFaults) {
 
 TEST(LocationExperiment, FaultyNodesLoseTrust) {
     auto c = location_base();
-    c.pct_faulty = 0.3;
-    c.events = 150;
+    c.location.pct_faulty = 0.3;
+    c.location.events = 150;
     const auto r = run_location_experiment(c);
     EXPECT_GT(r.mean_ti_correct, 0.8);
     EXPECT_LT(r.mean_ti_faulty, r.mean_ti_correct - 0.3);
@@ -151,21 +151,21 @@ TEST(LocationExperiment, FaultyNodesLoseTrust) {
 
 TEST(LocationExperiment, TibfitBeatsBaselinePastHalf) {
     auto tib = location_base();
-    tib.pct_faulty = 0.55;
-    tib.events = 150;
+    tib.location.pct_faulty = 0.55;
+    tib.location.events = 150;
     auto base = tib;
-    base.policy = core::DecisionPolicy::MajorityVote;
-    const double a_tib = mean_location_accuracy(tib, 3);
-    const double a_base = mean_location_accuracy(base, 3);
+    base.engine.policy = core::DecisionPolicy::MajorityVote;
+    const double a_tib = mean_accuracy(tib, 3);
+    const double a_base = mean_accuracy(base, 3);
     EXPECT_GT(a_tib, a_base + 0.03);
 }
 
 TEST(LocationExperiment, Level1KeepsAccuracyHigh) {
     // Figure 5: the hysteresis forces level-1 nodes to mostly behave.
     auto c = location_base();
-    c.pct_faulty = 0.58;
-    c.fault_level = sensor::NodeClass::Level1;
-    c.events = 150;
+    c.location.pct_faulty = 0.58;
+    c.location.fault_level = sensor::NodeClass::Level1;
+    c.location.events = 150;
     const auto r = run_location_experiment(c);
     EXPECT_GT(r.accuracy, 0.85);
 }
@@ -173,36 +173,36 @@ TEST(LocationExperiment, Level1KeepsAccuracyHigh) {
 TEST(LocationExperiment, Level2WorseThanLevel1) {
     // Figure 6: collusion hurts more than independent smart faults.
     auto l1 = location_base();
-    l1.pct_faulty = 0.5;
-    l1.events = 150;
-    l1.fault_level = sensor::NodeClass::Level1;
+    l1.location.pct_faulty = 0.5;
+    l1.location.events = 150;
+    l1.location.fault_level = sensor::NodeClass::Level1;
     auto l2 = l1;
-    l2.fault_level = sensor::NodeClass::Level2;
-    const double a1 = mean_location_accuracy(l1, 3);
-    const double a2 = mean_location_accuracy(l2, 3);
+    l2.location.fault_level = sensor::NodeClass::Level2;
+    const double a1 = mean_accuracy(l1, 3);
+    const double a2 = mean_accuracy(l2, 3);
     EXPECT_LE(a2, a1 + 0.02);
 }
 
 TEST(LocationExperiment, ConcurrentEventsComparableToSingle) {
     // Figure 7: concurrency does not materially change accuracy.
     auto single = location_base();
-    single.pct_faulty = 0.3;
-    single.events = 120;
+    single.location.pct_faulty = 0.3;
+    single.location.events = 120;
     auto conc = single;
-    conc.burst = 2;
-    const double a_single = mean_location_accuracy(single, 3);
-    const double a_conc = mean_location_accuracy(conc, 3);
+    conc.location.burst = 2;
+    const double a_single = mean_accuracy(single, 3);
+    const double a_conc = mean_accuracy(conc, 3);
     EXPECT_NEAR(a_conc, a_single, 0.12);
 }
 
 TEST(LocationExperiment, DecayProducesEpochSeries) {
     auto c = location_base();
-    c.decay = true;
-    c.decay_initial = 0.05;
-    c.decay_step = 0.10;
-    c.decay_final = 0.55;
-    c.decay_epoch_events = 30;
-    c.epoch_events = 30;
+    c.location.decay = true;
+    c.location.decay_initial = 0.05;
+    c.location.decay_step = 0.10;
+    c.location.decay_final = 0.55;
+    c.location.decay_epoch_events = 30;
+    c.location.epoch_events = 30;
     const auto r = run_location_experiment(c);
     EXPECT_EQ(r.events, 6u * 30u);
     ASSERT_EQ(r.epoch_accuracy.size(), 6u);
@@ -214,14 +214,14 @@ TEST(LocationExperiment, DecayProducesEpochSeries) {
 
 TEST(LocationExperiment, DecayTibfitOutlastsBaseline) {
     auto tib = location_base();
-    tib.decay = true;
-    tib.decay_initial = 0.05;
-    tib.decay_step = 0.10;
-    tib.decay_final = 0.65;
-    tib.decay_epoch_events = 25;
-    tib.epoch_events = 25;
+    tib.location.decay = true;
+    tib.location.decay_initial = 0.05;
+    tib.location.decay_step = 0.10;
+    tib.location.decay_final = 0.65;
+    tib.location.decay_epoch_events = 25;
+    tib.location.epoch_events = 25;
     auto base = tib;
-    base.policy = core::DecisionPolicy::MajorityVote;
+    base.engine.policy = core::DecisionPolicy::MajorityVote;
     const auto rt = mean_epoch_accuracy(tib, 3);
     const auto rb = mean_epoch_accuracy(base, 3);
     ASSERT_EQ(rt.size(), rb.size());
@@ -236,8 +236,8 @@ TEST(LocationExperiment, DecayTibfitOutlastsBaseline) {
 
 TEST(LocationExperiment, IsolationDiagnosesFaultyNodes) {
     auto c = location_base();
-    c.pct_faulty = 0.3;
-    c.events = 200;
+    c.location.pct_faulty = 0.3;
+    c.location.events = 200;
     const auto r = run_location_experiment(c);
     EXPECT_GT(r.isolated, 0u);  // diagnosis happened
 }
@@ -246,11 +246,11 @@ TEST(LocationExperiment, MultiHopMatchesSingleHop) {
     // Section 3.4 extension: the decision pipeline should be agnostic to
     // whether reports arrive in one hop or over relays.
     auto single = location_base();
-    single.pct_faulty = 0.3;
-    single.events = 120;
+    single.location.pct_faulty = 0.3;
+    single.location.events = 120;
     auto multi = single;
-    multi.multihop = true;
-    multi.radio_range = 30.0;
+    multi.location.multihop = true;
+    multi.location.radio_range = 30.0;
     const auto rs = run_location_experiment(single);
     const auto rm = run_location_experiment(multi);
     EXPECT_NEAR(rm.accuracy, rs.accuracy, 0.08);
@@ -259,8 +259,8 @@ TEST(LocationExperiment, MultiHopMatchesSingleHop) {
 
 TEST(LocationExperiment, MultiHopDeterministic) {
     auto c = location_base();
-    c.multihop = true;
-    c.events = 60;
+    c.location.multihop = true;
+    c.location.events = 60;
     const auto a = run_location_experiment(c);
     const auto b = run_location_experiment(c);
     EXPECT_EQ(a.accuracy, b.accuracy);
@@ -269,28 +269,28 @@ TEST(LocationExperiment, MultiHopDeterministic) {
 
 TEST(LocationExperiment, CollusionDefenseImprovesLevel2) {
     auto off = location_base();
-    off.fault_level = sensor::NodeClass::Level2;
-    off.pct_faulty = 0.55;
-    off.events = 200;
+    off.location.fault_level = sensor::NodeClass::Level2;
+    off.location.pct_faulty = 0.55;
+    off.location.events = 200;
     auto on = off;
-    on.collusion_defense = true;
-    const double a_off = mean_location_accuracy(off, 3);
-    const double a_on = mean_location_accuracy(on, 3);
+    on.engine.collusion_defense = true;
+    const double a_off = mean_accuracy(off, 3);
+    const double a_on = mean_accuracy(on, 3);
     EXPECT_GT(a_on, a_off + 0.05);
 }
 
 TEST(LocationExperiment, RandomLayoutAlsoWorks) {
     auto c = location_base();
-    c.grid_layout = false;
-    c.pct_faulty = 0.2;
+    c.location.grid_layout = false;
+    c.location.pct_faulty = 0.2;
     const auto r = run_location_experiment(c);
     EXPECT_GT(r.accuracy, 0.85);
 }
 
 TEST(LocationExperiment, TraceCapturesRun) {
     auto c = location_base();
-    c.events = 40;
-    c.keep_trace = true;
+    c.location.events = 40;
+    c.location.keep_trace = true;
     const auto r = run_location_experiment(c);
     EXPECT_EQ(r.trace_events.size(), 40u);
     EXPECT_GE(r.trace_decisions.size(), r.detected);
@@ -307,7 +307,7 @@ TEST(LocationExperiment, TraceCapturesRun) {
 
 TEST(LocationExperiment, TraceOffByDefault) {
     auto c = location_base();
-    c.events = 20;
+    c.location.events = 20;
     const auto r = run_location_experiment(c);
     EXPECT_TRUE(r.trace_events.empty());
     EXPECT_TRUE(r.trace_decisions.empty());
@@ -315,17 +315,17 @@ TEST(LocationExperiment, TraceOffByDefault) {
 
 TEST(Sweep, BinarySweepShapes) {
     auto c = binary_base();
-    const auto accs = sweep_binary(
-        c, {0.2, 0.9}, [](BinaryConfig& cfg, double x) { cfg.pct_faulty = x; }, 3);
+    const auto accs = sweep(
+        c, {0.2, 0.9}, [](Scenario& cfg, double x) { cfg.binary.pct_faulty = x; }, 3);
     ASSERT_EQ(accs.size(), 2u);
     EXPECT_GT(accs[0], accs[1]);  // more faults, less accuracy
 }
 
 TEST(Sweep, LocationSweepShapes) {
     auto c = location_base();
-    c.events = 80;
-    const auto accs = sweep_location(
-        c, {0.1, 0.58}, [](LocationConfig& cfg, double x) { cfg.pct_faulty = x; }, 2);
+    c.location.events = 80;
+    const auto accs = sweep(
+        c, {0.1, 0.58}, [](Scenario& cfg, double x) { cfg.location.pct_faulty = x; }, 2);
     ASSERT_EQ(accs.size(), 2u);
     EXPECT_GE(accs[0], accs[1]);
 }

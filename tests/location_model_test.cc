@@ -78,15 +78,15 @@ TEST(LocationModel, FieldBaselineUpperBoundsSimulation) {
     // cluster-cg drift caused by near-miss faulty reports (which loses a
     // further ~5-10 points at heavy compromise). Bound + tracking within
     // 12 points is the documented contract (EXPERIMENTS.md).
-    exp::LocationConfig c;
-    c.events = 200;
+    exp::Scenario c = exp::Scenario::location_defaults();
+    c.location.events = 200;
     c.seed = 77;
-    c.policy = core::DecisionPolicy::MajorityVote;
+    c.engine.policy = core::DecisionPolicy::MajorityVote;
     FieldGeometry g;
     const LocationModelParams rp = params(0);
     for (double pct : {0.3, 0.5}) {
-        c.pct_faulty = pct;
-        const double simulated = exp::mean_location_accuracy(c, 5);
+        c.location.pct_faulty = pct;
+        const double simulated = exp::mean_accuracy(c, 5);
         const double predicted = expected_field_detection(rp, g, pct, false);
         EXPECT_GE(predicted + 0.01, simulated) << "pct=" << pct;   // upper bound
         EXPECT_LE(predicted - simulated, 0.12) << "pct=" << pct;  // ... a tight one
@@ -94,12 +94,12 @@ TEST(LocationModel, FieldBaselineUpperBoundsSimulation) {
 }
 
 TEST(LocationModel, AsymptoteUpperBoundsSimulatedTibfit) {
-    exp::LocationConfig c;
-    c.events = 200;
+    exp::Scenario c = exp::Scenario::location_defaults();
+    c.location.events = 200;
     c.seed = 78;
     for (double pct : {0.5, 0.58}) {
-        c.pct_faulty = pct;
-        const double simulated = exp::mean_location_accuracy(c, 5);
+        c.location.pct_faulty = pct;
+        const double simulated = exp::mean_accuracy(c, 5);
         const double bound =
             tibfit_asymptotic_detection(params(static_cast<std::uint64_t>(pct * 12 + 0.5)));
         EXPECT_LE(simulated, bound + 0.05) << "pct=" << pct;

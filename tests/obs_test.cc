@@ -184,9 +184,9 @@ TEST(Trace, ReaderRejectsUnknownRecordType) {
 
 TEST(Artifact, CarriesMetricsParamsAndTables) {
     obs::Recorder rec;
-    exp::BinaryConfig cfg;
-    cfg.events = 30;
-    cfg.pct_faulty = 0.4;
+    exp::Scenario cfg = exp::Scenario::binary_defaults();
+    cfg.binary.events = 30;
+    cfg.binary.pct_faulty = 0.4;
     cfg.seed = 3;
     cfg.recorder = &rec;
     exp::run_binary_experiment(cfg);

@@ -22,19 +22,19 @@ class JobsGuard {
     ~JobsGuard() { par::set_jobs(0); }
 };
 
-BinaryConfig small_binary() {
-    BinaryConfig c;
-    c.n_nodes = 10;
-    c.pct_faulty = 0.4;
-    c.events = 30;
+Scenario small_binary() {
+    Scenario c = Scenario::binary_defaults();
+    c.binary.n_nodes = 10;
+    c.binary.pct_faulty = 0.4;
+    c.binary.events = 30;
     c.seed = 99;
     return c;
 }
 
-LocationConfig small_location() {
-    LocationConfig c;
-    c.events = 40;
-    c.pct_faulty = 0.3;
+Scenario small_location() {
+    Scenario c = Scenario::location_defaults();
+    c.location.events = 40;
+    c.location.pct_faulty = 0.3;
     c.seed = 20050628;
     return c;
 }
@@ -55,28 +55,28 @@ std::string trace_jsonl(const obs::Recorder& rec) {
 TEST(ParallelDeterminism, MeanBinaryAccuracyBitIdenticalAcrossJobs) {
     JobsGuard guard;
     par::set_jobs(1);
-    const double serial = mean_binary_accuracy(small_binary(), 12);
+    const double serial = mean_accuracy(small_binary(), 12);
     for (std::size_t jobs : {2u, 8u}) {
         par::set_jobs(jobs);
-        EXPECT_EQ(mean_binary_accuracy(small_binary(), 12), serial) << "jobs=" << jobs;
+        EXPECT_EQ(mean_accuracy(small_binary(), 12), serial) << "jobs=" << jobs;
     }
 }
 
 TEST(ParallelDeterminism, MeanLocationAccuracyBitIdenticalAcrossJobs) {
     JobsGuard guard;
     par::set_jobs(1);
-    const double serial = mean_location_accuracy(small_location(), 6);
+    const double serial = mean_accuracy(small_location(), 6);
     for (std::size_t jobs : {2u, 8u}) {
         par::set_jobs(jobs);
-        EXPECT_EQ(mean_location_accuracy(small_location(), 6), serial) << "jobs=" << jobs;
+        EXPECT_EQ(mean_accuracy(small_location(), 6), serial) << "jobs=" << jobs;
     }
 }
 
 TEST(ParallelDeterminism, EpochSeriesBitIdenticalAcrossJobs) {
     JobsGuard guard;
-    LocationConfig c = small_location();
-    c.events = 100;
-    c.epoch_events = 25;
+    Scenario c = small_location();
+    c.location.events = 100;
+    c.location.epoch_events = 25;
     par::set_jobs(1);
     const auto serial = mean_epoch_accuracy(c, 5);
     EXPECT_FALSE(serial.empty());
@@ -89,23 +89,23 @@ TEST(ParallelDeterminism, EpochSeriesBitIdenticalAcrossJobs) {
 TEST(ParallelDeterminism, SweepBinaryBitIdenticalAcrossJobs) {
     JobsGuard guard;
     const std::vector<double> xs = {0.2, 0.4, 0.6};
-    const auto set = [](BinaryConfig& c, double x) { c.pct_faulty = x; };
+    const auto set = [](Scenario& c, double x) { c.binary.pct_faulty = x; };
     par::set_jobs(1);
-    const auto serial = sweep_binary(small_binary(), xs, set, 8);
+    const auto serial = sweep(small_binary(), xs, set, 8);
     for (std::size_t jobs : {2u, 8u}) {
         par::set_jobs(jobs);
-        EXPECT_EQ(sweep_binary(small_binary(), xs, set, 8), serial) << "jobs=" << jobs;
+        EXPECT_EQ(sweep(small_binary(), xs, set, 8), serial) << "jobs=" << jobs;
     }
 }
 
 TEST(ParallelDeterminism, SweepLocationBitIdenticalAcrossJobs) {
     JobsGuard guard;
     const std::vector<double> xs = {0.1, 0.5};
-    const auto set = [](LocationConfig& c, double x) { c.pct_faulty = x; };
+    const auto set = [](Scenario& c, double x) { c.location.pct_faulty = x; };
     par::set_jobs(1);
-    const auto serial = sweep_location(small_location(), xs, set, 4);
+    const auto serial = sweep(small_location(), xs, set, 4);
     par::set_jobs(8);
-    EXPECT_EQ(sweep_location(small_location(), xs, set, 4), serial);
+    EXPECT_EQ(sweep(small_location(), xs, set, 4), serial);
 }
 
 TEST(ParallelDeterminism, MergedMetricsJsonBitIdenticalAcrossJobs) {
@@ -113,9 +113,9 @@ TEST(ParallelDeterminism, MergedMetricsJsonBitIdenticalAcrossJobs) {
     auto run = [](std::size_t jobs) {
         par::set_jobs(jobs);
         obs::Recorder rec;
-        BinaryConfig c = small_binary();
+        Scenario c = small_binary();
         c.recorder = &rec;
-        mean_binary_accuracy(c, 10);
+        mean_accuracy(c, 10);
         return metrics_json(rec);
     };
     const std::string serial = run(1);
@@ -130,9 +130,9 @@ TEST(ParallelDeterminism, MergedTraceBitIdenticalAcrossJobs) {
         par::set_jobs(jobs);
         obs::Recorder rec;
         rec.trace().set_enabled(true);
-        LocationConfig c = small_location();
+        Scenario c = small_location();
         c.recorder = &rec;
-        mean_location_accuracy(c, 4);
+        mean_accuracy(c, 4);
         return trace_jsonl(rec);
     };
     const std::string serial = run(1);
@@ -151,15 +151,15 @@ TEST(ParallelDeterminism, MergedRegistryMatchesSharedSerialRegistry) {
 
     obs::Recorder merged;
     {
-        BinaryConfig c = small_binary();
+        Scenario c = small_binary();
         c.recorder = &merged;
-        mean_binary_accuracy(c, 5);
+        mean_accuracy(c, 5);
     }
 
     obs::Recorder shared;
     {
         for (std::size_t r = 0; r < 5; ++r) {
-            BinaryConfig c = small_binary();
+            Scenario c = small_binary();
             c.seed = util::derive_trial_seed(small_binary().seed, r);
             c.recorder = &shared;
             run_binary_experiment(c);

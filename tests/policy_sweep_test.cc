@@ -15,18 +15,18 @@ using Combo = std::tuple<int /*level*/, double /*pct*/, bool /*baseline*/>;
 
 class HarnessSweep : public ::testing::TestWithParam<Combo> {
   protected:
-    LocationConfig make_config() const {
+    Scenario make_config() const {
         const auto [level, pct, baseline] = GetParam();
-        LocationConfig c;
-        c.events = 80;
+        Scenario c = Scenario::location_defaults();
+        c.location.events = 80;
         c.seed = 4242;
-        c.pct_faulty = pct;
-        c.policy = baseline ? core::DecisionPolicy::MajorityVote
-                            : core::DecisionPolicy::TrustIndex;
+        c.location.pct_faulty = pct;
+        c.engine.policy = baseline ? core::DecisionPolicy::MajorityVote
+                                   : core::DecisionPolicy::TrustIndex;
         switch (level) {
-            case 1: c.fault_level = sensor::NodeClass::Level1; break;
-            case 2: c.fault_level = sensor::NodeClass::Level2; break;
-            default: c.fault_level = sensor::NodeClass::Level0; break;
+            case 1: c.location.fault_level = sensor::NodeClass::Level1; break;
+            case 2: c.location.fault_level = sensor::NodeClass::Level2; break;
+            default: c.location.fault_level = sensor::NodeClass::Level0; break;
         }
         return c;
     }
@@ -55,12 +55,12 @@ TEST_P(HarnessSweep, DeterministicAndBounded) {
 TEST_P(HarnessSweep, TrustStateOnlyUnderTibfit) {
     const auto cfg = make_config();
     const auto r = run_location_experiment(cfg);
-    if (cfg.policy == core::DecisionPolicy::MajorityVote) {
+    if (cfg.engine.policy == core::DecisionPolicy::MajorityVote) {
         // Stateless baseline: nothing is ever isolated and no trust forms.
         EXPECT_EQ(r.isolated, 0u);
         EXPECT_DOUBLE_EQ(r.mean_ti_correct, 1.0);
         EXPECT_DOUBLE_EQ(r.mean_ti_faulty, 1.0);
-    } else if (cfg.pct_faulty >= 0.3) {
+    } else if (cfg.location.pct_faulty >= 0.3) {
         // TIBFIT separates the classes wherever there are faults to judge.
         EXPECT_LT(r.mean_ti_faulty, r.mean_ti_correct);
     }
@@ -83,9 +83,9 @@ class SeedStability : public ::testing::TestWithParam<std::uint64_t> {};
 TEST_P(SeedStability, AccuracyStaysInPlausibleBand) {
     // Seed-to-seed variation at a fixed config is real but bounded: a
     // badly skewed run would indicate a determinism or scoring bug.
-    LocationConfig c;
-    c.events = 100;
-    c.pct_faulty = 0.3;
+    Scenario c = Scenario::location_defaults();
+    c.location.events = 100;
+    c.location.pct_faulty = 0.3;
     c.seed = GetParam();
     const auto r = run_location_experiment(c);
     EXPECT_GT(r.accuracy, 0.9) << "seed " << GetParam();

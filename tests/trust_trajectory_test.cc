@@ -61,15 +61,15 @@ TEST(MeanField, MarginShrinksWithMoreFaults) {
 TEST(MeanField, PredictsSimulatedAccuracyShape) {
     // Where the mean-field model says detection holds, the stochastic
     // simulation should score high accuracy too (missed alarms only).
-    exp::BinaryConfig sim_cfg;
-    sim_cfg.events = 100;
-    sim_cfg.channel_drop = 0.0;
+    exp::Scenario sim_cfg = exp::Scenario::binary_defaults();
+    sim_cfg.binary.events = 100;
+    sim_cfg.channel.drop_probability = 0.0;
     sim_cfg.seed = 99;
     for (double pct : {0.4, 0.6, 0.7}) {
-        sim_cfg.pct_faulty = pct;
+        sim_cfg.binary.pct_faulty = pct;
         const auto m = static_cast<std::size_t>(pct * 10 + 0.5);
         const double predicted = predicted_detection_rate(params(m), 100);
-        const double simulated = exp::mean_binary_accuracy(sim_cfg, 10);
+        const double simulated = exp::mean_accuracy(sim_cfg, 10);
         EXPECT_DOUBLE_EQ(predicted, 1.0);
         EXPECT_GT(simulated, 0.9) << "pct=" << pct;
     }
