@@ -123,46 +123,38 @@ void write_json(const CampaignSpec& spec, obs::json::Writer& w) {
 }
 
 CampaignSpec campaign_from_json(const obs::json::Value& v) {
-    if (!v.is_object()) throw std::runtime_error("campaign: spec must be a JSON object");
+    const obs::json::Fields root(v, "campaign");
     CampaignSpec spec;
-    if (const auto* arr = v.find("degradations"); arr && arr->is_array()) {
-        for (const auto& d : arr->as_array()) {
-            net::ChannelFaultWindow w;
-            w.start = d.number_or("start", 0.0);
-            w.end = d.number_or("end", 0.0);
-            w.extra_drop = d.number_or("extra_drop", 0.0);
-            w.duplicate_probability = d.number_or("duplicate_probability", 0.0);
-            w.delay_jitter = d.number_or("delay_jitter", 0.0);
-            w.reorder_probability = d.number_or("reorder_probability", 0.0);
-            w.reorder_hold = d.number_or("reorder_hold", 0.0);
-            spec.degradations.push_back(w);
-        }
+    for (const auto& d : root.objects("degradations")) {
+        net::ChannelFaultWindow w;
+        d.read("start", w.start);
+        d.read("end", w.end);
+        d.read("extra_drop", w.extra_drop);
+        d.read("duplicate_probability", w.duplicate_probability);
+        d.read("delay_jitter", w.delay_jitter);
+        d.read("reorder_probability", w.reorder_probability);
+        d.read("reorder_hold", w.reorder_hold);
+        spec.degradations.push_back(w);
     }
-    if (const auto* arr = v.find("failovers"); arr && arr->is_array()) {
-        for (const auto& f : arr->as_array()) {
-            ChFailover fo;
-            fo.kill_at = f.number_or("kill_at", 0.0);
-            fo.recover_at = f.number_or("recover_at", -1.0);
-            fo.warm_handoff = f.bool_or("warm_handoff", true);
-            spec.failovers.push_back(fo);
-        }
+    for (const auto& f : root.objects("failovers")) {
+        ChFailover fo;
+        f.read("kill_at", fo.kill_at);
+        f.read("recover_at", fo.recover_at);
+        f.read("warm_handoff", fo.warm_handoff);
+        spec.failovers.push_back(fo);
     }
-    if (const auto* arr = v.find("compromises"); arr && arr->is_array()) {
-        for (const auto& c : arr->as_array()) {
-            CompromiseOnset onset;
-            onset.at = c.number_or("at", 0.0);
-            onset.target_pct = c.number_or("target_pct", 0.0);
-            spec.compromises.push_back(onset);
-        }
+    for (const auto& c : root.objects("compromises")) {
+        CompromiseOnset onset;
+        c.read("at", onset.at);
+        c.read("target_pct", onset.target_pct);
+        spec.compromises.push_back(onset);
     }
-    if (const auto* arr = v.find("fault_shifts"); arr && arr->is_array()) {
-        for (const auto& s : arr->as_array()) {
-            FaultRateShift shift;
-            shift.at = s.number_or("at", 0.0);
-            shift.missed_alarm_rate = s.number_or("missed_alarm_rate", -1.0);
-            shift.false_alarm_rate = s.number_or("false_alarm_rate", -1.0);
-            spec.fault_shifts.push_back(shift);
-        }
+    for (const auto& s : root.objects("fault_shifts")) {
+        FaultRateShift shift;
+        s.read("at", shift.at);
+        s.read("missed_alarm_rate", shift.missed_alarm_rate);
+        s.read("false_alarm_rate", shift.false_alarm_rate);
+        spec.fault_shifts.push_back(shift);
     }
     return spec;
 }

@@ -80,7 +80,9 @@ struct CampaignSpec {
 void write_json(const CampaignSpec& spec, obs::json::Writer& w);
 
 /// Rebuilds a spec from the write_json() shape. Unknown keys are ignored;
-/// missing keys default. Throws std::runtime_error on a non-object.
+/// missing keys default. Throws std::runtime_error, naming the key, on a
+/// non-object spec or entry, a section that is not an array, or a value
+/// of the wrong type.
 CampaignSpec campaign_from_json(const obs::json::Value& v);
 
 /// One spec bound to one run. The runner constructs it with the run's

@@ -14,7 +14,7 @@ Channel::Channel(sim::Simulator& sim, util::Rng rng, ChannelParams params)
     : sim_(&sim), rng_(rng), params_(params) {}
 
 void Channel::attach(sim::Process& process, const util::Vec2& position, double radio_range) {
-    endpoints_[process.id()] = Endpoint{&process, position, radio_range, -1.0};
+    endpoints_[process.id()] = Endpoint{&process, position, radio_range, -1.0, {}};
 }
 
 void Channel::detach(sim::ProcessId id) { endpoints_.erase(id); }

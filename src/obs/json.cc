@@ -33,6 +33,78 @@ bool Value::bool_or(const std::string& key, bool dflt) const {
     return v && v->is_bool() ? v->as_bool() : dflt;
 }
 
+// ---- Strict configuration reads ----
+
+Fields::Fields(const Value& object, std::string context, std::string path)
+    : object_(&object), context_(std::move(context)), path_(std::move(path)) {
+    if (!object.is_object()) {
+        throw std::runtime_error(context_ + ": " + (path_.empty() ? "document" : path_) +
+                                 " must be a JSON object");
+    }
+}
+
+std::string Fields::name(const std::string& key) const {
+    return path_.empty() ? key : path_ + "." + key;
+}
+
+void Fields::reject(const std::string& key, const std::string& what) const {
+    throw std::runtime_error(context_ + ": " + name(key) + " must be " + what);
+}
+
+void Fields::read(const char* key, double& out) const {
+    if (const Value* v = object_->find(key)) {
+        if (!v->is_number()) reject(key, "a number");
+        out = v->as_number();
+    }
+}
+
+void Fields::read(const char* key, bool& out) const {
+    if (const Value* v = object_->find(key)) {
+        if (!v->is_bool()) reject(key, "true or false");
+        out = v->as_bool();
+    }
+}
+
+void Fields::read(const char* key, std::string& out) const {
+    if (const Value* v = object_->find(key)) {
+        if (!v->is_string()) reject(key, "a string");
+        out = v->as_string();
+    }
+}
+
+double Fields::count(const std::string& key, const Value& v, double max) const {
+    if (!v.is_number()) reject(key, "a non-negative integer");
+    const double x = v.as_number();
+    if (!(x >= 0.0 && x == std::floor(x))) {
+        reject(key, "a non-negative integer, got " + number_to_string(x));
+    }
+    // Doubles round the 64-bit maxima up to 2^64, which itself overflows.
+    const bool exclusive = max >= 18446744073709551615.0;
+    if (exclusive ? x >= max : x > max) {
+        reject(key, std::string(exclusive ? "below " : "at most ") + number_to_string(max) +
+                        ", got " + number_to_string(x));
+    }
+    return x;
+}
+
+std::optional<Fields> Fields::object(const char* key) const {
+    const Value* v = object_->find(key);
+    if (!v) return std::nullopt;
+    return Fields(*v, context_, name(key));
+}
+
+std::vector<Fields> Fields::objects(const char* key) const {
+    std::vector<Fields> out;
+    const Value* v = object_->find(key);
+    if (!v) return out;
+    if (!v->is_array()) reject(key, "an array of objects");
+    const Array& items = v->as_array();
+    for (std::size_t i = 0; i < items.size(); ++i) {
+        out.emplace_back(items[i], context_, name(key) + "[" + std::to_string(i) + "]");
+    }
+    return out;
+}
+
 // ---- Rendering helpers ----
 
 std::string escape(std::string_view s) {

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "core/trust.h"
@@ -187,6 +189,34 @@ TEST(Inject, CampaignSpecJsonRoundTrip) {
     EXPECT_EQ(back.fault_shifts[0].missed_alarm_rate, 0.9);
     EXPECT_EQ(back.fault_shifts[0].false_alarm_rate, -1.0);
     EXPECT_TRUE(back.validate().empty());
+}
+
+TEST(Inject, CampaignSpecJsonRejectionTable) {
+    struct Case {
+        const char* json;
+        const char* needle;
+    };
+    const Case cases[] = {
+        {R"([])", "campaign: document must be a JSON object"},
+        {R"({"degradations": {}})", "campaign: degradations must be an array of objects"},
+        {R"({"failovers": 3})", "failovers must be an array of objects"},
+        {R"({"compromises": [0.5]})", "compromises[0] must be a JSON object"},
+        {R"({"degradations": [{"start": "10"}]})", "degradations[0].start must be a number"},
+        {R"({"degradations": [{}, {"extra_drop": true}]})",
+         "degradations[1].extra_drop must be a number"},
+        {R"({"failovers": [{"kill_at": 5, "warm_handoff": "yes"}]})",
+         "failovers[0].warm_handoff must be true or false"},
+        {R"({"fault_shifts": [{"at": null}]})", "fault_shifts[0].at must be a number"},
+    };
+    for (const Case& c : cases) {
+        try {
+            inject::campaign_from_json(obs::json::parse(c.json));
+            ADD_FAILURE() << "accepted " << c.json;
+        } catch (const std::runtime_error& e) {
+            EXPECT_NE(std::string(e.what()).find(c.needle), std::string::npos)
+                << c.json << " -> " << e.what();
+        }
+    }
 }
 
 TEST(Inject, RecoveryHandsLeadershipBack) {
