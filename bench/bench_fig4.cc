@@ -7,12 +7,7 @@
 //
 // Paper shape: models track each other below 40% compromised; past 40%
 // TIBFIT wins by 7-20 points and holds near 80% at 58% compromised.
-#include <vector>
-
-#include "exp/bench_io.h"
-#include "exp/location_experiment.h"
-#include "exp/sweep.h"
-#include "util/table.h"
+#include "location_figures.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
@@ -27,43 +22,6 @@ int main(int argc, char** argv) {
         io.print_help();
         return 0;
     }
-
-    const std::vector<double> pct = {0.10, 0.20, 0.30, 0.40, 0.50, 0.58};
-    struct Series {
-        const char* name;
-        double cs, fs;
-        core::DecisionPolicy policy;
-    };
-    const Series series[] = {
-        {"Lvl0 1.6-4.25 TIBFIT", 1.6, 4.25, core::DecisionPolicy::TrustIndex},
-        {"Lvl0 1.6-4.25 Baseline", 1.6, 4.25, core::DecisionPolicy::MajorityVote},
-        {"Lvl0 2-6 TIBFIT", 2.0, 6.0, core::DecisionPolicy::TrustIndex},
-        {"Lvl0 2-6 Baseline", 2.0, 6.0, core::DecisionPolicy::MajorityVote},
-    };
-    const std::size_t runs = io.trial_runs(5);
-
-    util::Table t("Figure 4: location model accuracy vs % faulty (level 0)");
-    t.header({"% faulty", series[0].name, series[1].name, series[2].name, series[3].name});
-    for (double p : pct) {
-        std::vector<double> row{100.0 * p};
-        for (const auto& s : series) {
-            exp::Scenario sc = base;
-            sc.location.pct_faulty = p;
-            sc.faults.correct_sigma = s.cs;
-            sc.faults.faulty_sigma = s.fs;
-            sc.engine.policy = s.policy;
-            row.push_back(exp::mean_accuracy(sc, runs));
-        }
-        t.row_values(row, 3);
-    }
-    io.emit(t);
-    io.params().set("pct_faulty", 0.3).set("correct_sigma", 1.6).set("faulty_sigma", 4.25);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::Scenario sc = base;
-        sc.location.pct_faulty = 0.3;
-        sc.faults.correct_sigma = 1.6;
-        sc.faults.faulty_sigma = 4.25;
-        sc.recorder = &rec;
-        exp::run_location_experiment(sc);
-    });
+    return bench::level_sweep_figure(io, base, "Lvl0",
+                                     "Figure 4: location model accuracy vs % faulty (level 0)");
 }
