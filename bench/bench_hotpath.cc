@@ -1,6 +1,7 @@
-// Microbenchmarks of the three simulator hot paths this tree optimised,
-// each measured against an in-file re-implementation of the pre-arena /
-// pre-memoisation / pre-grid design so the speedup is visible in one run:
+// Microbenchmarks of the hot paths this tree optimised, each measured
+// against an in-file re-implementation of the previous design (pre-arena,
+// pre-fan-out, pre-memoisation, pre-grid, pre-index) so the speedup is
+// visible in one run:
 //
 //   event_queue_churn   — push/pop through sim::EventQueue (slab arena +
 //                         small-buffer callbacks) vs. the historical
@@ -17,6 +18,11 @@
 //                         memoised exp) vs. unordered_map + exp per query.
 //   neighbour_query_*   — util::SpatialGrid::query_within vs. the O(N)
 //                         brute-force scan, at two field sizes.
+//   binary_scoring      — exp::detail::score_binary (the decision log
+//                         ordered once, one window lookup per event) vs.
+//                         the scan of the whole log per event, on a
+//                         binary_failover-shaped log (2000 events, 4400
+//                         decisions); ops are events.
 //
 // Every pair runs the same deterministic workload and must produce a
 // bit-identical checksum — the optimisations are output-preserving by
@@ -41,9 +47,12 @@
 #include <utility>
 #include <vector>
 
+#include "cluster/cluster_head.h"
 #include "core/trust.h"
 #include "exp/bench_io.h"
+#include "exp/scoring.h"
 #include "net/packet.h"
+#include "sensor/event_generator.h"
 #include "sim/event_queue.h"
 #include "sim/process.h"
 #include "util/rng.h"
@@ -347,6 +356,80 @@ double neighbour_grid(const util::SpatialGrid& grid, const std::vector<util::Vec
     return acc;
 }
 
+// Binary scoring at binary_failover's shape: kScoringEvents events 10 s
+// apart, each answered by one window shortly after it, plus false-alarm
+// windows between them, kScoringDecisions windows in all, t_out 1 s.
+constexpr std::size_t kScoringEvents = 2000;
+constexpr std::size_t kScoringDecisions = 4400;
+constexpr double kScoringWindow = 1.0;
+
+struct ScoringLog {
+    std::vector<sensor::GeneratedEvent> history;
+    std::vector<cluster::DecisionRecord> decisions;
+};
+
+ScoringLog scoring_log(util::Rng rng) {
+    ScoringLog log;
+    for (std::size_t e = 0; e < kScoringEvents; ++e) {
+        sensor::GeneratedEvent ev;
+        ev.id = e;
+        ev.time = 5.0 + 10.0 * static_cast<double>(e);
+        log.history.push_back(ev);
+        cluster::DecisionRecord d;
+        d.window_opened = ev.time + rng.uniform(0.0, 0.05);
+        d.event_declared = rng.chance(0.97);
+        log.decisions.push_back(d);
+    }
+    while (log.decisions.size() < kScoringDecisions) {
+        cluster::DecisionRecord d;
+        d.window_opened = 5.0 + 10.0 * static_cast<double>(rng.uniform_index(kScoringEvents)) +
+                          10.0 / 3.0 + rng.uniform(0.0, 2.0);
+        d.event_declared = rng.chance(0.1);
+        log.decisions.push_back(d);
+    }
+    for (auto& d : log.decisions) d.time = d.window_opened + kScoringWindow;
+    std::stable_sort(log.decisions.begin(), log.decisions.end(),
+                     [](const auto& a, const auto& b) { return a.time < b.time; });
+    return log;
+}
+
+double score_checksum(const exp::detail::BinaryScore& s) {
+    return static_cast<double>(s.detected) * 1e6 +
+           static_cast<double>(s.false_alarm_windows) * 1e3 +
+           static_cast<double>(s.phantoms_declared);
+}
+
+/// The previous scorer: every event scans the whole log for the first
+/// unclaimed decision in its window.
+double score_scan(const ScoringLog& log) {
+    exp::detail::BinaryScore result;
+    const auto& decisions = log.decisions;
+    std::vector<bool> decision_matched(decisions.size(), false);
+    for (const auto& ev : log.history) {
+        bool detected = false;
+        for (std::size_t d = 0; d < decisions.size(); ++d) {
+            if (decision_matched[d]) continue;
+            const double dt = decisions[d].window_opened - ev.time;
+            if (dt >= 0.0 && dt <= kScoringWindow) {
+                decision_matched[d] = true;
+                detected = decisions[d].event_declared;
+                break;
+            }
+        }
+        if (detected) ++result.detected;
+    }
+    for (std::size_t d = 0; d < decisions.size(); ++d) {
+        if (decision_matched[d]) continue;
+        ++result.false_alarm_windows;
+        if (decisions[d].event_declared) ++result.phantoms_declared;
+    }
+    return score_checksum(result);
+}
+
+double score_one_pass(const ScoringLog& log) {
+    return score_checksum(exp::detail::score_binary(log.history, log.decisions, kScoringWindow));
+}
+
 // ---------------------------------------------------------------------------
 // Harness.
 // ---------------------------------------------------------------------------
@@ -542,6 +625,14 @@ int main(int argc, char** argv) {
             time_pair(iters, [&] { return neighbour_brute(pts, queries, kRadius, iters); },
                       [&] { return neighbour_grid(grid, queries, kRadius, iters); });
         ok = report.pair("neighbour_query_" + std::to_string(n), iters, legacy, opt) && ok;
+    }
+
+    // --- Binary scoring ---------------------------------------------------
+    {
+        const ScoringLog log = scoring_log(rng.stream("scoring"));
+        const auto [legacy, opt] = time_pair(kScoringEvents, [&] { return score_scan(log); },
+                                             [&] { return score_one_pass(log); });
+        ok = report.pair("binary_scoring", kScoringEvents, legacy, opt) && ok;
     }
 
     io.emit(t);

@@ -19,8 +19,10 @@
 // (ci/campaign_smoke.json is the canned one the CI smoke job uses) through
 // one instrumented run and emits its decision counters.
 #include <cstdint>
+#include <exception>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -95,6 +97,26 @@ int main(int argc, char** argv) {
     }
     const std::size_t runs = io.trial_runs(smoke ? 3 : 25);
 
+    // Read the replayed campaign first, so a bad file is rejected before
+    // anything runs: malformed or mistyped JSON exits 2, as tibfit_cli's
+    // rejections do.
+    std::optional<inject::CampaignSpec> replayed;
+    if (!campaign_path.empty()) {
+        std::ifstream in(campaign_path);
+        if (!in) {
+            std::cerr << "bench_inject: cannot open campaign file " << campaign_path << '\n';
+            return 1;
+        }
+        std::ostringstream text;
+        text << in.rdbuf();
+        try {
+            replayed = inject::campaign_from_json(obs::json::parse(text.str()));
+        } catch (const std::exception& e) {
+            std::cerr << "bench_inject: " << campaign_path << ": " << e.what() << '\n';
+            return 2;
+        }
+    }
+
     exp::Scenario base = exp::Scenario::binary_defaults();
     base.binary.events = events;
     base.seed = seed;
@@ -143,16 +165,8 @@ int main(int argc, char** argv) {
 
     // ---- Optional: replay a canned campaign spec from JSON ----
     exp::Scenario replay = fb;
-    bool have_replay = false;
-    if (!campaign_path.empty()) {
-        std::ifstream in(campaign_path);
-        if (!in) {
-            std::cerr << "bench_inject: cannot open campaign file " << campaign_path << '\n';
-            return 1;
-        }
-        std::ostringstream text;
-        text << in.rdbuf();
-        replay.campaign = inject::campaign_from_json(obs::json::parse(text.str()));
+    if (replayed) {
+        replay.campaign = *replayed;
         replay.binary.pct_faulty = 0.4;
         replay.binary.reliable_reports = true;
         const auto errors = replay.validate();
@@ -160,7 +174,6 @@ int main(int argc, char** argv) {
             for (const auto& e : errors) std::cerr << "bench_inject: " << e << '\n';
             return 1;
         }
-        have_replay = true;
 
         exp::BinaryResult r = exp::run_binary_experiment(replay);
         util::Table c("Campaign replay: " + campaign_path);
@@ -177,8 +190,8 @@ int main(int argc, char** argv) {
         // Representative instrumented run: the warm-handoff failover arm
         // (or the replayed campaign when one was given), so the artifact's
         // registry carries the inject.* counters the CI golden gates on.
-        exp::Scenario s = have_replay ? replay : fb;
-        if (!have_replay) {
+        exp::Scenario s = replayed ? replay : fb;
+        if (!replayed) {
             s.binary.pct_faulty = 0.4;
             s.campaign = failover_campaign(kill_at, true, degrade);
         }

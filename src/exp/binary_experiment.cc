@@ -9,6 +9,7 @@
 #include "cluster/cluster_head.h"
 #include "cluster/shadow.h"
 #include "exp/run_harness.h"
+#include "exp/scoring.h"
 #include "obs/names.h"
 #include "obs/recorder.h"
 
@@ -156,14 +157,7 @@ BinaryResult run_binary_experiment(const Scenario& scenario) {
     // With shadows deployed, the base station's vote is authoritative:
     // override each CH announcement with the station's final conclusion.
     if (wl.use_shadows) {
-        for (auto& d : decisions) {
-            for (const auto& f : station->final_decisions()) {
-                if (f.seq == d.seq) {
-                    d.event_declared = f.event_declared;
-                    break;
-                }
-            }
-        }
+        detail::apply_station_verdicts(decisions, station->final_decisions());
         result.ch_overrides = station->overrides();
     }
 
@@ -174,25 +168,10 @@ BinaryResult run_binary_experiment(const Scenario& scenario) {
                          [](const auto& a, const auto& b) { return a.time < b.time; });
     }
 
-    std::vector<bool> decision_matched(decisions.size(), false);
-    for (const auto& ev : history) {
-        bool detected = false;
-        for (std::size_t d = 0; d < decisions.size(); ++d) {
-            if (decision_matched[d]) continue;
-            const double dt = decisions[d].window_opened - ev.time;
-            if (dt >= 0.0 && dt <= engine_cfg.t_out) {
-                decision_matched[d] = true;
-                detected = decisions[d].event_declared;
-                break;
-            }
-        }
-        if (detected) ++result.detected;
-    }
-    for (std::size_t d = 0; d < decisions.size(); ++d) {
-        if (decision_matched[d]) continue;
-        ++result.false_alarm_windows;  // a window no real event explains
-        if (decisions[d].event_declared) ++result.phantoms_declared;
-    }
+    const detail::BinaryScore score = detail::score_binary(history, decisions, engine_cfg.t_out);
+    result.detected = score.detected;
+    result.false_alarm_windows = score.false_alarm_windows;
+    result.phantoms_declared = score.phantoms_declared;
 
     const std::size_t instances = result.events + result.false_alarm_windows;
     const std::size_t correct =

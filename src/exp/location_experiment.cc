@@ -1,6 +1,5 @@
 #include "exp/location_experiment.h"
 
-#include <algorithm>
 #include <cmath>
 #include <memory>
 #include <vector>
@@ -8,6 +7,7 @@
 #include "cluster/base_station.h"
 #include "cluster/cluster_head.h"
 #include "exp/run_harness.h"
+#include "exp/scoring.h"
 #include "obs/names.h"
 #include "obs/recorder.h"
 #include "sensor/collusion.h"
@@ -205,41 +205,15 @@ LocationResult run_location_experiment(const Scenario& scenario) {
     result.events = history.size();
     const double match_window = 3.0 * engine_cfg.t_out + 1.0;
 
-    std::vector<bool> explained(decisions.size(), false);
-    std::vector<bool> event_detected(result.events, false);
-    for (std::size_t e = 0; e < history.size(); ++e) {
-        const auto& ev = history[e];
-        for (std::size_t d = 0; d < decisions.size(); ++d) {
-            const auto& dec = decisions[d];
-            if (!dec.has_location) continue;
-            const double dt = dec.time - ev.time;
-            if (dt < 0.0 || dt > match_window) continue;
-            if (util::distance(dec.location, ev.location) > engine_cfg.r_error) continue;
-            explained[d] = true;
-            if (dec.event_declared) event_detected[e] = true;
-        }
-        if (event_detected[e]) ++result.detected;
-    }
-    for (std::size_t d = 0; d < decisions.size(); ++d) {
-        if (!explained[d] && decisions[d].event_declared) ++result.false_positives;
-    }
+    detail::LocationScore score = detail::score_location(history, decisions, match_window,
+                                                         engine_cfg.r_error, wl.epoch_events);
+    result.detected = score.detected;
+    result.false_positives = score.false_positives;
+    result.epoch_accuracy = std::move(score.epoch_accuracy);
     result.accuracy = result.events
                           ? static_cast<double>(result.detected) /
                                 static_cast<double>(result.events)
                           : 0.0;
-
-    // Per-epoch accuracy series (events are ordered by generation time).
-    if (wl.epoch_events > 0) {
-        std::size_t i = 0;
-        while (i < event_detected.size()) {
-            const std::size_t end = std::min(i + wl.epoch_events, event_detected.size());
-            std::size_t hits = 0;
-            for (std::size_t j = i; j < end; ++j) hits += event_detected[j] ? 1 : 0;
-            result.epoch_accuracy.push_back(static_cast<double>(hits) /
-                                            static_cast<double>(end - i));
-            i = end;
-        }
-    }
 
     // Final trust state from the currently active CH.
     const auto& tm = heads[active_ch]->engine().trust();

@@ -28,7 +28,7 @@ bool ReliableTransport::send(sim::ProcessId final_dst, ReportPayload report) {
     env.seq = next_seq_++;
     env.ttl = params_.ttl;
     env.report = std::move(report);
-    seen_.insert(make_key(env.source, env.seq));  // don't loop back to self
+    mark_seen(env.source, env.seq);  // don't loop back to self
     ++originated_;
     if (c_originated_) c_originated_->inc();
     transmit_hop(env);
@@ -48,14 +48,14 @@ void ReliableTransport::transmit_hop(const RelayEnvelopePayload& envelope) {
     pending.envelope.ttl = static_cast<std::uint8_t>(envelope.ttl - 1);
     pending.next_hop = hop;
     pending.retries_left = params_.max_retries;
-    pending_[key] = pending;
+    PendingHop& entry = pending_.insert_or_assign(key, std::move(pending)).first->second;
 
-    radio_.send(hop, pending_[key].envelope);
-    arm_retransmit(key);
+    radio_.send(hop, entry.envelope);
+    arm_retransmit(key, entry);
 }
 
-void ReliableTransport::arm_retransmit(std::uint64_t key) {
-    pending_[key].timer = sim_->schedule(params_.ack_timeout, [this, key] {
+void ReliableTransport::arm_retransmit(std::uint64_t key, PendingHop& hop) {
+    hop.timer = sim_->schedule(params_.ack_timeout, [this, key] {
         auto it = pending_.find(key);
         if (it == pending_.end()) return;  // acked meanwhile
         if (it->second.retries_left == 0) {
@@ -68,8 +68,19 @@ void ReliableTransport::arm_retransmit(std::uint64_t key) {
         ++retransmissions_;
         if (c_retransmissions_) c_retransmissions_->inc();
         radio_.send(it->second.next_hop, it->second.envelope);
-        arm_retransmit(key);
+        arm_retransmit(key, it->second);
     });
+}
+
+bool ReliableTransport::mark_seen(sim::ProcessId source, std::uint32_t seq) {
+    if (source >= seen_.size()) seen_.resize(std::size_t{source} + 1);
+    std::vector<std::uint64_t>& bits = seen_[source];
+    const std::size_t word = seq / 64;
+    if (word >= bits.size()) bits.resize(word + 1, 0);
+    const std::uint64_t bit = std::uint64_t{1} << (seq % 64);
+    if (bits[word] & bit) return false;
+    bits[word] |= bit;
+    return true;
 }
 
 std::optional<Delivered> ReliableTransport::on_packet(const Packet& packet) {
@@ -93,8 +104,7 @@ std::optional<Delivered> ReliableTransport::on_packet(const Packet& packet) {
     ack.seq = env->seq;
     radio_.send(packet.src, ack);
 
-    const std::uint64_t key = make_key(env->source, env->seq);
-    if (!seen_.insert(key).second) {
+    if (!mark_seen(env->source, env->seq)) {
         ++duplicates_;
         if (c_duplicates_) c_duplicates_->inc();
         return std::nullopt;

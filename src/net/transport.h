@@ -8,6 +8,9 @@
 // acknowledged; unacknowledged hops retransmit up to max_retries before
 // giving up. Receivers suppress duplicate (source, seq) pairs, so
 // delivery is at-least-once on the wire and exactly-once to the owner.
+// Both halves of the pair are dense — sources are process ids and each
+// source numbers its reports 0, 1, 2, ... — so the set of pairs a node
+// has seen is one bitmap per source, indexed by seq.
 //
 // The transport is a shim any Process embeds: the owner calls send() to
 // originate, funnels RelayEnvelope/RelayAck packets into on_packet(), and
@@ -19,8 +22,8 @@
 #include <cstdint>
 #include <optional>
 #include <unordered_map>
-#include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "net/packet.h"
 #include "net/radio.h"
@@ -87,10 +90,11 @@ class ReliableTransport {
     /// Starts (or restarts) the reliable transmission of an envelope to
     /// the next hop toward its final destination.
     void transmit_hop(const RelayEnvelopePayload& envelope);
-    void arm_retransmit(std::uint64_t key);
     static std::uint64_t make_key(sim::ProcessId source, std::uint32_t seq) {
         return (static_cast<std::uint64_t>(source) << 32) | seq;
     }
+    /// Records (source, seq) as seen; false if it already was.
+    bool mark_seen(sim::ProcessId source, std::uint32_t seq);
 
     struct PendingHop {
         RelayEnvelopePayload envelope;
@@ -98,6 +102,8 @@ class ReliableTransport {
         std::uint32_t retries_left;
         sim::Timer timer;
     };
+    /// Schedules `hop`'s (the entry at `key`) next retransmission check.
+    void arm_retransmit(std::uint64_t key, PendingHop& hop);
 
     sim::Simulator* sim_;
     Radio radio_;
@@ -105,7 +111,8 @@ class ReliableTransport {
     TransportParams params_;
     std::uint32_t next_seq_ = 0;
     std::unordered_map<std::uint64_t, PendingHop> pending_;
-    std::unordered_set<std::uint64_t> seen_;
+    /// seen_[source] bit seq: (source, seq) has been sent or accepted here.
+    std::vector<std::vector<std::uint64_t>> seen_;
     std::size_t originated_ = 0;
     std::size_t forwarded_ = 0;
     std::size_t retransmissions_ = 0;

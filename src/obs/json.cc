@@ -250,7 +250,7 @@ class Parser {
     explicit Parser(std::string_view text) : text_(text) {}
 
     Value parse_document() {
-        Value v = parse_value();
+        Value v = parse_value(0);
         skip_ws();
         if (pos_ != text_.size()) fail("trailing characters after JSON document");
         return v;
@@ -289,12 +289,16 @@ class Parser {
         return true;
     }
 
-    Value parse_value() {
+    /// `depth` counts the containers enclosing this value.
+    Value parse_value(std::size_t depth) {
         skip_ws();
         const char c = peek();
+        if ((c == '{' || c == '[') && depth == kMaxDepth) {
+            fail("nesting deeper than " + std::to_string(kMaxDepth) + " levels");
+        }
         switch (c) {
-            case '{': return parse_object();
-            case '[': return parse_array();
+            case '{': return parse_object(depth + 1);
+            case '[': return parse_array(depth + 1);
             case '"': return Value(parse_string());
             case 't':
                 if (consume_literal("true")) return Value(true);
@@ -309,7 +313,7 @@ class Parser {
         }
     }
 
-    Value parse_object() {
+    Value parse_object(std::size_t depth) {
         expect('{');
         Object obj;
         skip_ws();
@@ -322,7 +326,7 @@ class Parser {
             std::string key = parse_string();
             skip_ws();
             expect(':');
-            obj[std::move(key)] = parse_value();
+            obj[std::move(key)] = parse_value(depth);
             skip_ws();
             const char d = peek();
             if (d == ',') {
@@ -337,7 +341,7 @@ class Parser {
         }
     }
 
-    Value parse_array() {
+    Value parse_array(std::size_t depth) {
         expect('[');
         Array arr;
         skip_ws();
@@ -346,7 +350,7 @@ class Parser {
             return Value(std::move(arr));
         }
         while (true) {
-            arr.push_back(parse_value());
+            arr.push_back(parse_value(depth));
             skip_ws();
             const char d = peek();
             if (d == ',') {

@@ -5,6 +5,7 @@
 // just enough for tibfit's own artifacts.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
 #include <limits>
@@ -61,8 +62,14 @@ class Value {
     Data data_;
 };
 
+/// Deepest container nesting parse() accepts. tibfit's own documents
+/// nest a handful of levels; the limit keeps hostile input from
+/// exhausting the stack of the recursive parser.
+inline constexpr std::size_t kMaxDepth = 128;
+
 /// Parses one complete JSON document. Throws std::runtime_error with a
-/// byte offset on malformed input or trailing garbage.
+/// byte offset on malformed input, on trailing garbage and on nesting
+/// deeper than kMaxDepth.
 Value parse(std::string_view text);
 
 /// Strict typed reads of one object's members, for configuration

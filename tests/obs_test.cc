@@ -126,6 +126,49 @@ TEST(JsonWriter, EscapesAndNests) {
     EXPECT_TRUE(doc.find("arr")->as_array()[2].is_null());
 }
 
+TEST(JsonParser, AcceptsNestingUpToTheLimit) {
+    const std::size_t depth = obs::json::kMaxDepth;
+    const auto doc = obs::json::parse(std::string(depth, '[') + std::string(depth, ']'));
+    const obs::json::Value* v = &doc;
+    for (std::size_t i = 1; i < depth; ++i) {
+        ASSERT_EQ(v->as_array().size(), 1u);
+        v = &v->as_array()[0];
+    }
+    EXPECT_TRUE(v->as_array().empty());
+}
+
+TEST(JsonParser, RejectsNestingPastTheLimitAtItsOffset) {
+    // One container too many fails at the byte that opens it, whatever the
+    // document's size: the recursive parser never descends past the limit.
+    const std::size_t depth = obs::json::kMaxDepth;
+    std::string objects;  // alternating {"k": and [, one container too deep
+    for (std::size_t i = 0; i < depth; ++i) objects += i % 2 ? "[" : "{\"k\":";
+    const std::size_t objects_offset = objects.size();
+    objects += "{\"k\":1}";
+    const std::pair<std::string, std::size_t> cases[] = {
+        {std::string(depth + 1, '['), depth},
+        {std::string(200000, '['), depth},
+        {objects, objects_offset},
+    };
+    for (const auto& [text, offset] : cases) {
+        const std::string expected = "json parse error at byte " + std::to_string(offset) +
+                                     ": nesting deeper than " + std::to_string(depth) +
+                                     " levels";
+        try {
+            obs::json::parse(text);
+            ADD_FAILURE() << "accepted nesting of " << text.size() << " bytes";
+        } catch (const std::runtime_error& e) {
+            EXPECT_EQ(std::string(e.what()), expected);
+        }
+    }
+}
+
+TEST(JsonParser, TraceReaderRejectsDeepNesting) {
+    std::istringstream is("{\"type\":\"trace_header\",\"schema\":1,\"source\":\"tibfit::obs\"}\n" +
+                          std::string(200000, '[') + "\n");
+    EXPECT_THROW(obs::read_trace_jsonl(is), std::runtime_error);
+}
+
 TEST(Trace, DisabledLogAppendsNothing) {
     obs::TraceLog log;
     log.append(1.0, obs::EventInjected{});

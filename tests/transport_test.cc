@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <iterator>
 #include <memory>
 #include <vector>
 
@@ -48,6 +50,22 @@ class TransportTest : public ::testing::Test {
         ReportPayload r;
         r.positive = positive;
         return r;
+    }
+
+    /// Offers host 3 an envelope from `source` with `seq`, addressed to
+    /// it and relayed by its neighbour host 2. True if it was delivered,
+    /// false if suppressed as a duplicate.
+    bool offer_to_3(sim::ProcessId source, std::uint32_t seq) {
+        RelayEnvelopePayload env;
+        env.source = source;
+        env.final_dst = 3;
+        env.seq = seq;
+        env.report = report();
+        Packet p;
+        p.src = 2;
+        p.dst = 3;
+        p.payload = env;
+        return hosts_[3]->transport.on_packet(p).has_value();
     }
 
     sim::Simulator simulator_;
@@ -174,6 +192,69 @@ TEST_F(TransportTest, SequencesDistinguishMessages) {
     ASSERT_EQ(hosts_[3]->delivered.size(), 2u);
     EXPECT_TRUE(hosts_[3]->delivered[0].report.positive);
     EXPECT_FALSE(hosts_[3]->delivered[1].report.positive);
+}
+
+TEST_F(TransportTest, DedupAcceptsOutOfOrderSeqsOnce) {
+    build(0.0);
+    const std::uint32_t seqs[] = {5, 0, 3, 200, 1, 64, 63, 128};
+    for (const std::uint32_t seq : seqs) EXPECT_TRUE(offer_to_3(0, seq)) << seq;
+    EXPECT_EQ(hosts_[3]->transport.duplicates_suppressed(), 0u);
+    for (const std::uint32_t seq : seqs) EXPECT_FALSE(offer_to_3(0, seq)) << seq;
+    EXPECT_EQ(hosts_[3]->transport.duplicates_suppressed(), std::size(seqs));
+    // The gaps stay open.
+    for (const std::uint32_t seq : {2u, 4u, 6u, 62u, 65u, 127u, 199u}) {
+        EXPECT_TRUE(offer_to_3(0, seq)) << seq;
+    }
+    simulator_.run();  // the hop acks reach host 2, which has nothing pending
+    EXPECT_EQ(hosts_[2]->transport.in_flight(), 0u);
+}
+
+TEST_F(TransportTest, DedupRemembersALateDuplicate) {
+    build(0.0);
+    EXPECT_TRUE(offer_to_3(1, 0));
+    // Thousands of reports from two sources later, and far later in
+    // simulated time, the same identity is still a duplicate.
+    for (std::uint32_t seq = 1; seq < 5000; ++seq) {
+        ASSERT_TRUE(offer_to_3(1, seq));
+        ASSERT_TRUE(offer_to_3(0, seq));
+    }
+    bool late_accepted = true;
+    simulator_.schedule_at(1e6, [&] { late_accepted = offer_to_3(1, 0); });
+    simulator_.run();
+    EXPECT_FALSE(late_accepted);
+    EXPECT_EQ(hosts_[3]->transport.duplicates_suppressed(), 1u);
+}
+
+TEST_F(TransportTest, DedupGrowsToANewSourceId) {
+    build(0.0);
+    EXPECT_TRUE(offer_to_3(1, 0));
+    EXPECT_TRUE(offer_to_3(1000, 0));  // beyond any source seen so far
+    EXPECT_TRUE(offer_to_3(999, 0));
+    EXPECT_FALSE(offer_to_3(1000, 0));
+    EXPECT_FALSE(offer_to_3(1, 0));  // growing kept what was already seen
+    EXPECT_TRUE(offer_to_3(0, 0));
+    EXPECT_EQ(hosts_[3]->transport.duplicates_suppressed(), 2u);
+}
+
+TEST_F(TransportTest, DedupSeqZeroIsPerSource) {
+    build(0.0);
+    for (sim::ProcessId source = 0; source < 3; ++source) EXPECT_TRUE(offer_to_3(source, 0));
+    for (sim::ProcessId source = 0; source < 3; ++source) EXPECT_FALSE(offer_to_3(source, 0));
+    EXPECT_EQ(hosts_[3]->transport.duplicates_suppressed(), 3u);
+}
+
+TEST_F(TransportTest, DedupSuppressesOwnReportsLoopingBack) {
+    build(0.0);
+    // Host 3 originates seqs 0 and 1; an envelope of its own coming back
+    // is a duplicate, one it never sent is not.
+    hosts_[3]->transport.send(0, report());
+    hosts_[3]->transport.send(0, report());
+    EXPECT_FALSE(offer_to_3(3, 0));
+    EXPECT_FALSE(offer_to_3(3, 1));
+    EXPECT_TRUE(offer_to_3(3, 2));
+    EXPECT_EQ(hosts_[3]->transport.duplicates_suppressed(), 2u);
+    simulator_.run();
+    EXPECT_EQ(hosts_[0]->delivered.size(), 2u);
 }
 
 }  // namespace
