@@ -23,6 +23,20 @@
 //                         the scan of the whole log per event, on a
 //                         binary_failover-shaped log (2000 events, 4400
 //                         decisions); ops are events.
+//   broadcast_plan_105  — net::Channel::broadcast (the sender's cached
+//                         plan, staged in time order so the fan-out needs
+//                         no sort) vs. the per-send walk: distances to
+//                         every endpoint, a coin per receiver, staging in
+//                         walk order, then the fan-out's sort. 105
+//                         receivers plus 15 out of range; ops are
+//                         deliveries.
+//   location_decide_100 — core::LocationArbiter::decide (dense epoch-
+//                         stamped marks) vs. the same decision with the
+//                         two per-call std::unordered_sets, on a
+//                         100-node field with one event per window.
+//   event_clusterer_*   — core::EventClusterer::cluster vs. the paper-
+//                         literal check::ref_cluster, on windows of 1 and
+//                         5 events (12 noisy reports each).
 //
 // Every pair runs the same deterministic workload and must produce a
 // bit-identical checksum — the optimisations are output-preserving by
@@ -44,13 +58,18 @@
 #include <iostream>
 #include <memory>
 #include <unordered_map>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
+#include "check/reference.h"
 #include "cluster/cluster_head.h"
+#include "core/event_clusterer.h"
+#include "core/location_arbiter.h"
 #include "core/trust.h"
 #include "exp/bench_io.h"
 #include "exp/scoring.h"
+#include "net/channel.h"
 #include "net/packet.h"
 #include "sensor/event_generator.h"
 #include "sim/event_queue.h"
@@ -153,6 +172,122 @@ class LegacyTrustTable {
     core::TrustParams params_;
     std::unordered_map<core::NodeId, core::TrustIndex> table_;
 };
+
+/// The broadcast path before per-sender plans: every send walks all
+/// endpoints, measures each distance, draws the receiver's loss coin and
+/// stages its delivery in walk order; the fan-out then has to sort. Its
+/// endpoint map sees the same inserts as net::Channel's, so both walk in
+/// the same order and draw the same coins.
+class LegacyBroadcaster {
+  public:
+    LegacyBroadcaster(sim::Simulator& sim, util::Rng rng, net::ChannelParams params)
+        : sim_(&sim), rng_(rng), params_(params) {}
+
+    void attach(sim::Process& process, const util::Vec2& position, double range) {
+        endpoints_[process.id()] = Endpoint{&process, position, range};
+    }
+
+    std::size_t broadcast(net::Packet packet) {
+        const Endpoint& src = endpoints_.at(packet.src);
+        packet.sent_at = sim_->now();
+        packet.dst = net::kBroadcast;
+        auto body = std::make_shared<net::Packet>(std::move(packet));
+        staged_.clear();
+        for (auto& [id, ep] : endpoints_) {
+            if (id == body->src) continue;
+            const double dist = util::distance(src.position, ep.position);
+            if (dist > src.range) {
+                ++out_of_range_;
+                continue;
+            }
+            if (rng_.chance(params_.drop_probability)) continue;
+            const double delay = params_.base_latency + dist / params_.propagation_speed + 0.0;
+            staged_.push_back(
+                sim::FanoutItem{sim_->now() + delay, ep.process, 1.0 / (1.0 + dist * dist)});
+        }
+        sim_->schedule_fanout(
+            [](void* b, void* process, double rssi) {
+                auto* p = static_cast<net::Packet*>(b);
+                p->rssi = rssi;
+                static_cast<sim::Process*>(process)->handle_packet(*p);
+            },
+            std::move(body), staged_);
+        return staged_.size();
+    }
+
+    std::size_t out_of_range() const { return out_of_range_; }
+
+  private:
+    struct Endpoint {
+        sim::Process* process;
+        util::Vec2 position;
+        double range;
+    };
+
+    sim::Simulator* sim_;
+    util::Rng rng_;
+    net::ChannelParams params_;
+    std::unordered_map<sim::ProcessId, Endpoint> endpoints_;
+    std::vector<sim::FanoutItem> staged_;
+    std::size_t out_of_range_ = 0;
+};
+
+/// LocationArbiter::decide before the dense marks (TrustIndex policy, plain
+/// cg, trust updates applied): a hash set deduplicates the reporters, and
+/// another per cluster answers "did this node report?" for every node.
+std::vector<core::LocationDecision> legacy_location_decide(
+    core::TrustManager& trust, const core::EventClusterer& clusterer, double sensing_radius,
+    std::span<const core::EventReport> reports, std::span<const util::Vec2> node_positions) {
+    std::vector<std::size_t> kept;
+    {
+        std::unordered_set<core::NodeId> seen;
+        for (std::size_t i = 0; i < reports.size(); ++i) {
+            if (!reports[i].has_location()) continue;
+            if (reports[i].reporter >= node_positions.size()) continue;
+            if (trust.is_isolated(reports[i].reporter)) continue;
+            if (seen.insert(reports[i].reporter).second) kept.push_back(i);
+        }
+    }
+    std::vector<util::Vec2> locations;
+    locations.reserve(kept.size());
+    for (std::size_t i : kept) locations.push_back(*reports[i].location);
+    const auto clusters = clusterer.cluster(locations);
+
+    const double plaus = sensing_radius + clusterer.r_error();
+    const double rs2 = sensing_radius * sensing_radius;
+    const double plaus2 = plaus * plaus;
+    std::vector<core::LocationDecision> out;
+    out.reserve(clusters.size());
+    for (const auto& cl : clusters) {
+        core::LocationDecision d;
+        d.location = cl.cg;
+        std::unordered_set<core::NodeId> cluster_reporters;
+        for (std::size_t m : cl.members) cluster_reporters.insert(reports[kept[m]].reporter);
+        for (core::NodeId n = 0; n < node_positions.size(); ++n) {
+            if (trust.is_isolated(n)) continue;
+            const double d2 = util::distance2(node_positions[n], d.location);
+            if (cluster_reporters.count(n) != 0) {
+                if (d2 <= plaus2) {
+                    d.reporters.push_back(n);
+                    d.weight_reporters += trust.ti(n);
+                } else {
+                    d.thrown_out.push_back(n);
+                }
+            } else if (d2 <= rs2) {
+                d.silent.push_back(n);
+                d.weight_silent += trust.ti(n);
+            }
+        }
+        d.event_declared = !d.reporters.empty() && d.weight_reporters >= d.weight_silent;
+        const auto& winners = d.event_declared ? d.reporters : d.silent;
+        const auto& losers = d.event_declared ? d.silent : d.reporters;
+        for (core::NodeId n : winners) trust.judge_correct(n);
+        for (core::NodeId n : losers) trust.judge_faulty(n);
+        for (core::NodeId n : d.thrown_out) trust.judge_faulty(n);
+        out.push_back(std::move(d));
+    }
+    return out;
+}
 
 // ---------------------------------------------------------------------------
 // Workloads. Each is templated over the implementation and returns a
@@ -430,6 +565,70 @@ double score_one_pass(const ScoringLog& log) {
     return score_checksum(exp::detail::score_binary(log.history, log.decisions, kScoringWindow));
 }
 
+/// Sends `rounds` broadcasts from node 0 through `medium`, each drained
+/// before the next, with `parked` far-future timers keeping the queue as
+/// deep as fig4_fanout's. Returns an order-sensitive delivery checksum.
+template <typename Medium>
+double broadcast_rounds(std::size_t rounds, std::size_t parked,
+                        const std::vector<util::Vec2>& positions, double range) {
+    sim::Simulator sim;
+    Medium medium(sim, util::Rng(42), net::ChannelParams{});
+    double sum = 0.0;
+    std::vector<std::unique_ptr<ChecksumProcess>> processes;
+    for (std::size_t i = 0; i < positions.size(); ++i) {
+        processes.push_back(
+            std::make_unique<ChecksumProcess>(sim, static_cast<sim::ProcessId>(i), &sum));
+        medium.attach(*processes.back(), positions[i], range);
+    }
+    for (std::size_t i = 0; i < parked; ++i) sim.schedule_at(1e12 + static_cast<double>(i), [] {});
+    for (std::size_t r = 0; r < rounds; ++r) {
+        net::Packet p;
+        p.src = 0;
+        p.payload = net::DecisionPayload{};
+        sum += static_cast<double>(medium.broadcast(std::move(p)));
+        sim.run_until(static_cast<double>(r) + 0.5);
+    }
+    return sum + static_cast<double>(medium.out_of_range());
+}
+
+double decisions_checksum(const std::vector<core::LocationDecision>& ds) {
+    double acc = 0.0;
+    for (const auto& d : ds) {
+        acc += d.weight_reporters + 2.0 * d.weight_silent + d.location.x + d.location.y +
+               static_cast<double>(d.reporters.size() + 3 * d.silent.size() +
+                                   5 * d.thrown_out.size());
+    }
+    return acc;
+}
+
+/// The report windows of a location workload: one event per window on a
+/// 100-node field; every event neighbour reports with localisation noise,
+/// and every fifth window carries a fabricated report far from the event.
+struct LocationWorkload {
+    std::vector<util::Vec2> positions;
+    std::vector<std::vector<core::EventReport>> windows;
+};
+
+LocationWorkload location_workload(util::Rng rng, std::size_t windows, double sensing_radius) {
+    LocationWorkload w;
+    for (int i = 0; i < 100; ++i) w.positions.push_back(rng.point_in_rect(100, 100));
+    for (std::size_t k = 0; k < windows; ++k) {
+        const util::Vec2 event = rng.point_in_rect(100, 100);
+        std::vector<core::EventReport> reports;
+        for (core::NodeId n = 0; n < w.positions.size(); ++n) {
+            const bool near = util::distance(w.positions[n], event) <= sensing_radius;
+            const bool liar = k % 5 == 0 && n == k % w.positions.size();
+            if (!near && !liar) continue;
+            core::EventReport r;
+            r.reporter = n;
+            r.location = liar ? rng.point_in_rect(100, 100) : event + rng.gaussian_offset(1.6);
+            reports.push_back(r);
+        }
+        w.windows.push_back(std::move(reports));
+    }
+    return w;
+}
+
 // ---------------------------------------------------------------------------
 // Harness.
 // ---------------------------------------------------------------------------
@@ -633,6 +832,103 @@ int main(int argc, char** argv) {
         const auto [legacy, opt] = time_pair(kScoringEvents, [&] { return score_scan(log); },
                                              [&] { return score_one_pass(log); });
         ok = report.pair("binary_scoring", kScoringEvents, legacy, opt) && ok;
+    }
+
+    // --- Broadcast plan -----------------------------------------------------
+    {
+        // The sender at the origin reaches 105 receivers within radius 40
+        // (the Fig. 4 lattice's reach); 15 more lie out of range.
+        constexpr std::size_t kInRange = 105, kOutOfRange = 15;
+        constexpr double kRange = 40.0;
+        util::Rng stream = rng.stream("broadcast_plan");
+        std::vector<util::Vec2> positions{{0.0, 0.0}};
+        for (std::size_t i = 0; i < kInRange + kOutOfRange; ++i) {
+            const double r = i < kInRange ? stream.uniform(1.0, kRange)
+                                          : stream.uniform(kRange + 1.0, 2.0 * kRange);
+            positions.push_back(util::Vec2::from_polar(r, stream.uniform(0.0, 6.283185307179586)));
+        }
+        const std::size_t ops = kBroadcastRounds * kInRange;  // deliveries, before loss
+        const auto [legacy, opt] = time_pair(
+            ops,
+            [&] {
+                return broadcast_rounds<LegacyBroadcaster>(kBroadcastRounds, kBroadcastParked,
+                                                           positions, kRange);
+            },
+            [&] {
+                return broadcast_rounds<net::Channel>(kBroadcastRounds, kBroadcastParked,
+                                                      positions, kRange);
+            });
+        ok = report.pair("broadcast_plan_105", ops, legacy, opt) && ok;
+    }
+
+    // --- Location decision --------------------------------------------------
+    {
+        const double kSensing = 20.0, kRerr = 5.0;
+        const std::size_t kWindows = 256;
+        const std::size_t iters = scaled(20000);
+        const LocationWorkload w = location_workload(rng.stream("location"), kWindows, kSensing);
+        const core::TrustParams params;  // Table 2: lambda 0.25, f_r 0.1, removal 0.05
+        const auto run = [&](auto decide) {
+            double acc = 0.0;
+            for (std::size_t i = 0; i < iters; ++i) {
+                acc += decisions_checksum(decide(w.windows[i % kWindows]));
+            }
+            return acc;
+        };
+        const auto [legacy, opt] = time_pair(
+            iters,
+            [&] {
+                core::TrustManager trust(params);
+                const core::EventClusterer clusterer(kRerr);
+                return run([&](const std::vector<core::EventReport>& reports) {
+                    return legacy_location_decide(trust, clusterer, kSensing, reports,
+                                                  w.positions);
+                });
+            },
+            [&] {
+                core::TrustManager trust(params);
+                core::LocationArbiter arbiter(trust, core::DecisionPolicy::TrustIndex, kSensing,
+                                              kRerr);
+                return run([&](const std::vector<core::EventReport>& reports) {
+                    return arbiter.decide(reports, w.positions, true);
+                });
+            });
+        ok = report.pair("location_decide_100", iters, legacy, opt) && ok;
+    }
+
+    // --- Event clusterer ----------------------------------------------------
+    for (const std::size_t events : {std::size_t{1}, std::size_t{5}}) {
+        const double kRerr = 5.0;
+        util::Rng stream = rng.stream("clusterer", events);
+        std::vector<util::Vec2> pts;
+        for (std::size_t e = 0; e < events; ++e) {
+            const util::Vec2 c = stream.point_in_rect(100, 100);
+            for (int i = 0; i < 12; ++i) pts.push_back(c + stream.gaussian_offset(2.0));
+        }
+        const std::size_t iters = scaled(events == 1 ? 100000 : 20000);
+        const auto checksum = [](const std::vector<core::EventCluster>& cs) {
+            double acc = 0.0;
+            for (const auto& c : cs) {
+                acc += c.cg.x + 3.0 * c.cg.y + static_cast<double>(c.members.size());
+            }
+            return acc;
+        };
+        const core::EventClusterer clusterer(kRerr);
+        const auto [legacy, opt] = time_pair(
+            iters,
+            [&] {
+                double acc = 0.0;
+                for (std::size_t i = 0; i < iters; ++i) {
+                    acc += checksum(check::ref_cluster(pts, kRerr, clusterer.max_rounds()));
+                }
+                return acc;
+            },
+            [&] {
+                double acc = 0.0;
+                for (std::size_t i = 0; i < iters; ++i) acc += checksum(clusterer.cluster(pts));
+                return acc;
+            });
+        ok = report.pair("event_clusterer_" + std::to_string(events), iters, legacy, opt) && ok;
     }
 
     io.emit(t);

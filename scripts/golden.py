@@ -34,8 +34,7 @@ GOLDEN_DIR = os.path.join(ROOT, "ci", "golden")
 TOLERANCE = 1e-9
 
 # Every paper-figure, table, extension, ablation and injection bench. The
-# timing benches (bench_check, bench_hotpath, bench_micro) are not
-# byte-stable by design.
+# timing benches (bench_check, bench_hotpath) are not byte-stable by design.
 PAPER_BENCHES = [
     "bench_fig2", "bench_fig3", "bench_fig4", "bench_fig5", "bench_fig6",
     "bench_fig7", "bench_fig8", "bench_fig9", "bench_fig10", "bench_fig11",

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <string>
-#include <unordered_set>
 
 #include "util/invariant.h"
 
@@ -14,13 +13,20 @@ BinaryDecision BinaryArbiter::decide(std::span<const NodeId> event_neighbours,
                                      bool apply_trust_updates) {
     const bool stateful = policy_ == DecisionPolicy::TrustIndex;
 
-    std::unordered_set<NodeId> reported(reporters.begin(), reporters.end());
+    // Only neighbours are ever looked up, so reporters past the largest
+    // neighbour id need no mark.
+    std::size_t universe = 0;
+    for (NodeId n : event_neighbours) universe = std::max<std::size_t>(universe, n + std::size_t{1});
+    reported_.reset(universe);
+    for (NodeId n : reporters) {
+        if (n < universe) reported_.insert(n);
+    }
 
     BinaryDecision d;
     for (NodeId n : event_neighbours) {
         if (stateful && trust_->is_isolated(n)) continue;
         const double w = stateful ? trust_->ti(n) : 1.0;
-        if (reported.count(n)) {
+        if (reported_.contains(n)) {
             d.reporters.push_back(n);
             d.weight_reporters += w;
         } else {

@@ -10,6 +10,7 @@
 #include <span>
 #include <vector>
 
+#include "core/node_marks.h"
 #include "core/trust.h"
 
 namespace tibfit::core {
@@ -29,7 +30,8 @@ struct BinaryDecision {
     std::vector<NodeId> silent;     ///< NR after isolation filtering.
 };
 
-/// Stateless function object bound to a trust table and policy.
+/// Function object bound to a trust table and policy. Its only state is
+/// decide()'s reusable scratch, so a decision depends on its inputs alone.
 class BinaryArbiter {
   public:
     /// The arbiter holds a reference to the CH's trust table; the caller
@@ -54,6 +56,7 @@ class BinaryArbiter {
   private:
     TrustManager* trust_;
     DecisionPolicy policy_;
+    NodeMarks reported_;  ///< decide()'s scratch: the reporters among the neighbours
 };
 
 }  // namespace tibfit::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <stdexcept>
-#include <unordered_set>
 
 namespace tibfit::core {
 
@@ -27,14 +26,12 @@ std::vector<LocationDecision> LocationArbiter::decide(
     // (Section 3.1): their reports do not even reach the clusterer, so
     // they can no longer drag a cluster's centre of gravity.
     std::vector<std::size_t> kept;  // indices into `reports`
-    {
-        std::unordered_set<NodeId> seen;
-        for (std::size_t i = 0; i < reports.size(); ++i) {
-            if (!reports[i].has_location()) continue;
-            if (reports[i].reporter >= node_positions.size()) continue;
-            if (stateful && trust_->is_isolated(reports[i].reporter)) continue;
-            if (seen.insert(reports[i].reporter).second) kept.push_back(i);
-        }
+    marks_.reset(node_positions.size());
+    for (std::size_t i = 0; i < reports.size(); ++i) {
+        if (!reports[i].has_location()) continue;
+        if (reports[i].reporter >= node_positions.size()) continue;
+        if (stateful && trust_->is_isolated(reports[i].reporter)) continue;
+        if (marks_.insert(reports[i].reporter)) kept.push_back(i);
     }
 
     std::vector<util::Vec2> locations;
@@ -72,17 +69,15 @@ std::vector<LocationDecision> LocationArbiter::decide(
             if (total > 1e-9) d.location = sum / total;
         }
 
-        std::unordered_set<NodeId> cluster_reporters;
-        for (std::size_t m : cl.members) {
-            cluster_reporters.insert(reports[kept[m]].reporter);
-        }
+        marks_.reset(node_positions.size());  // now: this cluster's reporters
+        for (std::size_t m : cl.members) marks_.insert(reports[kept[m]].reporter);
 
         // Partition: reporters into this cluster (plausible ones), silent
         // event neighbours, and thrown-out reporters.
         for (NodeId n = 0; n < node_positions.size(); ++n) {
             if (stateful && trust_->is_isolated(n)) continue;
             const double d2 = util::distance2(node_positions[n], d.location);
-            const bool is_reporter = cluster_reporters.count(n) != 0;
+            const bool is_reporter = marks_.contains(n);
             if (is_reporter) {
                 if (d2 <= plaus2) {
                     d.reporters.push_back(n);

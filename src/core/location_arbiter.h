@@ -14,6 +14,7 @@
 
 #include "core/binary_arbiter.h"
 #include "core/event_clusterer.h"
+#include "core/node_marks.h"
 #include "core/report.h"
 #include "core/trust.h"
 
@@ -71,6 +72,7 @@ class LocationArbiter {
     double sensing_radius_;
     EventClusterer clusterer_;
     bool weighted_location_ = false;
+    NodeMarks marks_;  ///< decide()'s scratch: deduplicated, then cluster reporters
 };
 
 }  // namespace tibfit::core

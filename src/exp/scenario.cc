@@ -3,6 +3,7 @@
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
+#include <string>
 
 #include "obs/json.h"
 
@@ -57,6 +58,13 @@ void check_unit(std::vector<std::string>& errors, const char* what, double p) {
 void check_finite_non_negative(std::vector<std::string>& errors, const char* what, double v) {
     if (!(std::isfinite(v) && v >= 0.0)) {
         errors.push_back(std::string("scenario: ") + what + " must be finite and >= 0");
+    }
+}
+
+void check_at_most(std::vector<std::string>& errors, const char* what, std::size_t v,
+                   std::size_t max) {
+    if (v > max) {
+        errors.push_back(std::string("scenario: ") + what + " must be <= " + std::to_string(max));
     }
 }
 
@@ -141,6 +149,8 @@ std::vector<std::string> Scenario::validate() const {
     if (kind == Kind::Binary) {
         if (binary.n_nodes == 0) errors.push_back("scenario: binary n_nodes must be >= 1");
         if (binary.events == 0) errors.push_back("scenario: binary events must be >= 1");
+        check_at_most(errors, "binary n_nodes", binary.n_nodes, kMaxNodes);
+        check_at_most(errors, "binary events", binary.events, kMaxEvents);
         if (binary.event_interval <= 0.0) {
             errors.push_back("scenario: binary event_interval must be > 0");
         }
@@ -156,6 +166,13 @@ std::vector<std::string> Scenario::validate() const {
     } else {
         if (location.n_nodes == 0) errors.push_back("scenario: location n_nodes must be >= 1");
         if (location.events == 0) errors.push_back("scenario: location events must be >= 1");
+        check_at_most(errors, "location n_nodes", location.n_nodes, kMaxNodes);
+        check_at_most(errors, "location n_ch", location.n_ch, kMaxNodes);
+        check_at_most(errors, "location events", location.events, kMaxEvents);
+        check_at_most(errors, "location burst", location.burst, kMaxEvents);
+        check_at_most(errors, "location epoch_events", location.epoch_events, kMaxEvents);
+        check_at_most(errors, "location decay_epoch_events", location.decay_epoch_events,
+                      kMaxEvents);
         if (location.event_interval <= 0.0) {
             errors.push_back("scenario: location event_interval must be > 0");
         }
@@ -179,6 +196,18 @@ std::vector<std::string> Scenario::validate() const {
             }
             if (location.decay_epoch_events == 0) {
                 errors.push_back("scenario: decay_epoch_events must be >= 1");
+            }
+            // The decay schedule runs (epochs x decay_epoch_events) events,
+            // whatever `events` says. A step <= 0 is reported above; a NaN
+            // anywhere fails the comparison.
+            const double epochs =
+                std::round((location.decay_final - location.decay_initial) / location.decay_step) +
+                1.0;
+            if (!(location.decay_step <= 0.0) &&
+                !(epochs * static_cast<double>(location.decay_epoch_events) <=
+                  static_cast<double>(kMaxEvents))) {
+                errors.push_back("scenario: decay schedule runs more than " +
+                                 std::to_string(kMaxEvents) + " events");
             }
         }
         if (!campaign.failovers.empty()) {

@@ -160,6 +160,16 @@ struct Scenario {
     /// "fault_rate tracks NER" sentinel.
     core::TrustParams effective_trust() const;
 
+    /// Upper bounds validate() puts on the count knobs, so a mistyped
+    /// count is refused with a message instead of exhausting memory. Node
+    /// counts (n_nodes, location n_ch) are capped at kMaxNodes; event
+    /// counts (events, burst) and epoch lengths (epoch_events,
+    /// decay_epoch_events) at kMaxEvents. Both sit far above every
+    /// committed configuration: the largest uses 2000 events and about
+    /// 100 nodes.
+    static constexpr std::size_t kMaxNodes = 100'000;
+    static constexpr std::size_t kMaxEvents = 1'000'000;
+
     /// Structural consistency check; one message per defect, empty ==
     /// valid. Includes campaign.validate().
     std::vector<std::string> validate() const;

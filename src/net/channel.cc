@@ -1,7 +1,9 @@
 #include "net/channel.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
+#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -14,15 +16,20 @@ Channel::Channel(sim::Simulator& sim, util::Rng rng, ChannelParams params)
     : sim_(&sim), rng_(rng), params_(params) {}
 
 void Channel::attach(sim::Process& process, const util::Vec2& position, double radio_range) {
-    endpoints_[process.id()] = Endpoint{&process, position, radio_range, -1.0, {}};
+    endpoints_[process.id()] = Endpoint{&process, position, radio_range, -1.0, {}, {}};
+    ++topology_;
 }
 
-void Channel::detach(sim::ProcessId id) { endpoints_.erase(id); }
+void Channel::detach(sim::ProcessId id) {
+    endpoints_.erase(id);
+    ++topology_;
+}
 
 void Channel::set_position(sim::ProcessId id, const util::Vec2& position) {
     auto it = endpoints_.find(id);
     if (it == endpoints_.end()) throw std::out_of_range("Channel::set_position: unknown process");
     it->second.position = position;
+    ++topology_;
 }
 
 util::Vec2 Channel::position(sim::ProcessId id) const {
@@ -283,27 +290,105 @@ bool Channel::unicast(Packet packet) {
     return sent;
 }
 
+const Channel::Plan& Channel::plan_for(sim::ProcessId id, Endpoint& src) {
+    Plan& plan = src.plan;
+    if (plan.topology == topology_) return plan;
+    plan.topology = topology_;
+    plan.hops.clear();
+    plan.out_of_range = 0;
+    bool orderable = true;
+    for (auto& [other, ep] : endpoints_) {
+        if (other == id) continue;
+        const double dist = util::distance(src.position, ep.position);
+        if (dist > src.range) {
+            ++plan.out_of_range;
+            continue;
+        }
+        // The expressions deliver() evaluates, so cached values are bit-equal.
+        const double delay = params_.base_latency + dist / params_.propagation_speed + 0.0;
+        orderable = orderable && !std::isnan(delay);
+        plan.hops.push_back(Hop{&ep, dist, delay, 1.0 / (1.0 + dist * dist)});
+    }
+    plan.by_time.clear();
+    if (orderable) {
+        plan.by_time.resize(plan.hops.size());
+        std::iota(plan.by_time.begin(), plan.by_time.end(), 0u);
+        std::sort(plan.by_time.begin(), plan.by_time.end(), [&](std::uint32_t a, std::uint32_t b) {
+            if (plan.hops[a].delay != plan.hops[b].delay) {
+                return plan.hops[a].delay < plan.hops[b].delay;
+            }
+            return a < b;
+        });
+    }
+    return plan;
+}
+
 std::size_t Channel::broadcast(Packet packet) {
     auto src_it = endpoints_.find(packet.src);
     if (src_it == endpoints_.end()) throw std::out_of_range("Channel::broadcast: unknown sender");
-    const Endpoint& src = src_it->second;
+    Endpoint& src = src_it->second;
     packet.sent_at = sim_->now();
     packet.dst = kBroadcast;
     // Built once: every receiver's delivery shares this body.
     auto body = std::make_shared<Packet>(std::move(packet));
 
+    const Plan& plan = plan_for(body->src, src);
+    out_of_range_ += plan.out_of_range;
+    if (c_out_of_range_) c_out_of_range_->inc(plan.out_of_range);
+
+    // Same loss and injection stack as unicast, with independent coins per
+    // receiver (broadcast receptions fail independently), drawn in walk
+    // order. Collisions and injected faults go hop by hop through transmit.
     std::size_t n = 0;
-    for (auto& [id, ep] : endpoints_) {
-        if (id == body->src) continue;
-        const double dist = util::distance(src.position, ep.position);
-        if (dist > src.range) {
-            ++out_of_range_;
-            if (c_out_of_range_) c_out_of_range_->inc();
+    if (params_.airtime > 0.0 || active_fault_window()) {
+        for (const Hop& hop : plan.hops) {
+            if (transmit(*hop.to, body, hop.dist, src)) ++n;
+        }
+        flush(std::move(body));
+        return n;
+    }
+
+    const double p = sender_drop_probability(src);
+    survived_.resize(plan.hops.size());
+    for (std::size_t i = 0; i < plan.hops.size(); ++i) {
+        survived_[i] = !rng_.chance(p);
+        if (survived_[i]) {
+            ++n;
             continue;
         }
-        // Same loss and injection stack as unicast, with independent coins
-        // per receiver (broadcast receptions fail independently).
-        if (transmit(ep, body, dist, src)) ++n;
+        ++dropped_;
+        if (c_dropped_) c_dropped_->inc();
+        note_drop(*body, obs::DropReason::Natural);
+    }
+    delivered_ += n;
+    if (c_delivered_) c_delivered_->inc(n);
+
+    // Stage the survivors in the plan's (delay, walk index) order: the
+    // order the fan-out's (time, seq) sort produced from walk-order staging,
+    // so push_fanout finds it sorted. The exception is a floating-point
+    // merge, where now + delay is equal for distinct delays and walk order
+    // must decide; then stage in walk order and let push_fanout sort.
+    const double now = sim_->now();
+    bool walk_order = plan.by_time.empty();
+    const Hop* prev = nullptr;
+    for (std::uint32_t i : plan.by_time) {
+        if (!survived_[i]) continue;
+        const Hop& hop = plan.hops[i];
+        const double at = now + hop.delay;
+        if (prev && at == staged_.back().at && hop.delay != prev->delay) {
+            walk_order = true;
+            break;
+        }
+        staged_.push_back(sim::FanoutItem{at, hop.to->process, hop.rssi});
+        prev = &hop;
+    }
+    if (walk_order) {
+        staged_.clear();
+        for (std::size_t i = 0; i < plan.hops.size(); ++i) {
+            if (!survived_[i]) continue;
+            const Hop& hop = plan.hops[i];
+            staged_.push_back(sim::FanoutItem{now + hop.delay, hop.to->process, hop.rssi});
+        }
     }
     flush(std::move(body));
     return n;

@@ -6,8 +6,10 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <memory>
 #include <unordered_map>
+#include <vector>
 
 #include "net/packet.h"
 #include "sim/process.h"
@@ -89,7 +91,11 @@ class Channel {
 
     /// Sends to every other attached process within the sender's radio
     /// range, with an independent loss coin per receiver. Returns the
-    /// number of deliveries scheduled.
+    /// number of deliveries scheduled. The receivers, distances and delays
+    /// come from the sender's cached plan (rebuilt after any attach, detach
+    /// or set_position), so a send does no distance walk and, without
+    /// airtime or an active fault window, stages its deliveries already in
+    /// time order.
     std::size_t broadcast(Packet packet);
 
     /// Installs an injected-fault schedule. `rng` must be a dedicated
@@ -123,14 +129,39 @@ class Channel {
         sim::Timer timer;  ///< inert for jam markers of already-lost packets
     };
 
+    struct Endpoint;
+
+    /// One in-range receiver of a sender's broadcast, with the delivery's
+    /// distance, delay and rssi computed exactly as deliver() computes them.
+    struct Hop {
+        Endpoint* to;
+        double dist;
+        double delay;
+        double rssi;
+    };
+
+    /// A sender's broadcast plan: what every broadcast from it recomputed
+    /// before, cached until the topology changes.
+    struct Plan {
+        std::uint64_t topology = 0;  ///< topology_ it was built at; 0 = never
+        std::vector<Hop> hops;       ///< in-range receivers, in endpoint-walk order
+        /// hops indices sorted by (delay, index); empty if a delay is NaN
+        /// (such a send is refused by the simulator, as it always was).
+        std::vector<std::uint32_t> by_time;
+        std::size_t out_of_range = 0;  ///< receivers the walk skipped
+    };
+
     struct Endpoint {
         sim::Process* process;
         util::Vec2 position;
         double range;
         double drop_override = -1.0;  // < 0 means "use params_"
         std::vector<Reception> in_flight;
+        Plan plan;
     };
 
+    /// `src`'s plan, rebuilt first if the topology changed since.
+    const Plan& plan_for(sim::ProcessId id, Endpoint& src);
     double sender_drop_probability(const Endpoint& sender) const;
     /// Draws the natural and injected loss coins for one reception of
     /// `body` at `to` (sent by `src`), and delivers it (plus any injected
@@ -159,6 +190,11 @@ class Channel {
     util::Rng rng_;
     ChannelParams params_;
     std::unordered_map<sim::ProcessId, Endpoint> endpoints_;
+    /// Bumped by attach, detach and set_position; a plan built at an older
+    /// value is stale (and may hold dangling Endpoint pointers).
+    std::uint64_t topology_ = 1;
+    /// Per-hop survival of the current broadcast's loss coins.
+    std::vector<unsigned char> survived_;
     /// target -> monitors listening on it
     std::unordered_map<sim::ProcessId, std::vector<sim::ProcessId>> monitors_;
     /// The current send's no-airtime deliveries, in scheduling order.

@@ -247,8 +247,9 @@ class EventQueue {
     /// keep scheduling order. Fan-out events cannot be cancelled; `body` is
     /// released after the last one runs. Storage is pooled: once the pool
     /// has grown to the number of fan-outs in flight and their sizes, a
-    /// push allocates nothing. Throws std::invalid_argument on a null
-    /// handler; an empty `items` schedules nothing.
+    /// push allocates nothing; items already in time order skip the sort.
+    /// Throws std::invalid_argument on a null handler; an empty `items`
+    /// schedules nothing.
     void push_fanout(FanoutHandler handler, std::shared_ptr<void> body,
                      std::span<const FanoutItem> items) {
         if (!handler) throw std::invalid_argument("EventQueue::push_fanout: empty handler");
@@ -261,10 +262,15 @@ class EventQueue {
             f.items.push_back(Delivery{item.at, (next_seq_++ << kSlotBits) | kFanoutBit | index,
                                        item.target, item.arg});
         }
-        std::sort(f.items.begin(), f.items.end(), [](const Delivery& a, const Delivery& b) {
+        // Keys rise in item order, so items given in time order (the
+        // channel stages its broadcasts that way) are already sorted.
+        const auto by_time_then_key = [](const Delivery& a, const Delivery& b) {
             if (a.at != b.at) return a.at < b.at;
             return a.key < b.key;
-        });
+        };
+        if (!std::is_sorted(f.items.begin(), f.items.end(), by_time_then_key)) {
+            std::sort(f.items.begin(), f.items.end(), by_time_then_key);
+        }
         heap_push(Entry{f.items.front().at, f.items.front().key});
         ++live_entries_;
         live_ += items.size();

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "core/baseline_voter.h"
 
 namespace tibfit::core {
@@ -105,6 +108,53 @@ TEST(BinaryArbiter, ReporterNotInNeighbourSetIgnored) {
     const auto d = arb.decide(all, std::vector<NodeId>{0, 7}, false);
     EXPECT_EQ(d.reporters.size(), 1u);  // node 7 is not an event neighbour
     EXPECT_EQ(d.reporters[0], 0u);
+}
+
+TEST(BinaryArbiter, DuplicateAndOutOfRangeReportersCountOnce) {
+    TrustManager tm(params());
+    BinaryArbiter arb(tm, DecisionPolicy::TrustIndex);
+    // A wider call first: its marks must not leak into the next one.
+    arb.decide(std::vector<NodeId>{0, 1, 2, 3, 40}, std::vector<NodeId>{3, 40}, false);
+    const std::vector<NodeId> all{0, 1, 2, 3};
+    const auto d =
+        arb.decide(all, std::vector<NodeId>{1, 1, 2, 4, 40, kNoNode, 2}, false);
+    EXPECT_EQ(d.reporters, (std::vector<NodeId>{1, 2}));
+    EXPECT_EQ(d.silent, (std::vector<NodeId>{0, 3}));
+    EXPECT_DOUBLE_EQ(d.weight_reporters, 2.0);
+    EXPECT_DOUBLE_EQ(d.weight_silent, 2.0);
+}
+
+// One arbiter reused across calls with growing neighbour ids partitions
+// exactly like a literal membership test of the reporter list.
+TEST(BinaryArbiter, ReusedArbiterMatchesLiteralPartition) {
+    TrustManager tm(params());
+    for (NodeId n = 0; n < 300; n += 7) tm.judge_faulty(n);
+    BinaryArbiter arb(tm, DecisionPolicy::TrustIndex);
+    std::mt19937_64 rng(5);
+    for (int call = 0; call < 300; ++call) {
+        const NodeId span = 4 + static_cast<NodeId>(rng() % 40) + static_cast<NodeId>(call);
+        std::vector<NodeId> neighbours, reporters;
+        for (NodeId n = 0; n < span; ++n) {
+            if (rng() % 3) neighbours.push_back(n);
+        }
+        // Duplicates, ids past the largest neighbour, and non-neighbours.
+        for (std::size_t k = 0; k < span / 2; ++k) {
+            reporters.push_back(static_cast<NodeId>(rng() % (span + span / 4 + 1)));
+        }
+        std::vector<NodeId> want_r, want_s;
+        double w_r = 0.0, w_s = 0.0;
+        for (NodeId n : neighbours) {
+            const bool reported =
+                std::find(reporters.begin(), reporters.end(), n) != reporters.end();
+            (reported ? want_r : want_s).push_back(n);
+            (reported ? w_r : w_s) += tm.ti(n);
+        }
+        const auto d = arb.decide(neighbours, reporters, false);
+        ASSERT_EQ(d.reporters, want_r) << "call " << call;
+        ASSERT_EQ(d.silent, want_s) << "call " << call;
+        EXPECT_EQ(d.weight_reporters, w_r) << "call " << call;
+        EXPECT_EQ(d.weight_silent, w_s) << "call " << call;
+    }
 }
 
 TEST(BinaryArbiter, OutputsSorted) {

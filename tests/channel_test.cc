@@ -2,9 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <memory>
 #include <new>
+#include <ostream>
+#include <random>
+#include <unordered_map>
 #include <vector>
 
 #include "net/radio.h"
@@ -478,6 +483,374 @@ TEST_F(ChannelTest, SharedBodyFreedWhenSimulatorDestroyedWithPendingDeliveries) 
     }
     EXPECT_EQ(pending, 4u);  // two broadcast receivers, the unicast, one snoop
     EXPECT_EQ(live_allocations(), before);
+}
+
+// ---- Differential test: cached broadcast plans vs the per-send walk ----
+
+/// One broadcast delivery as its receiver saw it.
+struct Heard {
+    sim::ProcessId to;
+    double at;
+    double rssi;
+    bool operator==(const Heard&) const = default;
+};
+
+std::ostream& operator<<(std::ostream& os, const Heard& h) {
+    return os << "{to " << h.to << " at " << h.at << " rssi " << h.rssi << "}";
+}
+
+/// A test-local copy of the broadcast path as it was before per-sender
+/// plans: walk every endpoint, measure the distance, draw the receiver's
+/// coins, stage its deliveries, then sort them by (time, staging order).
+/// Its endpoint map sees the same insert/erase sequence as the channel's,
+/// so both walk the endpoints in the same order.
+class LegacyMedium {
+  public:
+    LegacyMedium(util::Rng rng, ChannelParams params) : rng_(rng), params_(params) {}
+
+    void attach(sim::ProcessId id, util::Vec2 position, double range) {
+        endpoints_[id] = Ep{position, range, -1.0};
+    }
+    void detach(sim::ProcessId id) { endpoints_.erase(id); }
+    void set_position(sim::ProcessId id, util::Vec2 position) {
+        endpoints_.at(id).position = position;
+    }
+    void set_drop_probability(sim::ProcessId id, double p) { endpoints_.at(id).drop = p; }
+    void set_fault_schedule(std::vector<ChannelFaultWindow> windows, util::Rng rng) {
+        windows_ = std::move(windows);
+        fault_rng_ = rng;
+    }
+
+    /// The deliveries of one broadcast from `src` at `now`, in pop order.
+    std::vector<Heard> broadcast(sim::ProcessId src, double now) {
+        const Ep& from = endpoints_.at(src);
+        staged_.clear();
+        for (const auto& [id, ep] : endpoints_) {
+            if (id == src) continue;
+            const double dist = util::distance(from.position, ep.position);
+            if (dist > from.range) {
+                ++out_of_range;
+                continue;
+            }
+            transmit(id, dist, from, now);
+        }
+        // The fan-out's (time, seq) order; seq is the staging index. (Not
+        // std::stable_sort: its nothrow buffer would bypass this file's
+        // counting operator new but not its operator delete.)
+        std::vector<std::size_t> order(staged_.size());
+        for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
+        std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
+            if (staged_[a].at != staged_[b].at) return staged_[a].at < staged_[b].at;
+            return a < b;
+        });
+        std::vector<Heard> popped;
+        for (std::size_t i : order) popped.push_back(staged_[i]);
+        return popped;
+    }
+
+    /// Unicast's coin draws; true if the delivery was scheduled.
+    bool unicast(sim::ProcessId src, sim::ProcessId dst, double now) {
+        const Ep& from = endpoints_.at(src);
+        staged_.clear();
+        return transmit(dst, util::distance(from.position, endpoints_.at(dst).position), from,
+                        now);
+    }
+
+    std::size_t delivered = 0, dropped = 0, out_of_range = 0;
+    std::size_t injected_drops = 0, injected_duplicates = 0;
+    std::size_t injected_delays = 0, injected_reorders = 0;
+
+  private:
+    struct Ep {
+        util::Vec2 position;
+        double range;
+        double drop;
+    };
+
+    bool transmit(sim::ProcessId to, double dist, const Ep& from, double now) {
+        if (rng_.chance(from.drop >= 0.0 ? from.drop : params_.drop_probability)) {
+            ++dropped;
+            return false;
+        }
+        const ChannelFaultWindow* w = nullptr;
+        for (const auto& cand : windows_) {
+            if (now >= cand.start && now < cand.end) {
+                w = &cand;
+                break;
+            }
+        }
+        if (!w) {
+            deliver(to, dist, now, 0.0);
+            return true;
+        }
+        if (w->extra_drop > 0.0 && fault_rng_.chance(w->extra_drop)) {
+            ++injected_drops;
+            return false;
+        }
+        const double extra = extra_delay(*w);
+        if (w->duplicate_probability > 0.0 && fault_rng_.chance(w->duplicate_probability)) {
+            ++injected_duplicates;
+            deliver(to, dist, now, extra_delay(*w));
+        }
+        deliver(to, dist, now, extra);
+        return true;
+    }
+
+    double extra_delay(const ChannelFaultWindow& w) {
+        double extra = 0.0;
+        if (w.delay_jitter > 0.0) {
+            extra += fault_rng_.uniform(0.0, w.delay_jitter);
+            ++injected_delays;
+        }
+        if (w.reorder_probability > 0.0 && fault_rng_.chance(w.reorder_probability)) {
+            extra += w.reorder_hold;
+            ++injected_reorders;
+        }
+        return extra;
+    }
+
+    void deliver(sim::ProcessId to, double dist, double now, double extra) {
+        const double delay = params_.base_latency + dist / params_.propagation_speed + extra;
+        staged_.push_back(Heard{to, now + delay, 1.0 / (1.0 + dist * dist)});
+        ++delivered;
+    }
+
+    util::Rng rng_;
+    ChannelParams params_;
+    std::unordered_map<sim::ProcessId, Ep> endpoints_;
+    std::vector<ChannelFaultWindow> windows_;
+    util::Rng fault_rng_{0};
+    std::vector<Heard> staged_;
+};
+
+/// Logs every broadcast delivery it receives into a shared log.
+class Listener : public sim::Process {
+  public:
+    Listener(sim::Simulator& s, sim::ProcessId id, std::vector<Heard>& log)
+        : sim::Process(s, id), log_(&log) {}
+    void handle_packet(const Packet& p) override {
+        if (p.dst == kBroadcast) log_->push_back(Heard{id(), sim().now(), p.rssi});
+    }
+
+  private:
+    std::vector<Heard>* log_;
+};
+
+/// Drives a Channel and a LegacyMedium through the same operations and
+/// checks after each send that both produced the same deliveries, in the
+/// same order, with the same counters and the same natural-loss stream.
+class BroadcastDifferential {
+  public:
+    static constexpr int kSide = 9;  ///< a kSide x kSide lattice of nodes
+    static constexpr double kSpacing = 10.0;
+
+    BroadcastDifferential(ChannelParams params, std::uint64_t seed, double range)
+        : channel_(sim_, util::Rng(seed), params),
+          legacy_(util::Rng(seed), params),
+          range_(range) {
+        for (int y = 0; y < kSide; ++y) {
+            for (int x = 0; x < kSide; ++x) {
+                const auto id = static_cast<sim::ProcessId>(nodes_.size());
+                nodes_.push_back(std::make_unique<Listener>(sim_, id, log_));
+                attach(id, {kSpacing * x, kSpacing * y});
+            }
+        }
+        // The probe pair: `probe_` unicasts to `probe_ + 1` with loss 1/2,
+        // so each probe reveals one bit of the natural-loss stream's next
+        // draw. Both also hear (and are counted in) every broadcast walk.
+        probe_ = static_cast<sim::ProcessId>(nodes_.size());
+        for (int i = 0; i < 2; ++i) {
+            const auto id = static_cast<sim::ProcessId>(nodes_.size());
+            nodes_.push_back(std::make_unique<Listener>(sim_, id, log_));
+            attach(id, {kSpacing * kSide / 2.0 + i, kSpacing * kSide / 2.0});
+        }
+        set_drop(probe_, 0.5);
+    }
+
+    std::size_t size() const { return nodes_.size() - 2; }  ///< lattice nodes
+
+    void attach(sim::ProcessId id, util::Vec2 position) {
+        channel_.attach(*nodes_[id], position, range_);
+        legacy_.attach(id, position, range_);
+    }
+    void detach(sim::ProcessId id) {
+        channel_.detach(id);
+        legacy_.detach(id);
+    }
+    void move(sim::ProcessId id, util::Vec2 position) {
+        channel_.set_position(id, position);
+        legacy_.set_position(id, position);
+    }
+    void set_drop(sim::ProcessId id, double p) {
+        channel_.set_drop_probability(id, p);
+        legacy_.set_drop_probability(id, p);
+    }
+    void set_faults(const std::vector<ChannelFaultWindow>& windows, std::uint64_t seed) {
+        channel_.set_fault_schedule(windows, util::Rng(seed));
+        legacy_.set_fault_schedule(windows, util::Rng(seed));
+    }
+    /// Moves the clock to `t` (no sends are pending between operations).
+    void advance_to(double t) { sim_.run_until(t); }
+    double now() const { return sim_.now(); }
+
+    /// One broadcast from `src`, compared delivery by delivery; then the
+    /// clock moves on by 1 so no reception is still on the air.
+    void send(sim::ProcessId src) {
+        const double at = sim_.now();
+        const std::vector<Heard> expected = legacy_.broadcast(src, at);
+        Packet p;
+        p.src = src;
+        p.payload = DecisionPayload{};
+        log_.clear();
+        channel_.broadcast(std::move(p));
+        sim_.run();
+        ASSERT_EQ(log_, expected) << "send from " << src << " at " << at;
+        sim_.run_until(at + 1.0);
+        ASSERT_TRUE(counters_match()) << "send from " << src << " at " << at;
+        probe_rng();
+    }
+
+    ::testing::AssertionResult counters_match() const {
+        const std::size_t got[] = {channel_.delivered(),         channel_.dropped(),
+                                   channel_.out_of_range(),      channel_.injected_drops(),
+                                   channel_.injected_duplicates(), channel_.injected_delays(),
+                                   channel_.injected_reorders()};
+        const std::size_t want[] = {legacy_.delivered,         legacy_.dropped,
+                                    legacy_.out_of_range,      legacy_.injected_drops,
+                                    legacy_.injected_duplicates, legacy_.injected_delays,
+                                    legacy_.injected_reorders};
+        for (std::size_t i = 0; i < std::size(got); ++i) {
+            if (got[i] != want[i]) {
+                return ::testing::AssertionFailure()
+                       << "counter " << i << ": " << got[i] << " vs " << want[i];
+            }
+        }
+        return ::testing::AssertionSuccess();
+    }
+
+  private:
+    /// Compares the next few natural-loss draws of both media.
+    void probe_rng() {
+        for (int i = 0; i < 4; ++i) {
+            const double at = sim_.now();
+            const bool want = legacy_.unicast(probe_, probe_ + 1, at);
+            Packet p;
+            p.src = probe_;
+            p.dst = probe_ + 1;
+            p.payload = ReportPayload{};
+            ASSERT_EQ(channel_.unicast(std::move(p)), want) << "probe " << i << " at " << at;
+            sim_.run_until(at + 1.0);
+        }
+    }
+
+    sim::Simulator sim_;
+    std::vector<Heard> log_;
+    std::vector<std::unique_ptr<Listener>> nodes_;
+    Channel channel_;
+    LegacyMedium legacy_;
+    double range_;
+    sim::ProcessId probe_ = 0;
+};
+
+/// Runs `ops` random operations: mostly sends, mixed with moves, detach /
+/// re-attach pairs and loss overrides, all between sends.
+void run_differential(BroadcastDifferential& d, std::uint64_t seed, int ops) {
+    std::mt19937_64 rng(seed);
+    const auto draw = [&rng](std::size_t n) { return static_cast<std::size_t>(rng() % n); };
+    const auto lattice_point = [&] {
+        using BD = BroadcastDifferential;
+        return util::Vec2{BD::kSpacing * static_cast<double>(draw(BD::kSide)),
+                          BD::kSpacing * static_cast<double>(draw(BD::kSide))};
+    };
+    std::vector<sim::ProcessId> detached;
+    for (int op = 0; op < ops; ++op) {
+        const auto node = static_cast<sim::ProcessId>(draw(d.size()));
+        const bool attached =
+            std::find(detached.begin(), detached.end(), node) == detached.end();
+        switch (draw(8)) {
+            case 0:  // moves onto a lattice point: equal distances stay common
+                if (attached) d.move(node, lattice_point());
+                break;
+            case 1:
+                if (attached) {
+                    d.detach(node);
+                    detached.push_back(node);
+                } else {
+                    d.attach(node, lattice_point());
+                    detached.erase(std::find(detached.begin(), detached.end(), node));
+                }
+                break;
+            case 2:
+                if (attached) d.set_drop(node, draw(2) ? 0.0 : 0.4);
+                break;
+            default:
+                if (attached) d.send(node);
+                break;
+        }
+        if (::testing::Test::HasFatalFailure()) return;
+    }
+}
+
+TEST(BroadcastPlan, MatchesPerSendWalkOnLatticeWithLoss) {
+    ChannelParams p;
+    p.drop_probability = 0.2;
+    for (std::uint64_t seed : {1u, 2u, 3u}) {
+        BroadcastDifferential d(p, seed, 35.0);
+        d.set_drop(0, 0.0);  // a lossless sender draws no coins at all
+        run_differential(d, seed, 400);
+        EXPECT_TRUE(d.counters_match()) << "seed " << seed;
+    }
+}
+
+TEST(BroadcastPlan, MatchesPerSendWalkInsideFaultWindows) {
+    ChannelParams p;
+    p.drop_probability = 0.1;
+    ChannelFaultWindow w;
+    w.extra_drop = 0.1;
+    w.duplicate_probability = 0.3;
+    w.delay_jitter = 0.002;
+    w.reorder_probability = 0.2;
+    w.reorder_hold = 0.003;
+    for (std::uint64_t seed : {4u, 5u}) {
+        BroadcastDifferential d(p, seed, 35.0);
+        // Windows cover some sends and miss others (each op moves the clock
+        // by at least 1).
+        std::vector<ChannelFaultWindow> windows;
+        for (double start : {20.0, 250.0, 600.0}) {
+            w.start = start;
+            w.end = start + 150.0;
+            windows.push_back(w);
+        }
+        d.set_faults(windows, seed + 100);
+        run_differential(d, seed, 400);
+        EXPECT_TRUE(d.counters_match()) << "seed " << seed;
+        EXPECT_GT(d.now(), 800.0) << "the run should reach past the last window";
+    }
+}
+
+TEST(BroadcastPlan, MatchesPerSendWalkWithAirtime) {
+    ChannelParams p;
+    p.drop_probability = 0.2;
+    p.airtime = 0.001;
+    for (std::uint64_t seed : {6u, 7u}) {
+        BroadcastDifferential d(p, seed, 35.0);
+        run_differential(d, seed, 300);
+        EXPECT_TRUE(d.counters_match()) << "seed " << seed;
+    }
+}
+
+// At t = 1e12 one ulp is about 1.2e-4 s, more than the delay difference of
+// neighbouring lattice distances: distinct delays round to the same
+// delivery time, and walk order (the seq order) must decide between them.
+TEST(BroadcastPlan, MatchesPerSendWalkWhenDeliveryTimesMerge) {
+    ChannelParams p;
+    p.drop_probability = 0.1;
+    for (std::uint64_t seed : {8u, 9u}) {
+        BroadcastDifferential d(p, seed, 60.0);
+        d.advance_to(1e12);
+        run_differential(d, seed, 200);
+        EXPECT_TRUE(d.counters_match()) << "seed " << seed;
+    }
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <random>
+
 #include "core/baseline_voter.h"
 
 namespace tibfit::core {
@@ -244,6 +246,101 @@ TEST(LocationArbiter, NoReportersMeansNoEvent) {
     ASSERT_EQ(decisions.size(), 1u);
     EXPECT_FALSE(decisions[0].event_declared);
     EXPECT_EQ(decisions[0].thrown_out.size(), 1u);
+}
+
+TEST(LocationArbiter, DuplicateReporterCountedOnce) {
+    TrustManager tm(params());
+    LocationArbiter arb(tm, DecisionPolicy::TrustIndex, kRs, kRerr);
+    const auto pos = lattice();
+    // Node 4 reports three times (the later copies are dropped before
+    // clustering); nodes 3 and 5 once each.
+    const std::vector<EventReport> reports{report(4, {10, 10}), report(3, {10, 10}),
+                                           report(4, {10, 10}), report(5, {10, 10}),
+                                           report(4, {10, 10})};
+    const auto d = arb.decide(reports, pos, false);
+    ASSERT_EQ(d.size(), 1u);
+    EXPECT_EQ(d[0].reporters, (std::vector<NodeId>{3, 4, 5}));
+    EXPECT_DOUBLE_EQ(d[0].weight_reporters, 3.0);
+    EXPECT_EQ(d[0].silent.size(), 6u);
+}
+
+TEST(LocationArbiter, ReporterAtOrPastSpanIgnored) {
+    TrustManager tm(params());
+    LocationArbiter arb(tm, DecisionPolicy::TrustIndex, kRs, kRerr);
+    const auto pos = lattice();  // ids 0..8
+    // A larger span first: its marks must not leak into the smaller one.
+    std::vector<util::Vec2> wide = pos;
+    for (int i = 0; i < 4; ++i) wide.push_back({10, 10});
+    ASSERT_EQ(arb.decide(std::vector<EventReport>{report(9, {10, 10}), report(12, {10, 10})},
+                         wide, false)
+                  .size(),
+              1u);
+    const std::vector<EventReport> reports{report(9, {10, 10}), report(12, {10, 10}),
+                                           report(1000, {10, 10}), report(4, {10, 10})};
+    const auto d = arb.decide(reports, pos, false);
+    ASSERT_EQ(d.size(), 1u);
+    EXPECT_EQ(d[0].reporters, (std::vector<NodeId>{4}));
+    EXPECT_EQ(d[0].silent.size(), 8u);
+}
+
+TEST(LocationArbiter, ReporterOutsideEventNeighbourhoodThrownOut) {
+    TrustManager tm(params());
+    LocationArbiter arb(tm, DecisionPolicy::TrustIndex, kRs, kRerr);
+    std::vector<util::Vec2> pos = lattice();
+    pos.push_back({60, 60});  // node 9: far from the event
+    pos.push_back({90, 90});  // node 10: silent and far, not an event neighbour
+    std::vector<EventReport> reports;
+    for (NodeId n = 0; n < 9; ++n) reports.push_back(report(n, {10, 10}));
+    reports.push_back(report(9, {10.5, 10}));
+    const auto d = arb.decide(reports, pos, false);
+    ASSERT_EQ(d.size(), 1u);
+    EXPECT_EQ(d[0].reporters.size(), 9u);
+    EXPECT_EQ(d[0].thrown_out, (std::vector<NodeId>{9}));
+    EXPECT_TRUE(d[0].silent.empty());  // node 10 is out of r_s
+}
+
+// One arbiter reused across windows whose node span grows and shrinks must
+// decide exactly like a fresh arbiter per window: no mark may outlive its
+// call.
+TEST(LocationArbiter, ReusedArbiterMatchesFreshOne) {
+    TrustManager reused_tm(params()), fresh_tm(params());
+    LocationArbiter reused(reused_tm, DecisionPolicy::TrustIndex, kRs, kRerr);
+    std::mt19937_64 rng(11);
+    const auto coord = [&rng](double extent) {
+        return extent * static_cast<double>(rng() % 1000) / 1000.0;
+    };
+    for (int call = 0; call < 300; ++call) {
+        const std::size_t n = 5 + static_cast<std::size_t>(rng() % 60) + call / 3;
+        std::vector<util::Vec2> pos;
+        for (std::size_t i = 0; i < n; ++i) pos.push_back({coord(100), coord(100)});
+        std::vector<EventReport> reports;
+        const int events = 1 + static_cast<int>(rng() % 3);
+        for (int e = 0; e < events; ++e) {
+            const util::Vec2 at{coord(100), coord(100)};
+            const std::size_t count = rng() % 12;
+            for (std::size_t k = 0; k < count; ++k) {
+                // Ids up to 10% past the span; duplicates are common.
+                const auto id = static_cast<NodeId>(rng() % (n + n / 10 + 1));
+                reports.push_back(report(id, {at.x + coord(4), at.y + coord(4)}));
+            }
+        }
+        LocationArbiter fresh(fresh_tm, DecisionPolicy::TrustIndex, kRs, kRerr);
+        const auto want = fresh.decide(reports, pos, true);
+        const auto got = reused.decide(reports, pos, true);
+        ASSERT_EQ(got.size(), want.size()) << "call " << call;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+            EXPECT_EQ(got[i].event_declared, want[i].event_declared) << "call " << call;
+            EXPECT_EQ(got[i].location.x, want[i].location.x) << "call " << call;
+            EXPECT_EQ(got[i].location.y, want[i].location.y) << "call " << call;
+            EXPECT_EQ(got[i].weight_reporters, want[i].weight_reporters) << "call " << call;
+            EXPECT_EQ(got[i].weight_silent, want[i].weight_silent) << "call " << call;
+            EXPECT_EQ(got[i].reporters, want[i].reporters) << "call " << call;
+            EXPECT_EQ(got[i].silent, want[i].silent) << "call " << call;
+            EXPECT_EQ(got[i].thrown_out, want[i].thrown_out) << "call " << call;
+        }
+        if (HasFailure()) return;
+    }
+    for (NodeId n = 0; n < 200; ++n) EXPECT_EQ(reused_tm.v(n), fresh_tm.v(n)) << n;
 }
 
 }  // namespace

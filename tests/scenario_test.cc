@@ -73,6 +73,29 @@ TEST(Scenario, ValidateRejectionTable) {
         {"explicit trust fault_rate",
          [](Scenario& s) { s.engine.trust.fault_rate = -1.0; }, true},
         {"n_ch", [](Scenario& s) { s.location.n_ch = 0; }, true},
+        // Oversized counts are refused before anything allocates for them.
+        {"binary n_nodes must be <= 100000",
+         [](Scenario& s) { s.binary.n_nodes = 4'000'000'000; }, false},
+        {"binary events must be <= 1000000",
+         [](Scenario& s) { s.binary.events = Scenario::kMaxEvents + 1; }, false},
+        {"location n_nodes must be <= 100000",
+         [](Scenario& s) { s.location.n_nodes = 100'000'000; }, true},
+        {"location n_ch must be <= 100000",
+         [](Scenario& s) { s.location.n_ch = Scenario::kMaxNodes + 1; }, true},
+        {"location events must be <= 1000000",
+         [](Scenario& s) { s.location.events = Scenario::kMaxEvents + 1; }, true},
+        {"location burst must be <= 1000000",
+         [](Scenario& s) { s.location.burst = Scenario::kMaxEvents + 1; }, true},
+        {"location epoch_events must be <= 1000000",
+         [](Scenario& s) { s.location.epoch_events = Scenario::kMaxEvents + 1; }, true},
+        {"location decay_epoch_events must be <= 1000000",
+         [](Scenario& s) { s.location.decay_epoch_events = Scenario::kMaxEvents + 1; }, true},
+        {"decay schedule runs more than 1000000 events",
+         [](Scenario& s) {
+             s.location.decay = true;
+             s.location.decay_step = 1e-9;
+         },
+         true},
         {"decay_final < decay_initial",
          [](Scenario& s) {
              s.location.decay = true;
@@ -99,6 +122,24 @@ TEST(Scenario, ValidateRejectionTable) {
         EXPECT_TRUE(mentions(errors, c.needle))
             << "expected an error mentioning '" << c.needle << "'";
     }
+}
+
+// The count bounds are inclusive: a scenario at every bound is valid.
+TEST(Scenario, CountBoundsAreInclusive) {
+    Scenario b = Scenario::binary_defaults();
+    b.binary.n_nodes = Scenario::kMaxNodes;
+    b.binary.events = Scenario::kMaxEvents;
+    EXPECT_TRUE(b.validate().empty());
+    Scenario l = Scenario::location_defaults();
+    l.location.n_nodes = Scenario::kMaxNodes;
+    l.location.n_ch = Scenario::kMaxNodes;
+    l.location.events = Scenario::kMaxEvents;
+    l.location.burst = Scenario::kMaxEvents;
+    l.location.epoch_events = Scenario::kMaxEvents;
+    EXPECT_TRUE(l.validate().empty());
+    l.location.decay = true;
+    l.location.decay_epoch_events = Scenario::kMaxEvents / 15;  // 15 epochs by default
+    EXPECT_TRUE(l.validate().empty());
 }
 
 // Only a non-finite jitter is refused: a negative one has always been

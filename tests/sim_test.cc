@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -603,6 +604,14 @@ TEST(Simulator, FanoutMatchesIndividualSchedulingUnderRandomOperations) {
                 case 3: {
                     std::vector<Time> offsets(static_cast<std::size_t>(1 + draw(120)));
                     for (Time& o : offsets) o = grid(8);
+                    // Besides shuffled times: presorted ones (push_fanout's
+                    // no-sort path), reverse-sorted and all-equal ones.
+                    switch (draw(4)) {
+                        case 0: std::sort(offsets.begin(), offsets.end()); break;
+                        case 1: std::sort(offsets.rbegin(), offsets.rend()); break;
+                        case 2: std::fill(offsets.begin(), offsets.end(), offsets.front()); break;
+                        default: break;
+                    }
                     ref.fanout(offsets);
                     fan.fanout(offsets);
                     break;
