@@ -69,26 +69,19 @@ int main(int argc, char** argv) {
     io.describe("Self-check gate: differential oracle + invariants on fig2/fig4 smokes");
 
     exp::Scenario binary = exp::Scenario::binary_defaults();
-    binary.binary.events =
-        static_cast<std::size_t>(io.option("binary_events", 200, "binary events per run"));
-    binary.binary.pct_faulty = io.option("pct_faulty", 0.5, "compromised fraction");
+    binary.binary.events = 200;
+    binary.binary.pct_faulty = 0.5;
     binary.faults.natural_error_rate = 0.01;
     binary.faults.missed_alarm_rate = 0.5;
     binary.channel.drop_probability = 0.0;
+    binary.seed = 20050628;
+    io.apply(binary);
 
     exp::Scenario location = exp::Scenario::location_defaults();
-    location.location.fault_level = sensor::NodeClass::Level0;
-    location.location.events =
-        static_cast<std::size_t>(io.option("location_events", 100, "location events per run"));
-    location.location.pct_faulty = binary.binary.pct_faulty;
-
-    const auto seed = static_cast<std::uint64_t>(io.option("seed", 20050628, "base seed"));
-    binary.seed = seed;
-    location.seed = seed;
-    if (io.help_requested()) {
-        io.print_help();
-        return 0;
-    }
+    location.location.events = 100;
+    location.location.pct_faulty = 0.5;
+    location.seed = 20050628;
+    io.apply(location);
 
     struct Workload {
         const char* name;

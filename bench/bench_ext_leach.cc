@@ -100,6 +100,7 @@ int main(int argc, char** argv) {
     tibfit::exp::Scenario dedicated = tibfit::exp::Scenario::location_defaults();
     dedicated.location.events = 200;
     dedicated.seed = 20050628;
+    io.apply(dedicated);
 
     tibfit::util::Table t(
         "Extension: LEACH self-organized heads vs dedicated CH entities (level 0)");

@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
     base.location.fault_level = sensor::NodeClass::Level0;
     base.location.events = 200;
     base.seed = 20050628;
+    io.apply(base);
 
     const std::vector<double> pct = {0.10, 0.30, 0.50};
     const std::size_t runs = io.trial_runs(5);

@@ -25,6 +25,7 @@ int main(int argc, char** argv) {
     base.faults.missed_alarm_rate = 0.5;
     base.channel.drop_probability = 0.0;
     base.seed = 20050628;
+    io.apply(base);
 
     const std::vector<double> pct = {0.40, 0.60, 0.80};
     const std::size_t runs = io.trial_runs(10);

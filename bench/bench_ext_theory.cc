@@ -29,6 +29,7 @@ int main(int argc, char** argv) {
     sim_cfg.binary.events = 100;
     sim_cfg.channel.drop_probability = 0.0;
     sim_cfg.seed = 20050628;
+    io.apply(sim_cfg);
     for (std::size_t m = 4; m <= 9; ++m) {
         analysis::TrajectoryParams p;
         p.n = 10;
@@ -68,6 +69,7 @@ int main(int argc, char** argv) {
     exp::Scenario lc = exp::Scenario::location_defaults();
     lc.location.events = 200;
     lc.seed = 20050628;
+    io.apply(lc);
     analysis::LocationModelParams report_params;
     analysis::FieldGeometry geometry;
     for (double pct : {0.1, 0.3, 0.5, 0.58}) {

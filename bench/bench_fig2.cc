@@ -18,18 +18,12 @@ int main(int argc, char** argv) {
     io.describe("Figure 2: binary-model accuracy vs % faulty, missed alarms only");
 
     exp::Scenario base = exp::Scenario::binary_defaults();
-    base.binary.n_nodes = static_cast<std::size_t>(io.option("n_nodes", 10, "cluster size"));
-    base.binary.events = static_cast<std::size_t>(io.option("events", 100, "real events per run"));
-    base.engine.trust.lambda = io.option("lambda", 0.1, "trust decay constant");
     base.faults.missed_alarm_rate = 0.5;
     base.faults.false_alarm_rate = 0.0;
     // Exp 1 isolates protocol behaviour from channel loss.
     base.channel.drop_probability = 0.0;
-    base.seed = static_cast<std::uint64_t>(io.option("seed", 20050628, "base seed"));  // DSN 2005
-    if (io.help_requested()) {
-        io.print_help();
-        return 0;
-    }
+    base.seed = 20050628;  // DSN 2005
+    io.apply(base);
 
     const std::vector<double> pct = {0.40, 0.50, 0.60, 0.70, 0.80, 0.90};
     const std::vector<double> ners = {0.00, 0.01, 0.05};

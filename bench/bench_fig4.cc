@@ -16,12 +16,8 @@ int main(int argc, char** argv) {
 
     exp::Scenario base = exp::Scenario::location_defaults();
     base.location.fault_level = sensor::NodeClass::Level0;
-    base.location.events = static_cast<std::size_t>(io.option("events", 200, "events per run"));
-    base.seed = static_cast<std::uint64_t>(io.option("seed", 20050628, "base seed"));
-    if (io.help_requested()) {
-        io.print_help();
-        return 0;
-    }
+    base.seed = 20050628;
+    io.apply(base);
     return bench::level_sweep_figure(io, base, "Lvl0",
                                      "Figure 4: location model accuracy vs % faulty (level 0)");
 }

@@ -82,8 +82,6 @@ int main(int argc, char** argv) {
         "Fault-injection campaigns: accuracy vs injected loss (plain vs reliable "
         "transport) and accuracy across a CH failover (warm vs cold trust handoff)");
 
-    const auto events = static_cast<std::size_t>(io.option("events", 100, "real events per run"));
-    const auto seed = static_cast<std::uint64_t>(io.option("seed", 20050628, "base seed"));
     const double false_alarm_rate =
         io.option("false_alarm_rate", 0.35, "liar false-alarm rate (Table B)");
     const double degrade =
@@ -91,10 +89,9 @@ int main(int argc, char** argv) {
     const bool smoke = io.option("smoke", false, "CI smoke mode: tiny grids, few runs");
     const std::string campaign_path =
         io.option("campaign", "", "replay a JSON inject::CampaignSpec file");
-    if (io.help_requested()) {
-        io.print_help();
-        return 0;
-    }
+    exp::Scenario base = exp::Scenario::binary_defaults();
+    base.seed = 20050628;
+    io.apply(base);
     const std::size_t runs = io.trial_runs(smoke ? 3 : 25);
 
     // Read the replayed campaign first, so a bad file is rejected before
@@ -117,10 +114,6 @@ int main(int argc, char** argv) {
         }
     }
 
-    exp::Scenario base = exp::Scenario::binary_defaults();
-    base.binary.events = events;
-    base.seed = seed;
-
     // ---- Table A: accuracy vs injected extra loss ----
     const std::vector<double> losses =
         smoke ? std::vector<double>{0.0, 0.4} : std::vector<double>{0.0, 0.2, 0.4, 0.6, 0.8};
@@ -142,7 +135,8 @@ int main(int argc, char** argv) {
     // Kill the CH halfway through, after trust has been learned; liars
     // raise coordinated false alarms, so the successor's trust table is
     // what separates declared events from phantoms.
-    const double kill_at = 0.5 * static_cast<double>(events) * base.binary.event_interval;
+    const double kill_at =
+        0.5 * static_cast<double>(base.binary.events) * base.binary.event_interval;
     exp::Scenario fb = base;
     fb.faults.false_alarm_rate = false_alarm_rate;
     const std::vector<double> pcts =
@@ -185,7 +179,7 @@ int main(int argc, char** argv) {
         io.emit(c);
     }
 
-    io.params().set("events", static_cast<long>(events)).set("pct_faulty", 0.4);
+    io.params().set("events", static_cast<long>(base.binary.events)).set("pct_faulty", 0.4);
     return io.finish([&](obs::Recorder& rec) {
         // Representative instrumented run: the warm-handoff failover arm
         // (or the replayed campaign when one was given), so the artifact's

@@ -15,6 +15,7 @@ int main(int argc, char** argv) {
     c.engine.trust.lambda = 0.1;
     c.faults.missed_alarm_rate = 0.5;
     c.channel.drop_probability = 0.0;
+    io.apply(c);
 
     util::Table t("Table 1: parameters for Experiment 1 (binary event model)");
     t.header({"parameter", "value"});

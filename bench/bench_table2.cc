@@ -12,7 +12,8 @@ int main(int argc, char** argv) {
     exp::BenchIo io("bench_table2", argc, argv);
 
     // The location defaults are the Table-2 values.
-    const exp::Scenario c = exp::Scenario::location_defaults();
+    exp::Scenario c = exp::Scenario::location_defaults();
+    io.apply(c);
 
     util::Table t("Table 2: parameters for Experiment 2 (location determination)");
     t.header({"parameter", "value"});

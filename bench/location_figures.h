@@ -76,6 +76,7 @@ inline int decay_figure(exp::BenchIo& io, double faulty_sigma, const std::string
     base.location.decay_epoch_events = 50;
     base.location.epoch_events = 50;
     base.seed = 20050628;
+    io.apply(base);
 
     const SigmaSeries series[] = {
         {"1.6-" + faulty_label + " TIBFIT", 1.6, faulty_sigma, core::DecisionPolicy::TrustIndex},

@@ -1,15 +1,16 @@
 // tibfit_cli — run any TIBFIT experiment from the command line.
 //
-// Every knob of the experiment harness is exposed as key=value pairs, so
-// new parameter studies need no recompilation:
+// Every exp::Scenario field is a PATH=VALUE knob, and the short keys are
+// aliases for paths, so new parameter studies need no recompilation:
 //
 //   ./tibfit_cli mode=binary pct_faulty=0.7 events=200 runs=10
 //   ./tibfit_cli mode=location level=2 pct_faulty=0.5 policy=baseline
-//   ./tibfit_cli mode=decay decay_final=0.75 epoch_events=50
+//   ./tibfit_cli mode=decay decay_final=0.75 mobility.pause=2
 //
-// Prints one result row (or the per-epoch series for mode=decay). Keys not
-// given keep the paper's Table-1/Table-2 defaults. `list=true` prints all
-// recognized keys.
+// Prints one result row (or the per-epoch series for mode=decay). Fields
+// not given keep the paper's Table-1/Table-2 defaults plus the mode's
+// overlay. `list=true` prints the effective scenario and the aliases. A
+// bad key or value exits 2.
 //
 // Observability: `--metrics <path>` writes the run's metrics registry as a
 // human-readable summary; `--trace <path>` writes the structured decision
@@ -27,6 +28,7 @@
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "check/config.h"
@@ -43,36 +45,88 @@ namespace {
 
 using namespace tibfit;
 
-void print_keys() {
-    std::printf(
-        "common:   mode=binary|location|decay  seed=<u64>  runs=<n>  events=<n>\n"
-        "          policy=tibfit|baseline  pct_faulty=<0..1>  t_out=<s>\n"
-        "binary:   n_nodes  correct_ner  missed_alarm_rate  false_alarm_rate\n"
-        "          lambda  fault_rate  removal_ti  channel_drop\n"
-        "location: level=0|1|2  correct_sigma  faulty_sigma  faulty_drop_rate\n"
-        "          lambda  fault_rate  removal_ti  r_error  sensing_radius\n"
-        "          n_ch  rotation_period  burst  grid=true|false\n"
-        "          collusion_defense=true|false  multihop=true|false  radio_range\n"
-        "          mobile=true|false  speed_min  speed_max\n"
-        "decay:    decay_initial  decay_step  decay_final  epoch_events\n"
-        "checking: check=off|shadow|assert (differential oracle + invariants;\n"
-        "          see docs/CHECKING.md — shadow counts divergences, assert\n"
-        "          aborts on the first one; exit code 1 on any divergence)\n"
-        "flags:    --metrics <path> (metrics summary)  --trace <path> (JSONL trace)\n"
-        "          --jobs <n> (threads for runs>1 sweeps; env TIBFIT_JOBS;\n"
-        "          results are identical at any value)\n");
+/// A documented short key: it sets every path of its row. `spellings`
+/// rewrite a value first; any other value reaches the reader as typed.
+struct Alias {
+    const char* key;
+    std::vector<const char*> paths;
+    std::vector<std::pair<const char*, const char*>> spellings = {};
+};
+
+const Alias kAliases[] = {
+    {"events", {"binary.events", "location.events"}},
+    {"n_nodes", {"binary.n_nodes", "location.n_nodes"}},
+    {"pct_faulty", {"binary.pct_faulty", "location.pct_faulty"}},
+    {"policy", {"engine.policy"}, {{"tibfit", "trust_index"}, {"baseline", "majority_vote"}}},
+    {"level", {"location.fault_level"}, {{"0", "level0"}, {"1", "level1"}, {"2", "level2"}}},
+    {"check", {"check.mode"}},
+    {"t_out", {"engine.t_out"}},
+    {"r_error", {"engine.r_error"}},
+    {"sensing_radius", {"engine.sensing_radius", "deployment.sensing_radius"}},
+    {"lambda", {"engine.trust.lambda"}},
+    {"fault_rate", {"engine.trust.fault_rate"}},
+    {"removal_ti", {"engine.trust.removal_ti"}},
+    {"collusion_defense", {"engine.collusion_defense"}},
+    {"weighted_location", {"engine.trust_weighted_location"}},
+    {"channel_drop", {"channel.drop_probability"}},
+    {"channel_airtime", {"channel.airtime"}},
+    {"correct_ner", {"faults.natural_error_rate"}},
+    {"missed_alarm_rate", {"faults.missed_alarm_rate"}},
+    {"false_alarm_rate", {"faults.false_alarm_rate"}},
+    {"correct_sigma", {"faults.correct_sigma"}},
+    {"faulty_sigma", {"faults.faulty_sigma"}},
+    {"faulty_drop_rate", {"faults.faulty_drop_rate"}},
+    {"collusion_jitter", {"faults.collusion_jitter"}},
+    {"speed_min", {"mobility.speed_min"}},
+    {"speed_max", {"mobility.speed_max"}},
+    {"grid", {"location.grid_layout"}},
+    {"multihop", {"location.multihop"}},
+    {"radio_range", {"location.radio_range"}},
+    {"mobile", {"location.mobile"}},
+    {"n_ch", {"location.n_ch"}},
+    {"rotation_period", {"location.rotation_period"}},
+    {"burst", {"location.burst"}},
+    {"tx_jitter", {"location.tx_jitter"}},
+    {"epoch_events", {"location.epoch_events", "location.decay_epoch_events"}},
+    {"decay_initial", {"location.decay_initial"}},
+    {"decay_step", {"location.decay_step"}},
+    {"decay_final", {"location.decay_final"}},
+};
+
+/// Appends the PATH=VALUE tokens `token` stands for: an alias's paths, or
+/// `token` itself.
+void expand(const std::string& token, std::vector<std::string>& out) {
+    const std::size_t eq = token.find('=');
+    for (const Alias& a : kAliases) {
+        if (eq == std::string::npos || token.compare(0, eq, a.key) != 0) continue;
+        std::string value = token.substr(eq + 1);
+        for (const auto& [from, to] : a.spellings) {
+            if (value == from) value = to;
+        }
+        for (const char* path : a.paths) out.push_back(std::string(path) + "=" + value);
+        return;
+    }
+    out.push_back(token);
 }
 
-core::DecisionPolicy parse_policy(const std::string& s) {
-    return s == "baseline" ? core::DecisionPolicy::MajorityVote
-                           : core::DecisionPolicy::TrustIndex;
+/// Where each mode departs from Scenario::binary_defaults() (Table 1) or
+/// location_defaults() (Table 2).
+std::vector<std::string> mode_defaults(const std::string& mode) {
+    if (mode == "binary") return {"binary.pct_faulty=0.5", "channel.drop_probability=0"};
+    if (mode == "location") return {"location.pct_faulty=0.3"};
+    return {"location.pct_faulty=0.3", "location.decay=true"};
 }
 
-sensor::NodeClass parse_level(long level) {
-    switch (level) {
-        case 1: return sensor::NodeClass::Level1;
-        case 2: return sensor::NodeClass::Level2;
-        default: return sensor::NodeClass::Level0;
+void print_list(const exp::Scenario& s) {
+    std::printf("%s\nusage: tibfit_cli [mode=binary|location|decay] [runs=N] [trace=FILE.csv] "
+                "[list=true] [--metrics FILE] [--trace FILE.jsonl] [--jobs N] [PATH=VALUE ...]\n"
+                "PATH is a field above or one of these aliases:\n",
+                exp::to_json(s).c_str());
+    for (const Alias& a : kAliases) {
+        std::printf("  %-18s", a.key);
+        for (const char* path : a.paths) std::printf(" %s", path);
+        for (const auto& [from, to] : a.spellings) std::printf("  %s=%s", from, to);
+        std::printf("\n");
     }
 }
 
@@ -84,81 +138,6 @@ int report_check(check::Mode mode, std::size_t checked, std::size_t divergences)
                 check::mode_name(mode), checked, divergences,
                 static_cast<unsigned long long>(util::invariant_violations()));
     return divergences ? 1 : 0;
-}
-
-/// Prints every validate() error of `s` to stderr; true if there are none.
-/// Knobs arrive as parsed text, so "nan" or "inf" can reach any field.
-bool valid(const exp::Scenario& s) {
-    const std::vector<std::string> errors = s.validate();
-    for (const std::string& e : errors) std::fprintf(stderr, "%s\n", e.c_str());
-    return errors.empty();
-}
-
-/// Table-1 scenario with the CLI's own defaults (50% faulty, lossless
-/// channel). Count keys go through get_count, so a negative count throws
-/// std::out_of_range naming the key.
-exp::Scenario binary_scenario(const util::Config& args) {
-    exp::Scenario s = exp::Scenario::binary_defaults();
-    s.binary.n_nodes = args.get_count("n_nodes", 10);
-    s.binary.pct_faulty = args.get_double("pct_faulty", 0.5);
-    s.faults.natural_error_rate = args.get_double("correct_ner", 0.01);
-    s.faults.missed_alarm_rate = args.get_double("missed_alarm_rate", 0.5);
-    s.faults.false_alarm_rate = args.get_double("false_alarm_rate", 0.0);
-    s.binary.events = args.get_count("events", 100);
-    s.engine.policy = parse_policy(args.get_string("policy", "tibfit"));
-    s.engine.trust.lambda = args.get_double("lambda", 0.1);
-    s.engine.trust.fault_rate = args.get_double("fault_rate", -1.0);
-    s.engine.trust.removal_ti = args.get_double("removal_ti", 0.0);
-    s.engine.t_out = args.get_double("t_out", 1.0);
-    s.channel.drop_probability = args.get_double("channel_drop", 0.0);
-    s.seed = args.get_count("seed", 1);
-    return s;
-}
-
-/// Table-2 scenario (30% faulty by default); mode=decay adds the
-/// Experiment-3 schedule with decay epochs of epoch_events events.
-exp::Scenario location_scenario(const util::Config& args, bool decay) {
-    exp::Scenario s = exp::Scenario::location_defaults();
-    s.location.n_nodes = args.get_count("n_nodes", 100);
-    s.location.grid_layout = args.get_bool("grid", true);
-    s.deployment.sensing_radius = args.get_double("sensing_radius", 20.0);
-    s.engine.sensing_radius = s.deployment.sensing_radius;
-    s.engine.r_error = args.get_double("r_error", 5.0);
-    s.engine.t_out = args.get_double("t_out", 1.0);
-    s.location.pct_faulty = args.get_double("pct_faulty", 0.3);
-    s.location.fault_level = parse_level(args.get_int("level", 0));
-    s.faults.correct_sigma = args.get_double("correct_sigma", 1.6);
-    s.faults.faulty_sigma = args.get_double("faulty_sigma", 4.25);
-    s.faults.faulty_drop_rate = args.get_double("faulty_drop_rate", 0.25);
-    s.engine.policy = parse_policy(args.get_string("policy", "tibfit"));
-    s.engine.trust.lambda = args.get_double("lambda", 0.25);
-    s.engine.trust.fault_rate = args.get_double("fault_rate", 0.1);
-    s.engine.trust.removal_ti = args.get_double("removal_ti", 0.05);
-    s.engine.collusion_defense = args.get_bool("collusion_defense", false);
-    s.faults.collusion_jitter = args.get_double("collusion_jitter", 0.0);
-    s.engine.trust_weighted_location = args.get_bool("weighted_location", false);
-    s.location.multihop = args.get_bool("multihop", false);
-    s.location.radio_range = args.get_double("radio_range", 30.0);
-    s.location.mobile = args.get_bool("mobile", false);
-    s.mobility.speed_min = args.get_double("speed_min", 0.5);
-    s.mobility.speed_max = args.get_double("speed_max", 1.5);
-    s.location.n_ch = args.get_count("n_ch", 5);
-    s.location.rotation_period = args.get_count("rotation_period", 20);
-    s.location.events = args.get_count("events", 200);
-    s.location.burst = args.get_count("burst", 1);
-    s.channel.drop_probability = args.get_double("channel_drop", 0.01);
-    s.channel.airtime = args.get_double("channel_airtime", 0.0);
-    s.location.tx_jitter = args.get_double("tx_jitter", 0.0);
-    s.seed = args.get_count("seed", 1);
-    s.location.epoch_events = args.get_count("epoch_events", 50);
-    if (decay) {
-        s.location.decay = true;
-        s.location.decay_initial = args.get_double("decay_initial", 0.05);
-        s.location.decay_step = args.get_double("decay_step", 0.05);
-        s.location.decay_final = args.get_double("decay_final", 0.75);
-        s.location.decay_epoch_events = s.location.epoch_events;
-    }
-    return s;
 }
 
 int run_binary(const exp::Scenario& s) {
@@ -205,12 +184,12 @@ int run_decay(const exp::Scenario& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-    // Peel off the observability flags before the key=value parse; a bare
-    // `--trace=...` token would otherwise be swallowed as an assignment.
+    // Tokens that are not flags are the CLI's own knobs or overrides.
     std::string metrics_path, trace_path;
-    std::vector<char*> rest{argv[0]};
+    util::Config args;
+    std::vector<std::string> overrides;
     for (int i = 1; i < argc; ++i) {
-        const std::string_view a(argv[i]);
+        const std::string a(argv[i]);
         if (a == "--metrics" && i + 1 < argc) {
             metrics_path = argv[++i];
         } else if (a.rfind("--metrics=", 0) == 0) {
@@ -223,57 +202,54 @@ int main(int argc, char** argv) {
             const long n = std::atol(argv[++i]);
             if (n > 0) tibfit::par::set_jobs(static_cast<std::size_t>(n));
         } else if (a.rfind("--jobs=", 0) == 0) {
-            const long n = std::atol(std::string(a.substr(std::string_view("--jobs=").size())).c_str());
+            const long n = std::atol(a.substr(std::string_view("--jobs=").size()).c_str());
             if (n > 0) tibfit::par::set_jobs(static_cast<std::size_t>(n));
         } else if (a == "--metrics" || a == "--trace" || a == "--jobs") {
             std::fprintf(stderr, "%s requires an argument\n", argv[i]);
             return 2;
+        } else if (const std::string key = a.substr(0, a.find('='));
+                   key == "mode" || key == "runs" || key == "trace" || key == "list") {
+            args.parse_assignment(a);
         } else {
-            rest.push_back(argv[i]);
+            expand(a, overrides);
         }
     }
-    util::Config args;
-    args.parse_args(static_cast<int>(rest.size()), rest.data());
-    if (args.get_bool("list", false)) {
-        print_keys();
-        return 0;
-    }
 
-    obs::Recorder recorder;
-    obs::Recorder* rec = nullptr;
-    if (!metrics_path.empty() || !trace_path.empty()) {
-        rec = &recorder;
-        recorder.trace().set_enabled(!trace_path.empty());
-    }
-
-    check::Mode check_mode;
-    try {
-        check_mode = check::mode_from_name(args.get_string("check", "off"));
-    } catch (const std::exception& e) {
-        std::fprintf(stderr, "%s (check=off|shadow|assert)\n", e.what());
-        return 2;
-    }
-
-    const std::string mode = args.get_string("mode", "location");
-    if (mode != "binary" && mode != "location" && mode != "decay") {
-        std::fprintf(stderr, "unknown mode '%s' (binary|location|decay)\n", mode.c_str());
-        print_keys();
-        return 2;
-    }
-    const std::string csv_trace_path = args.get_string("trace", "");
     exp::Scenario s;
+    std::string mode, csv_trace_path;
     std::size_t runs = 1;
     try {
-        s = mode == "binary" ? binary_scenario(args) : location_scenario(args, mode == "decay");
+        mode = args.get_string("mode", "location");
+        if (mode != "binary" && mode != "location" && mode != "decay") {
+            std::fprintf(stderr, "unknown mode '%s' (binary|location|decay)\n", mode.c_str());
+            return 2;
+        }
+        s = mode == "binary" ? exp::Scenario::binary_defaults()
+                             : exp::Scenario::location_defaults();
+        std::vector<std::string> tokens = mode_defaults(mode);
+        tokens.insert(tokens.end(), overrides.begin(), overrides.end());
+        exp::apply_json(s, exp::overlay_from_tokens(tokens));
         runs = args.get_count("runs", 1);
-    } catch (const std::out_of_range& e) {
+        csv_trace_path = args.get_string("trace", "");
+        if (args.get_bool("list", false)) {
+            print_list(s);
+            return 0;
+        }
+    } catch (const std::exception& e) {
         std::fprintf(stderr, "%s\n", e.what());
         return 2;
     }
-    s.recorder = rec;
-    s.check.mode = check_mode;
+    // Knobs arrive as parsed text, so "nan" or "inf" can reach any field.
+    const std::vector<std::string> errors = s.validate();
+    for (const std::string& e : errors) std::fprintf(stderr, "%s\n", e.c_str());
+    if (!errors.empty()) return 2;
+
+    obs::Recorder recorder;
+    if (!metrics_path.empty() || !trace_path.empty()) {
+        s.recorder = &recorder;
+        recorder.trace().set_enabled(!trace_path.empty());
+    }
     s.location.keep_trace = mode == "location" && !csv_trace_path.empty();
-    if (!valid(s)) return 2;
 
     int rc;
     try {

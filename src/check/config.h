@@ -11,9 +11,6 @@
 // See docs/CHECKING.md.
 #pragma once
 
-#include <stdexcept>
-#include <string>
-
 namespace tibfit::check {
 
 enum class Mode { Off, Shadow, Assert };
@@ -25,14 +22,6 @@ inline const char* mode_name(Mode m) {
         case Mode::Assert: return "assert";
     }
     return "off";
-}
-
-/// Parses a mode name; throws std::runtime_error on anything else.
-inline Mode mode_from_name(const std::string& name) {
-    if (name == "off") return Mode::Off;
-    if (name == "shadow") return Mode::Shadow;
-    if (name == "assert") return Mode::Assert;
-    throw std::runtime_error("check: unknown mode '" + name + "'");
 }
 
 /// The scenario-level settings block (serialized as {"check": {...}}).

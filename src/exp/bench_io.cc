@@ -11,6 +11,7 @@
 #include <string>
 
 #include "exp/binary_experiment.h"
+#include "exp/scenario.h"
 #include "obs/artifact.h"
 #include "obs/recorder.h"
 #include "par/jobs.h"
@@ -66,23 +67,40 @@ BenchIo::BenchIo(std::string name, int argc, char** argv) : name_(std::move(name
         } else if (arg.rfind("--json=", 0) == 0) {
             json_path_ = arg.substr(std::strlen("--json="));
         } else if (params_.parse_assignment(std::string(arg))) {
-            cli_keys_.emplace_back(arg.substr(0, arg.find('=')));
+            assignments_.emplace_back(arg);
         }
     }
 }
 
-std::size_t BenchIo::count(const std::string& key, std::size_t dflt) const {
+std::size_t BenchIo::trial_runs(std::size_t dflt) const {
     try {
-        return params_.get_count(key, dflt);
+        const std::size_t n = params_.get_count("runs", dflt);
+        return n > 0 ? n : dflt;
     } catch (const std::out_of_range& e) {
         std::cerr << name_ << ": " << e.what() << '\n';
         std::exit(2);
     }
 }
 
-std::size_t BenchIo::trial_runs(std::size_t dflt) const {
-    const std::size_t n = count("runs", dflt);
-    return n > 0 ? n : dflt;
+void BenchIo::apply(Scenario& base) {
+    if (help_) {
+        print_help(std::cout);
+        std::exit(0);
+    }
+    std::vector<std::string> paths;
+    for (const std::string& a : assignments_) {
+        const std::string key = a.substr(0, a.find('='));
+        if (key != "runs" && !declared(key)) paths.push_back(a);
+    }
+    std::vector<std::string> errors;
+    try {
+        apply_json(base, overlay_from_tokens(paths));
+        errors = base.validate();
+    } catch (const std::runtime_error& e) {
+        errors.push_back(e.what());
+    }
+    for (const std::string& e : errors) std::cerr << name_ << ": " << e << '\n';
+    if (!errors.empty()) std::exit(2);
 }
 
 void BenchIo::declare(const std::string& key, std::string dflt, const std::string& help) {
@@ -95,11 +113,6 @@ void BenchIo::declare(const std::string& key, std::string dflt, const std::strin
 bool BenchIo::declared(const std::string& key) const {
     return std::any_of(options_.begin(), options_.end(),
                        [&](const DeclaredOption& o) { return o.key == key; });
-}
-
-long BenchIo::option(const std::string& key, long dflt, const std::string& help) {
-    declare(key, std::to_string(dflt), help);
-    return static_cast<long>(count(key, static_cast<std::size_t>(dflt)));
 }
 
 double BenchIo::option(const std::string& key, double dflt, const std::string& help) {
@@ -134,24 +147,12 @@ void BenchIo::print_help(std::ostream& out) const {
     }
     out << "\nstandard:\n";
     row("runs=N", "replications per data point (default is per bench)");
+    row("PATH=VALUE", "overrides any Scenario field (engine.trust.lambda=0.2)");
     row("--csv", "machine-readable tables on stdout");
     row("--json PATH", "write the schema-versioned run artifact");
     row("--jobs N", "worker threads for trial fan-out (outputs identical at any N)");
     row("--timing", "include wall time and peak RSS in the artifact");
     row("--help", "this message");
-}
-
-void BenchIo::print_help() const { print_help(std::cout); }
-
-void BenchIo::warn_undeclared() const {
-    // Only meaningful once the bench declares its knobs; a bench that
-    // never calls option() keeps the old accept-anything behaviour.
-    if (options_.empty()) return;
-    for (const auto& key : cli_keys_) {
-        if (key == "runs" || declared(key)) continue;
-        std::cerr << name_ << ": warning: unrecognised parameter '" << key
-                  << "=' (see --help)\n";
-    }
 }
 
 void BenchIo::emit(const util::Table& t) {
@@ -164,7 +165,6 @@ void BenchIo::emit(const util::Table& t) {
 }
 
 int BenchIo::finish(const std::function<void(obs::Recorder&)>& instrument) {
-    warn_undeclared();
     if (json_path_.empty()) return 0;
     obs::Recorder rec;
     if (instrument) {

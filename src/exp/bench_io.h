@@ -23,6 +23,8 @@ class Recorder;
 
 namespace tibfit::exp {
 
+struct Scenario;
+
 class BenchIo {
   public:
     /// Parses `--json <path>` / `--json=<path>` and `--jobs N` /
@@ -35,44 +37,31 @@ class BenchIo {
     /// The replication count for this bench's sweeps: the `runs=<n>`
     /// command-line override when given (echoed into the artifact like any
     /// parameter), else `dflt` — the bench's paper-faithful default.
-    /// `runs=0` also means the default; a negative count exits (see
-    /// option()).
+    /// `runs=0` also means the default; a negative count prints a message
+    /// and exits with status 2.
     std::size_t trial_runs(std::size_t dflt) const;
+
+    /// Applies every key=value token that is neither a declared option nor
+    /// `runs` to `base` as a Scenario path (`engine.trust.lambda=0.2`); call
+    /// after declaring options. An unknown path, a bad value or a failed
+    /// validate() prints the message and exits with status 2; --help prints
+    /// the usage and exits 0.
+    void apply(Scenario& base);
 
     /// One-line bench description printed at the top of --help.
     void describe(std::string text) { description_ = std::move(text); }
 
-    /// Declares a `key=value` option and returns its effective value: the
-    /// command-line override when given, else `dflt`. Declaring registers
-    /// the key for --help and the unrecognised-parameter warning only —
-    /// defaults are never written into params(), so the artifact's
-    /// parameter echo keeps carrying exactly what the user typed plus what
-    /// the bench sets explicitly (artifact shape is part of the
-    /// determinism-CI diff).
-    ///
-    /// Integer options are counts or seeds: a negative or non-integer
-    /// value prints a message naming the key and exits with status 2.
-    long option(const std::string& key, long dflt, const std::string& help);
-    long option(const std::string& key, int dflt, const std::string& help) {
-        return option(key, static_cast<long>(dflt), help);
-    }
+    /// Declares a `key=value` knob that is not a Scenario field and returns
+    /// the command-line override when given, else `dflt`. Declaring lists
+    /// the key in --help and keeps it out of apply(); defaults are never
+    /// written into params(), so the artifact's parameter echo carries
+    /// exactly what the user typed plus what the bench sets explicitly.
     double option(const std::string& key, double dflt, const std::string& help);
     bool option(const std::string& key, bool dflt, const std::string& help);
     std::string option(const std::string& key, std::string dflt, const std::string& help);
     std::string option(const std::string& key, const char* dflt, const std::string& help) {
         return option(key, std::string(dflt), help);
     }
-
-    /// True when --help / -h was passed. Benches should declare their
-    /// options first, then `if (io.help_requested()) { io.print_help();
-    /// return 0; }`.
-    bool help_requested() const { return help_; }
-
-    /// Uniform usage text: description, the declared key=value options,
-    /// then the standard flags every bench shares (--csv, --json, --jobs,
-    /// --timing, runs=N, --help).
-    void print_help(std::ostream& out) const;
-    void print_help() const;
 
     /// Prints `t` to stdout (CSV with --csv, pretty otherwise) and keeps a
     /// copy for the artifact.
@@ -107,11 +96,12 @@ class BenchIo {
         std::string help;
     };
 
+    /// Uniform usage text: description, the declared key=value options,
+    /// then the standard flags every bench shares (runs=N, PATH=VALUE,
+    /// --csv, --json, --jobs, --timing, --help).
+    void print_help(std::ostream& out) const;
     void declare(const std::string& key, std::string dflt, const std::string& help);
     bool declared(const std::string& key) const;
-    void warn_undeclared() const;
-    /// util::Config::get_count, exiting 2 with its message on a bad value.
-    std::size_t count(const std::string& key, std::size_t dflt) const;
 
     std::string name_;
     std::string description_;
@@ -121,7 +111,7 @@ class BenchIo {
     bool help_ = false;
     std::string json_path_;
     util::Config params_;
-    std::vector<std::string> cli_keys_;  ///< keys the user actually passed
+    std::vector<std::string> assignments_;  ///< the key=value tokens, as typed
     std::vector<DeclaredOption> options_;
     std::vector<util::Table> tables_;
 };

@@ -1,9 +1,11 @@
 #include "exp/scenario.h"
 
+#include <algorithm>
 #include <cmath>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 
 #include "obs/json.h"
 
@@ -11,43 +13,19 @@ namespace tibfit::exp {
 
 namespace {
 
-const char* kind_name(Scenario::Kind k) {
-    return k == Scenario::Kind::Binary ? "binary" : "location";
-}
-
-Scenario::Kind kind_from_name(const std::string& s) {
-    if (s == "binary") return Scenario::Kind::Binary;
-    if (s == "location") return Scenario::Kind::Location;
-    throw std::runtime_error("scenario: unknown kind '" + s + "'");
-}
-
-const char* policy_name(core::DecisionPolicy p) {
-    return p == core::DecisionPolicy::TrustIndex ? "trust_index" : "majority_vote";
-}
-
-core::DecisionPolicy policy_from_name(const std::string& s) {
-    if (s == "trust_index") return core::DecisionPolicy::TrustIndex;
-    if (s == "majority_vote") return core::DecisionPolicy::MajorityVote;
-    throw std::runtime_error("scenario: unknown policy '" + s + "'");
-}
-
-const char* fault_level_name(sensor::NodeClass c) {
-    switch (c) {
-        case sensor::NodeClass::Correct: return "correct";
-        case sensor::NodeClass::Level0: return "level0";
-        case sensor::NodeClass::Level1: return "level1";
-        case sensor::NodeClass::Level2: return "level2";
-    }
-    return "level0";
-}
-
-sensor::NodeClass fault_level_from_name(const std::string& s) {
-    if (s == "correct") return sensor::NodeClass::Correct;
-    if (s == "level0") return sensor::NodeClass::Level0;
-    if (s == "level1") return sensor::NodeClass::Level1;
-    if (s == "level2") return sensor::NodeClass::Level2;
-    throw std::runtime_error("scenario: unknown fault_level '" + s + "'");
-}
+// Each name field's values, as the document spells them.
+template <typename E>
+using Names = std::pair<E, const char*>;
+constexpr Names<Scenario::Kind> kKinds[] = {{Scenario::Kind::Binary, "binary"},
+                                            {Scenario::Kind::Location, "location"}};
+constexpr Names<core::DecisionPolicy> kPolicies[] = {
+    {core::DecisionPolicy::TrustIndex, "trust_index"},
+    {core::DecisionPolicy::MajorityVote, "majority_vote"}};
+constexpr Names<sensor::NodeClass> kFaultLevels[] = {
+    {sensor::NodeClass::Correct, "correct"}, {sensor::NodeClass::Level0, "level0"},
+    {sensor::NodeClass::Level1, "level1"}, {sensor::NodeClass::Level2, "level2"}};
+constexpr Names<check::Mode> kCheckModes[] = {
+    {check::Mode::Off, "off"}, {check::Mode::Shadow, "shadow"}, {check::Mode::Assert, "assert"}};
 
 void check_unit(std::vector<std::string>& errors, const char* what, double p) {
     if (!(p >= 0.0 && p <= 1.0)) {  // also rejects NaN
@@ -229,9 +207,10 @@ namespace {
 // serialized; the experiment runners consume only the geometry.
 template <typename Io, typename S>
 void walk(Io& io, S& s) {
+    io.name("kind", s.kind, kKinds);
     io.count("seed", s.seed);
     io.section("engine", [&] {
-        io.name("policy", s.engine.policy, policy_name, policy_from_name);
+        io.name("policy", s.engine.policy, kPolicies);
         io.number("sensing_radius", s.engine.sensing_radius);
         io.number("r_error", s.engine.r_error);
         io.number("t_out", s.engine.t_out);
@@ -255,7 +234,7 @@ void walk(Io& io, S& s) {
         io.count("ttl", s.transport.ttl);
     });
     io.section("check", [&] {
-        io.name("mode", s.check.mode, check::mode_name, check::mode_from_name);
+        io.name("mode", s.check.mode, kCheckModes);
     });
     io.section("deployment", [&] {
         io.number("field", s.deployment.field);
@@ -293,7 +272,7 @@ void walk(Io& io, S& s) {
         io.count("n_nodes", s.location.n_nodes);
         io.flag("grid_layout", s.location.grid_layout);
         io.number("pct_faulty", s.location.pct_faulty);
-        io.name("fault_level", s.location.fault_level, fault_level_name, fault_level_from_name);
+        io.name("fault_level", s.location.fault_level, kFaultLevels);
         io.flag("multihop", s.location.multihop);
         io.number("radio_range", s.location.radio_range);
         io.flag("mobile", s.location.mobile);
@@ -322,9 +301,11 @@ struct JsonOut {
     void count(const char* key, T v) {
         w.field(key, static_cast<std::uint64_t>(v));
     }
-    template <typename E, typename ToName, typename FromName>
-    void name(const char* key, E v, ToName to_name, FromName) {
-        w.field(key, to_name(v));
+    template <typename E, std::size_t N>
+    void name(const char* key, E v, const Names<E> (&names)[N]) {
+        for (const auto& [e, text] : names) {
+            if (e == v) w.field(key, text);
+        }
     }
     template <typename Body>
     void section(const char* key, Body body) {
@@ -348,11 +329,20 @@ struct JsonIn {
     void count(const char* key, T& v) {
         f->read_count(key, v);
     }
-    template <typename E, typename ToName, typename FromName>
-    void name(const char* key, E& v, ToName to_name, FromName from_name) {
-        std::string text = to_name(v);
-        f->read(key, text);
-        v = from_name(text);
+    template <typename E, std::size_t N>
+    void name(const char* key, E& v, const Names<E> (&names)[N]) {
+        const obs::json::Value* given = f->find(key);
+        if (!given) return;
+        std::string known;
+        for (const auto& [e, text] : names) {
+            if (given->is_string() && given->as_string() == text) {
+                v = e;
+                return;
+            }
+            known += (known.empty() ? "" : ", ") + std::string(text);
+        }
+        f->reject(key, given->is_string() ? "one of " + known + ", got '" + given->as_string() + "'"
+                                          : "a string, one of " + known);
     }
     template <typename Body>
     void section(const char* key, Body body) {
@@ -361,6 +351,7 @@ struct JsonIn {
         const obs::json::Fields* outer = f;
         f = &*sub;
         body();
+        sub->reject_unread();
         f = outer;
     }
     void campaign(const char* key, inject::CampaignSpec& spec) {
@@ -373,20 +364,60 @@ struct JsonIn {
 void write_json(const Scenario& s, obs::json::Writer& w) {
     JsonOut out{w};
     w.begin_object();
-    w.field("kind", kind_name(s.kind));
     walk(out, s);
     w.end_object();
 }
 
-Scenario scenario_from_json(const obs::json::Value& v) {
+void apply_json(Scenario& s, const obs::json::Value& v) {
     const obs::json::Fields root(v, "scenario");
-    std::string kind = "binary";
-    root.read("kind", kind);
-    Scenario s = kind_from_name(kind) == Scenario::Kind::Binary ? Scenario::binary_defaults()
-                                                                 : Scenario::location_defaults();
     JsonIn in{&root};
     walk(in, s);
+    root.reject_unread();
+}
+
+Scenario scenario_from_json(const obs::json::Value& v) {
+    const obs::json::Fields root(v, "scenario");
+    Scenario::Kind kind = Scenario::Kind::Binary;
+    JsonIn{&root}.name("kind", kind, kKinds);
+    Scenario s = kind == Scenario::Kind::Binary ? Scenario::binary_defaults()
+                                                : Scenario::location_defaults();
+    apply_json(s, v);
     return s;
+}
+
+obs::json::Value overlay_from_tokens(const std::vector<std::string>& tokens) {
+    obs::json::Value root = obs::json::Object{};
+    for (const std::string& token : tokens) {
+        const std::size_t eq = token.find('=');
+        if (eq == std::string::npos || eq == 0) {
+            throw std::runtime_error("scenario: override '" + token + "' is not PATH=VALUE");
+        }
+        const std::string path = token.substr(0, eq);
+        // Like parse(), bound the nesting: the document is freed recursively.
+        if (static_cast<std::size_t>(std::count(path.begin(), path.end(), '.')) >=
+            obs::json::kMaxDepth) {
+            throw std::runtime_error("scenario: override path nests deeper than " +
+                                     std::to_string(obs::json::kMaxDepth) + " levels");
+        }
+        const std::string conflict = "scenario: override " + path + " conflicts with another one";
+        obs::json::Value* node = &root;
+        for (std::size_t start = 0, dot = 0; dot != std::string::npos; start = dot + 1) {
+            dot = path.find('.', start);
+            if (node->is_null()) *node = obs::json::Object{};
+            if (!node->is_object()) throw std::runtime_error(conflict);
+            node = &node->as_object()[path.substr(start, dot - start)];
+        }
+        if (node->is_object()) throw std::runtime_error(conflict);
+        const std::string text = token.substr(eq + 1);
+        if (text == "true" || text == "false") {
+            *node = text == "true";
+        } else if (auto number = obs::json::parse_number(text)) {
+            *node = std::move(*number);
+        } else {
+            *node = text;
+        }
+    }
+    return root;
 }
 
 std::string to_json(const Scenario& scenario) {

@@ -129,33 +129,6 @@ struct Scenario {
     static Scenario binary_defaults();
     static Scenario location_defaults();
 
-    // Fluent builder: each setter returns *this so scenarios compose in
-    // one expression. Only the knobs benches actually sweep get setters;
-    // anything else is reachable through the public members.
-    Scenario& with_seed(std::uint64_t s) { seed = s; return *this; }
-    Scenario& with_policy(core::DecisionPolicy p) { engine.policy = p; return *this; }
-    Scenario& with_lambda(double lambda) { engine.trust.lambda = lambda; return *this; }
-    Scenario& with_fault_rate(double fr) { engine.trust.fault_rate = fr; return *this; }
-    Scenario& with_removal_ti(double ti) { engine.trust.removal_ti = ti; return *this; }
-    Scenario& with_t_out(double t) { engine.t_out = t; return *this; }
-    Scenario& with_channel_drop(double p) { channel.drop_probability = p; return *this; }
-    Scenario& with_pct_faulty(double pct) {
-        binary.pct_faulty = pct;
-        location.pct_faulty = pct;
-        return *this;
-    }
-    Scenario& with_events(std::size_t n) {
-        binary.events = n;
-        location.events = n;
-        return *this;
-    }
-    Scenario& with_campaign(inject::CampaignSpec spec) {
-        campaign = std::move(spec);
-        return *this;
-    }
-    Scenario& with_recorder(obs::Recorder* rec) { recorder = rec; return *this; }
-    Scenario& with_check_mode(check::Mode m) { check.mode = m; return *this; }
-
     /// The trust parameters a run actually uses: resolves the binary-kind
     /// "fault_rate tracks NER" sentinel.
     core::TrustParams effective_trust() const;
@@ -179,12 +152,22 @@ struct Scenario {
 /// keep_decisions) as one JSON object.
 void write_json(const Scenario& scenario, obs::json::Writer& w);
 
-/// Rebuilds a scenario from the write_json() shape; missing keys keep the
-/// kind's defaults. Throws std::runtime_error, naming the key, on a
-/// non-object section, a value of the wrong type, a count that is
-/// negative, fractional or out of its field's range, or an unknown
-/// kind/policy/fault_level/check mode name.
+/// Overwrites the fields that `v` (a write_json() document or any part of
+/// it) names. Throws std::runtime_error naming the field's path on an
+/// unknown field, a wrong type, a count that is negative, fractional or
+/// out of range, or an unknown kind/policy/fault_level/check mode name.
+void apply_json(Scenario& scenario, const obs::json::Value& v);
+
+/// The kind's defaults, then apply_json(v).
 Scenario scenario_from_json(const obs::json::Value& v);
+
+/// The apply_json() overlay `path=value` tokens spell: `a.b=0.2` is
+/// {"a": {"b": 0.2}}. A value is true/false, else a number if all of it is
+/// one (nan and inf too), else a string; a later token for a path wins.
+/// Throws std::runtime_error on a token without a path, one nested deeper
+/// than obs::json::kMaxDepth, or one whose path runs through another's
+/// value (engine.trust=1 beside engine.trust.lambda=0.2).
+obs::json::Value overlay_from_tokens(const std::vector<std::string>& tokens);
 
 /// Convenience: full JSON text round-trip.
 std::string to_json(const Scenario& scenario);

@@ -134,6 +134,7 @@ CampaignSpec campaign_from_json(const obs::json::Value& v) {
         d.read("delay_jitter", w.delay_jitter);
         d.read("reorder_probability", w.reorder_probability);
         d.read("reorder_hold", w.reorder_hold);
+        d.reject_unread();
         spec.degradations.push_back(w);
     }
     for (const auto& f : root.objects("failovers")) {
@@ -141,12 +142,14 @@ CampaignSpec campaign_from_json(const obs::json::Value& v) {
         f.read("kill_at", fo.kill_at);
         f.read("recover_at", fo.recover_at);
         f.read("warm_handoff", fo.warm_handoff);
+        f.reject_unread();
         spec.failovers.push_back(fo);
     }
     for (const auto& c : root.objects("compromises")) {
         CompromiseOnset onset;
         c.read("at", onset.at);
         c.read("target_pct", onset.target_pct);
+        c.reject_unread();
         spec.compromises.push_back(onset);
     }
     for (const auto& s : root.objects("fault_shifts")) {
@@ -154,8 +157,10 @@ CampaignSpec campaign_from_json(const obs::json::Value& v) {
         s.read("at", shift.at);
         s.read("missed_alarm_rate", shift.missed_alarm_rate);
         s.read("false_alarm_rate", shift.false_alarm_rate);
+        s.reject_unread();
         spec.fault_shifts.push_back(shift);
     }
+    root.reject_unread();
     return spec;
 }
 

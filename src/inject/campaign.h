@@ -79,8 +79,8 @@ struct CampaignSpec {
 /// Serializes a spec as one JSON object ({"degradations": [...], ...}).
 void write_json(const CampaignSpec& spec, obs::json::Writer& w);
 
-/// Rebuilds a spec from the write_json() shape. Unknown keys are ignored;
-/// missing keys default. Throws std::runtime_error, naming the key, on a
+/// Rebuilds a spec from the write_json() shape; missing keys default.
+/// Throws std::runtime_error, naming the key, on an unknown key, a
 /// non-object spec or entry, a section that is not an array, or a value
 /// of the wrong type.
 CampaignSpec campaign_from_json(const obs::json::Value& v);

@@ -1,5 +1,6 @@
 #include "obs/json.h"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -33,6 +34,21 @@ bool Value::bool_or(const std::string& key, bool dflt) const {
     return v && v->is_bool() ? v->as_bool() : dflt;
 }
 
+std::optional<Value> parse_number(std::string_view text) {
+    double d = 0.0;
+    const auto res = std::from_chars(text.data(), text.data() + text.size(), d);
+    if (res.ec != std::errc{} || res.ptr != text.data() + text.size()) return std::nullopt;
+    Value v(d);
+    // Below 2^53 a double holds every integer; above, compare its exact
+    // decimal expansion with the text.
+    if (std::isfinite(d) && std::fabs(d) >= 0x1p53) {
+        char buf[400];
+        const auto r = std::to_chars(buf, buf + sizeof buf, d, std::chars_format::fixed, 0);
+        v.exact_ = text == std::string_view(buf, static_cast<std::size_t>(r.ptr - buf));
+    }
+    return v;
+}
+
 // ---- Strict configuration reads ----
 
 Fields::Fields(const Value& object, std::string context, std::string path)
@@ -51,24 +67,31 @@ void Fields::reject(const std::string& key, const std::string& what) const {
     throw std::runtime_error(context_ + ": " + name(key) + " must be " + what);
 }
 
+const Value* Fields::find(const char* key) const {
+    const Value* v = object_->find(key);
+    if (v) read_.push_back(v);
+    return v;
+}
+
+void Fields::reject_unread() const {
+    for (const auto& [key, member] : object_->as_object()) {
+        if (std::find(read_.begin(), read_.end(), &member) == read_.end()) {
+            throw std::runtime_error(context_ + ": unknown field " + name(key));
+        }
+    }
+}
+
 void Fields::read(const char* key, double& out) const {
-    if (const Value* v = object_->find(key)) {
+    if (const Value* v = find(key)) {
         if (!v->is_number()) reject(key, "a number");
         out = v->as_number();
     }
 }
 
 void Fields::read(const char* key, bool& out) const {
-    if (const Value* v = object_->find(key)) {
+    if (const Value* v = find(key)) {
         if (!v->is_bool()) reject(key, "true or false");
         out = v->as_bool();
-    }
-}
-
-void Fields::read(const char* key, std::string& out) const {
-    if (const Value* v = object_->find(key)) {
-        if (!v->is_string()) reject(key, "a string");
-        out = v->as_string();
     }
 }
 
@@ -78,24 +101,25 @@ double Fields::count(const std::string& key, const Value& v, double max) const {
     if (!(x >= 0.0 && x == std::floor(x))) {
         reject(key, "a non-negative integer, got " + number_to_string(x));
     }
-    // Doubles round the 64-bit maxima up to 2^64, which itself overflows.
-    const bool exclusive = max >= 18446744073709551615.0;
-    if (exclusive ? x >= max : x > max) {
-        reject(key, std::string(exclusive ? "below " : "at most ") + number_to_string(max) +
-                        ", got " + number_to_string(x));
+    // Past 2^53 a double skips integers, so a larger count may have been
+    // rounded on the way in.
+    const double limit = std::min(max, 0x1p53);
+    if (x > limit || !v.exact()) {
+        reject(key, "at most " + number_to_string(limit) +
+                        (v.exact() ? ", got " + number_to_string(x) : std::string()));
     }
     return x;
 }
 
 std::optional<Fields> Fields::object(const char* key) const {
-    const Value* v = object_->find(key);
+    const Value* v = find(key);
     if (!v) return std::nullopt;
     return Fields(*v, context_, name(key));
 }
 
 std::vector<Fields> Fields::objects(const char* key) const {
     std::vector<Fields> out;
-    const Value* v = object_->find(key);
+    const Value* v = find(key);
     if (!v) return out;
     if (!v->is_array()) reject(key, "an array of objects");
     const Array& items = v->as_array();
@@ -438,10 +462,9 @@ class Parser {
             }
         }
         if (pos_ == start) fail("expected a value");
-        double out = 0.0;
-        const auto res = std::from_chars(text_.data() + start, text_.data() + pos_, out);
-        if (res.ec != std::errc{} || res.ptr != text_.data() + pos_) fail("bad number");
-        return Value(out);
+        std::optional<Value> out = json::parse_number(text_.substr(start, pos_ - start));
+        if (!out) fail("bad number");
+        return std::move(*out);
     }
 
     std::string_view text_;

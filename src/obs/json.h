@@ -22,8 +22,8 @@ class Value;
 using Array = std::vector<Value>;
 using Object = std::map<std::string, Value>;
 
-/// A parsed JSON value. Numbers are always doubles (tibfit's artifacts
-/// never need 64-bit-exact integers above 2^53).
+/// A parsed JSON value. Numbers are always doubles; a count above 2^53,
+/// which a double cannot hold exactly, is refused by Fields.
 class Value {
   public:
     using Data = std::variant<std::nullptr_t, bool, double, std::string, Array, Object>;
@@ -49,6 +49,11 @@ class Value {
     const std::string& as_string() const { return std::get<std::string>(data_); }
     const Array& as_array() const { return std::get<Array>(data_); }
     const Object& as_object() const { return std::get<Object>(data_); }
+    Object& as_object() { return std::get<Object>(data_); }
+
+    /// False for a number read from text it does not hold exactly
+    /// (2^53 + 1 reads as 2^53).
+    bool exact() const { return exact_; }
 
     /// Object member lookup; nullptr if absent or not an object.
     const Value* find(const std::string& key) const;
@@ -59,13 +64,19 @@ class Value {
     bool bool_or(const std::string& key, bool dflt) const;
 
   private:
+    friend std::optional<Value> parse_number(std::string_view text);
+
     Data data_;
+    bool exact_ = true;
 };
 
 /// Deepest container nesting parse() accepts. tibfit's own documents
 /// nest a handful of levels; the limit keeps hostile input from
 /// exhausting the stack of the recursive parser.
 inline constexpr std::size_t kMaxDepth = 128;
+
+/// The number all of `text` spells (std::from_chars: "nan", "inf" too).
+std::optional<Value> parse_number(std::string_view text);
 
 /// Parses one complete JSON document. Throws std::runtime_error with a
 /// byte offset on malformed input, on trailing garbage and on nesting
@@ -75,10 +86,11 @@ Value parse(std::string_view text);
 /// Strict typed reads of one object's members, for configuration
 /// documents (scenarios, campaigns). A missing member leaves its target
 /// unchanged. A member of the wrong type, a count that is negative, not
-/// an integer or beyond its type's range, or a section that is not an
-/// object (or array of objects) throws std::runtime_error naming the
-/// member by its path, e.g. "scenario: binary.n_nodes must be a
-/// non-negative integer, got -1".
+/// an integer or beyond its type's range or 2^53, or a section that is
+/// not an object (or array of objects) throws std::runtime_error naming
+/// the member by its path, e.g. "scenario: binary.n_nodes must be a
+/// non-negative integer, got -1". Every lookup marks its member read, so
+/// reject_unread() can refuse a member no reader asked for.
 class Fields {
   public:
     /// `context` prefixes every message; `path` locates `object` in the
@@ -87,32 +99,37 @@ class Fields {
 
     void read(const char* key, double& out) const;
     void read(const char* key, bool& out) const;
-    void read(const char* key, std::string& out) const;
     template <typename Unsigned>
     void read_count(const char* key, Unsigned& out) const {
-        if (const Value* v = object_->find(key)) {
+        if (const Value* v = find(key)) {
             out = static_cast<Unsigned>(
                 count(key, *v, static_cast<double>(std::numeric_limits<Unsigned>::max())));
         }
     }
 
     /// The raw member `key`, or nullptr if absent.
-    const Value* find(const char* key) const { return object_->find(key); }
+    const Value* find(const char* key) const;
     /// The member section `key`, if present.
     std::optional<Fields> object(const char* key) const;
     /// The elements of the member array `key` (none if absent).
     std::vector<Fields> objects(const char* key) const;
 
+    /// Throws "<context>: unknown field <path>" for the first member no
+    /// lookup above asked for: a mistyped key is refused, not ignored.
+    void reject_unread() const;
+    /// Throws "<context>: <path> must be <what>".
+    [[noreturn]] void reject(const std::string& key, const std::string& what) const;
+
   private:
     std::string name(const std::string& key) const;
-    [[noreturn]] void reject(const std::string& key, const std::string& what) const;
-    /// A finite integral value in [0, max], else reject. `max` rounds up
-    /// to a power of two for 64-bit types, so the bound is exclusive there.
+    /// A finite integral value in [0, min(max, 2^53)] that its text spelled
+    /// exactly, else reject.
     double count(const std::string& key, const Value& v, double max) const;
 
     const Value* object_;
     std::string context_;
     std::string path_;
+    mutable std::vector<const Value*> read_;  ///< members looked up so far
 };
 
 /// JSON string escaping (quotes not included).

@@ -34,10 +34,6 @@ const Config::Value* Config::find(const std::string& key) const {
 
 namespace {
 
-[[noreturn]] void missing(const std::string& key) {
-    throw std::out_of_range("Config: missing required key '" + key + "'");
-}
-
 [[noreturn]] void wrong_type(const std::string& key) {
     throw std::out_of_range("Config: key '" + key + "' has wrong type");
 }
@@ -80,23 +76,6 @@ std::string Config::get_string(const std::string& key, const std::string& dflt) 
     if (!v) return dflt;
     if (auto* s = std::get_if<std::string>(v)) return *s;
     wrong_type(key);
-}
-
-bool Config::require_bool(const std::string& key) const {
-    if (!has(key)) missing(key);
-    return get_bool(key, false);
-}
-long Config::require_int(const std::string& key) const {
-    if (!has(key)) missing(key);
-    return get_int(key, 0);
-}
-double Config::require_double(const std::string& key) const {
-    if (!has(key)) missing(key);
-    return get_double(key, 0.0);
-}
-std::string Config::require_string(const std::string& key) const {
-    if (!has(key)) missing(key);
-    return get_string(key, {});
 }
 
 bool Config::parse_assignment(const std::string& token) {

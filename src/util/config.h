@@ -1,6 +1,6 @@
-// Typed key=value parameter sets. Experiments are specified as Config
-// objects; benches construct them in code and examples can also parse them
-// from command-line `key=value` arguments.
+// Typed key=value parameter sets: a bench artifact's parameter echo and
+// the examples' own knobs. Experiments themselves are exp::Scenario, whose
+// fields the command line sets by path (exp::overlay_from_tokens).
 #pragma once
 
 #include <cstddef>
@@ -12,11 +12,9 @@
 
 namespace tibfit::util {
 
-/// A flat bag of named parameters with typed accessors.
-///
-/// Lookups of missing keys with a default return the default; lookups via
-/// `require_*` throw std::out_of_range, which turns configuration typos into
-/// immediate failures instead of silently simulating the wrong system.
+/// A flat bag of named parameters with typed accessors. Lookups of missing
+/// keys return the default; a value of the wrong type throws
+/// std::out_of_range.
 class Config {
   public:
     using Value = std::variant<bool, long, double, std::string>;
@@ -30,8 +28,6 @@ class Config {
     Config& set(const std::string& key, const char* v);
     Config& set(const std::string& key, std::string v);
 
-    bool has(const std::string& key) const { return values_.count(key) != 0; }
-
     bool get_bool(const std::string& key, bool dflt) const;
     long get_int(const std::string& key, long dflt) const;
     /// A count knob (events, runs, node counts, seeds): get_int, except
@@ -40,11 +36,6 @@ class Config {
     std::size_t get_count(const std::string& key, std::size_t dflt) const;
     double get_double(const std::string& key, double dflt) const;
     std::string get_string(const std::string& key, const std::string& dflt) const;
-
-    bool require_bool(const std::string& key) const;
-    long require_int(const std::string& key) const;
-    double require_double(const std::string& key) const;
-    std::string require_string(const std::string& key) const;
 
     /// Parses a `key=value` token; the value is interpreted as bool
     /// ("true"/"false"), integer, double, or string — first parse that

@@ -59,14 +59,19 @@ TEST(InvariantTest, ScopeRestoresPreviousAction) {
 // check::Mode plumbing
 
 TEST(CheckConfigTest, ModeNamesRoundTrip) {
-    EXPECT_EQ(check::mode_from_name("off"), check::Mode::Off);
-    EXPECT_EQ(check::mode_from_name("shadow"), check::Mode::Shadow);
-    EXPECT_EQ(check::mode_from_name("assert"), check::Mode::Assert);
-    EXPECT_THROW(check::mode_from_name("verify"), std::runtime_error);
+    for (const check::Mode m : {check::Mode::Off, check::Mode::Shadow, check::Mode::Assert}) {
+        exp::Scenario s = exp::Scenario::binary_defaults();
+        s.check.mode = m;
+        EXPECT_EQ(exp::scenario_from_json_text(exp::to_json(s)).check.mode, m)
+            << check::mode_name(m);
+    }
+    EXPECT_THROW(exp::scenario_from_json_text(R"({"check": {"mode": "verify"}})"),
+                 std::runtime_error);
 }
 
 TEST(CheckConfigTest, ScenarioSerializesCheckMode) {
-    exp::Scenario s = exp::Scenario::binary_defaults().with_check_mode(check::Mode::Shadow);
+    exp::Scenario s = exp::Scenario::binary_defaults();
+    s.check.mode = check::Mode::Shadow;
     const exp::Scenario back = exp::scenario_from_json_text(exp::to_json(s));
     EXPECT_EQ(back.check.mode, check::Mode::Shadow);
     // A scenario JSON without a "check" block stays off.
@@ -339,11 +344,11 @@ TEST(ShadowArbiterTest, AssertModeThrowsOnDivergence) {
 // Full-scenario smokes through the exp layer
 
 TEST(CheckScenarioTest, BinaryShadowRunIsDivergenceFree) {
-    exp::Scenario s = exp::Scenario::binary_defaults()
-                          .with_seed(20050628)
-                          .with_events(60)
-                          .with_pct_faulty(0.6)
-                          .with_check_mode(check::Mode::Shadow);
+    exp::Scenario s = exp::Scenario::binary_defaults();
+    s.seed = 20050628;
+    s.binary.events = 60;
+    s.binary.pct_faulty = 0.6;
+    s.check.mode = check::Mode::Shadow;
     const auto r = exp::run_binary_experiment(s);
     EXPECT_GT(r.checked_decisions, 0u);
     EXPECT_EQ(r.oracle_divergences, 0u);
@@ -351,11 +356,11 @@ TEST(CheckScenarioTest, BinaryShadowRunIsDivergenceFree) {
 }
 
 TEST(CheckScenarioTest, LocationShadowRunIsDivergenceFree) {
-    exp::Scenario s = exp::Scenario::location_defaults()
-                          .with_seed(20050628)
-                          .with_events(40)
-                          .with_pct_faulty(0.4)
-                          .with_check_mode(check::Mode::Shadow);
+    exp::Scenario s = exp::Scenario::location_defaults();
+    s.seed = 20050628;
+    s.location.events = 40;
+    s.location.pct_faulty = 0.4;
+    s.check.mode = check::Mode::Shadow;
     const auto r = exp::run_location_experiment(s);
     EXPECT_GT(r.checked_decisions, 0u);
     EXPECT_EQ(r.oracle_divergences, 0u);
@@ -363,20 +368,22 @@ TEST(CheckScenarioTest, LocationShadowRunIsDivergenceFree) {
 }
 
 TEST(CheckScenarioTest, OffModeReportsNothing) {
-    exp::Scenario s = exp::Scenario::binary_defaults().with_seed(7).with_events(20);
+    exp::Scenario s = exp::Scenario::binary_defaults();
+    s.seed = 7;
+    s.binary.events = 20;
     const auto r = exp::run_binary_experiment(s);
     EXPECT_EQ(r.checked_decisions, 0u);
     EXPECT_EQ(r.oracle_divergences, 0u);
 }
 
 TEST(CheckScenarioTest, ShadowDoesNotPerturbResults) {
-    exp::Scenario s = exp::Scenario::binary_defaults()
-                          .with_seed(20050628)
-                          .with_events(60)
-                          .with_pct_faulty(0.6);
+    exp::Scenario s = exp::Scenario::binary_defaults();
+    s.seed = 20050628;
+    s.binary.events = 60;
+    s.binary.pct_faulty = 0.6;
     const auto plain = exp::run_binary_experiment(s);
-    const auto shadowed =
-        exp::run_binary_experiment(exp::Scenario(s).with_check_mode(check::Mode::Shadow));
+    s.check.mode = check::Mode::Shadow;
+    const auto shadowed = exp::run_binary_experiment(s);
     EXPECT_EQ(plain.accuracy, shadowed.accuracy);
     EXPECT_EQ(plain.detected, shadowed.detected);
     EXPECT_EQ(plain.mean_ti_correct, shadowed.mean_ti_correct);

@@ -28,14 +28,6 @@ TEST(Config, IntPromotesToDouble) {
     EXPECT_DOUBLE_EQ(c.get_double("n", 0.0), 10.0);
 }
 
-TEST(Config, RequireThrowsOnMissing) {
-    Config c;
-    EXPECT_THROW(c.require_int("nope"), std::out_of_range);
-    EXPECT_THROW(c.require_double("nope"), std::out_of_range);
-    EXPECT_THROW(c.require_bool("nope"), std::out_of_range);
-    EXPECT_THROW(c.require_string("nope"), std::out_of_range);
-}
-
 TEST(Config, WrongTypeThrows) {
     Config c;
     c.set("s", "text");

@@ -1,15 +1,22 @@
 // exp::Scenario contract tests: the validate() rejection table, the JSON
-// round-trip and its rejection of malformed values, and the fluent builder.
+// round-trip and its rejection of malformed values and unknown fields, and
+// the path=value overlay that benches and tibfit_cli apply.
 #include "exp/scenario.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cctype>
+#include <cmath>
+#include <fstream>
 #include <limits>
+#include <sstream>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "exp/bench_io.h"
+#include "inject/campaign.h"
 #include "obs/json.h"
 
 namespace tibfit::exp {
@@ -150,29 +157,6 @@ TEST(Scenario, NegativeTxJitterIsAccepted) {
     EXPECT_TRUE(s.validate().empty());
 }
 
-TEST(Scenario, FluentBuilderComposes) {
-    Scenario s = Scenario::binary_defaults()
-                     .with_seed(77)
-                     .with_policy(core::DecisionPolicy::MajorityVote)
-                     .with_lambda(0.5)
-                     .with_fault_rate(0.02)
-                     .with_removal_ti(0.1)
-                     .with_t_out(2.0)
-                     .with_channel_drop(0.05)
-                     .with_pct_faulty(0.3)
-                     .with_events(42);
-    EXPECT_EQ(s.seed, 77u);
-    EXPECT_EQ(s.engine.policy, core::DecisionPolicy::MajorityVote);
-    EXPECT_EQ(s.engine.trust.lambda, 0.5);
-    EXPECT_EQ(s.engine.trust.fault_rate, 0.02);
-    EXPECT_EQ(s.engine.trust.removal_ti, 0.1);
-    EXPECT_EQ(s.engine.t_out, 2.0);
-    EXPECT_EQ(s.channel.drop_probability, 0.05);
-    EXPECT_EQ(s.binary.pct_faulty, 0.3);
-    EXPECT_EQ(s.location.pct_faulty, 0.3);
-    EXPECT_EQ(s.binary.events, 42u);
-}
-
 TEST(Scenario, EffectiveTrustResolvesNerSentinel) {
     Scenario s = Scenario::binary_defaults();
     s.faults.natural_error_rate = 0.05;
@@ -249,11 +233,13 @@ TEST(Scenario, FromJsonRejectionTable) {
         // Negative, fractional and out-of-range counts.
         {R"({"binary": {"n_nodes": -1}})", "binary.n_nodes must be a non-negative integer"},
         {R"({"binary": {"n_nodes": 2.5}})", "binary.n_nodes must be a non-negative integer"},
-        {R"({"binary": {"events": 1e300}})", "binary.events must be below"},
+        {R"({"binary": {"events": 1e300}})", "binary.events must be at most 9007199254740992"},
         {R"({"transport": {"ttl": 256}})", "transport.ttl must be at most 255"},
         {R"({"transport": {"max_retries": 4294967296}})", "transport.max_retries must be at most"},
         {R"({"seed": -3})", "seed must be a non-negative integer"},
-        {R"({"seed": 18446744073709551616})", "seed must be below"},
+        {R"({"seed": 18446744073709551616})", "seed must be at most 9007199254740992"},
+        // 2^53 + 1 parses to the double 2^53; refused, not rounded.
+        {R"({"seed": 9007199254740993})", "seed must be at most 9007199254740992"},
         {R"({"kind": "location", "location": {"burst": -2}})", "location.burst"},
         {R"({"kind": "location", "location": {"decay_epoch_events": 0.5}})",
          "location.decay_epoch_events"},
@@ -272,6 +258,13 @@ TEST(Scenario, FromJsonRejectionTable) {
         {R"({"binary": [1]})", "binary must be a JSON object"},
         {R"({"engine": {"trust": "strict"}})", "engine.trust must be a JSON object"},
         {R"({"campaign": {"degradations": {}}})", "degradations must be an array of objects"},
+        // Unknown names and fields: a typo is refused by its path.
+        {R"({"engine": {"policy": "basline"}})",
+         "engine.policy must be one of trust_index, majority_vote, got 'basline'"},
+        {R"({"engine": {"trust": {"lamda": 0.9}}})", "unknown field engine.trust.lamda"},
+        {R"({"binry": {"events": 5}})", "unknown field binry"},
+        {R"({"campaign": {"degradations": [{"start": 1, "extra_dorp": 0.5}]}})",
+         "unknown field degradations[0].extra_dorp"},
     };
     for (const Case& c : cases) {
         try {
@@ -282,6 +275,118 @@ TEST(Scenario, FromJsonRejectionTable) {
                 << c.json << " -> " << e.what();
         }
     }
+}
+
+// 2^53 is the largest count a JSON number carries exactly.
+TEST(Scenario, SeedRoundTripsExactlyAt2To53) {
+    Scenario s = Scenario::binary_defaults();
+    s.seed = 9007199254740992u;
+    EXPECT_EQ(scenario_from_json_text(to_json(s)).seed, 9007199254740992u);
+}
+
+// The committed documents hold exactly the schema's fields.
+TEST(Scenario, CommittedDocumentsLoadUnchanged) {
+    const auto text = [](const std::string& relative) {
+        std::ifstream in(std::string(TIBFIT_SOURCE_DIR) + "/" + relative);
+        std::ostringstream os;
+        os << in.rdbuf();
+        EXPECT_FALSE(os.str().empty()) << relative;
+        return os.str();
+    };
+    for (const char* name : {"fig4_fanout", "collusion_burst_shadow", "binary_failover"}) {
+        std::string doc = text(std::string("tibbench/workloads/") + name + ".json");
+        while (!doc.empty() && std::isspace(static_cast<unsigned char>(doc.back()))) doc.pop_back();
+        EXPECT_EQ(to_json(scenario_from_json_text(doc)), doc) << name;
+    }
+    const inject::CampaignSpec spec =
+        inject::campaign_from_json(obs::json::parse(text("ci/campaign_smoke.json")));
+    EXPECT_EQ(spec.degradations.size(), 1u);
+    EXPECT_EQ(spec.failovers.size(), 1u);
+    EXPECT_EQ(spec.compromises.size(), 1u);
+    EXPECT_EQ(spec.fault_shifts.size(), 1u);
+}
+
+TEST(Scenario, OverlayTypesValuesAndNestsPaths) {
+    const obs::json::Value v = overlay_from_tokens(
+        {"engine.trust.lambda=0.2", "binary.use_shadows=true", "engine.policy=majority_vote",
+         "seed=12", "channel.airtime=nan", "seed=13"});
+    const obs::json::Value* trust = v.find("engine")->find("trust");
+    ASSERT_NE(trust, nullptr);
+    EXPECT_EQ(trust->find("lambda")->as_number(), 0.2);
+    EXPECT_TRUE(v.find("binary")->find("use_shadows")->as_bool());
+    EXPECT_EQ(v.find("engine")->find("policy")->as_string(), "majority_vote");
+    EXPECT_EQ(v.find("seed")->as_number(), 13.0);  // the later token wins
+    EXPECT_TRUE(std::isnan(v.find("channel")->find("airtime")->as_number()));
+}
+
+TEST(Scenario, OverlayRejectsConflictingAndMalformedTokens) {
+    EXPECT_THROW(overlay_from_tokens({"engine.trust=1", "engine.trust.lambda=0.2"}),
+                 std::runtime_error);
+    EXPECT_THROW(overlay_from_tokens({"engine.trust.lambda=0.2", "engine.trust=1"}),
+                 std::runtime_error);
+    EXPECT_THROW(overlay_from_tokens({"lambda"}), std::runtime_error);
+    std::string deep = "a";
+    for (std::size_t i = 0; i < obs::json::kMaxDepth; ++i) deep += ".a";
+    EXPECT_THROW(overlay_from_tokens({deep + "=1"}), std::runtime_error);
+    EXPECT_THROW(overlay_from_tokens({"=0.2"}), std::runtime_error);
+}
+
+// apply_json merges onto an existing scenario: fields the overlay does not
+// name keep their values, and every walk() field is reachable by path.
+TEST(Scenario, ApplyJsonMergesOntoExistingScenario) {
+    Scenario s = Scenario::location_defaults();
+    s.location.events = 77;
+    apply_json(s, overlay_from_tokens({"mobility.pause=2.5", "location.fault_level=level2",
+                                       "engine.trust.lambda=0.4", "seed=9007199254740992"}));
+    EXPECT_EQ(s.mobility.pause, 2.5);
+    EXPECT_EQ(s.location.fault_level, sensor::NodeClass::Level2);
+    EXPECT_EQ(s.engine.trust.lambda, 0.4);
+    EXPECT_EQ(s.seed, 9007199254740992u);
+    EXPECT_EQ(s.location.events, 77u);
+    EXPECT_EQ(s.kind, Scenario::Kind::Location);
+    EXPECT_EQ(s.engine.trust.removal_ti, Scenario::location_defaults().engine.trust.removal_ti);
+
+    const auto message = [&](const std::vector<std::string>& tokens) {
+        try {
+            apply_json(s, overlay_from_tokens(tokens));
+        } catch (const std::runtime_error& e) {
+            return std::string(e.what());
+        }
+        return std::string("accepted");
+    };
+    EXPECT_EQ(message({"lamda=0.9"}), "scenario: unknown field lamda");
+    EXPECT_EQ(message({"location.events=-3"}),
+              "scenario: location.events must be a non-negative integer, got -3");
+    EXPECT_EQ(message({"seed=9007199254740993"}),
+              "scenario: seed must be at most 9007199254740992");
+    EXPECT_EQ(message({"location.fault_level=7"}),
+              "scenario: location.fault_level must be a string, one of correct, level0, level1, "
+              "level2");
+}
+
+// A bench's key=value tokens that are neither declared options nor runs=
+// reach its base scenario by path.
+TEST(BenchIo, ApplyOverridesScenarioFieldsByPath) {
+    const char* argv[] = {"bench_x", "mobility.pause=2.5", "runs=3", "degrade=0.1", "seed=9"};
+    BenchIo io("bench_x", 5, const_cast<char**>(argv));
+    EXPECT_EQ(io.option("degrade", 0.45, "a bench knob"), 0.1);
+    Scenario s = Scenario::binary_defaults();
+    io.apply(s);
+    EXPECT_EQ(s.mobility.pause, 2.5);
+    EXPECT_EQ(s.seed, 9u);
+    EXPECT_EQ(io.trial_runs(7), 3u);
+}
+
+// The reader accepts location.events=0; validate() refuses it.
+TEST(BenchIoDeathTest, ApplyExitsTwoOnInvalidScenario) {
+    const auto apply = [] {
+        const char* argv[] = {"bench_x", "location.events=0"};
+        BenchIo io("bench_x", 2, const_cast<char**>(argv));
+        Scenario s = Scenario::location_defaults();
+        io.apply(s);
+    };
+    EXPECT_EXIT(apply(), ::testing::ExitedWithCode(2),
+                "bench_x: scenario: location events must be >= 1");
 }
 
 TEST(Scenario, FromJsonAcceptsCountLimits) {
