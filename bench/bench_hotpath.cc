@@ -14,6 +14,11 @@
 //                         (EventQueue::push_fanout) vs. the previous design,
 //                         one pushed delivery closure per receiver sharing
 //                         the packet body.
+//   prescheduled_arrivals_2000 — 2000 arrivals scheduled up front, each
+//                         setting off ~100 short timers as it fires (the
+//                         binary_failover shape): one fan-out stream, as
+//                         sensor::EventGenerator schedules its events, vs.
+//                         one pushed timer per arrival. ops are pops.
 //   cti_sum             — core::TrustManager::cumulative_ti (dense cells,
 //                         memoised exp) vs. unordered_map + exp per query.
 //   neighbour_query_*   — util::SpatialGrid::query_within vs. the O(N)
@@ -54,6 +59,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <functional>
 #include <iostream>
 #include <memory>
@@ -441,6 +447,75 @@ double broadcast_drain(std::size_t rounds, std::size_t parked, BroadcastShape& s
     return now;
 }
 
+/// Pre-scheduled arrivals drained under churn, binary_failover's shape:
+/// `arrivals` arrivals one `interval` apart are all scheduled up front, and
+/// each one that fires starts `chains` chains of `depth` short timers (the
+/// reports, windows and retransmits an event sets off). Every pop folds its
+/// time and tag into an FNV-1a hash, so both designs must pop in exactly
+/// the same order.
+class ArrivalDrain {
+  public:
+    ArrivalDrain(std::size_t chains, std::size_t depth, const std::vector<double>& delays)
+        : chains_(chains), depth_(depth), delays_(delays) {}
+
+    /// The previous design: one timer per arrival.
+    void schedule_timers(std::size_t arrivals, double interval) {
+        for (std::size_t i = 0; i < arrivals; ++i) {
+            sim_.schedule_at(interval * static_cast<double>(i), [this, i] { arrive(i); });
+        }
+    }
+
+    /// The stream design, as sensor::EventGenerator schedules its events.
+    void schedule_stream(std::size_t arrivals, double interval) {
+        std::vector<sim::FanoutItem> items;
+        for (std::size_t i = 0; i < arrivals; ++i) {
+            items.push_back(
+                sim::FanoutItem{interval * static_cast<double>(i), this, static_cast<double>(i)});
+        }
+        sim_.schedule_fanout(
+            [](void*, void* drain, double i) {
+                static_cast<ArrivalDrain*>(drain)->arrive(static_cast<std::size_t>(i));
+            },
+            nullptr, items);
+    }
+
+    /// Drains the queue; returns the pop-order hash (exact in a double).
+    double drain() {
+        sim_.run();
+        return static_cast<double>(hash_ >> 11);
+    }
+
+  private:
+    void fold(std::uint64_t tag) {
+        std::uint64_t bits = 0;
+        const double now = sim_.now();
+        std::memcpy(&bits, &now, sizeof bits);
+        hash_ = (hash_ ^ bits) * 1099511628211ull;
+        hash_ = (hash_ ^ tag) * 1099511628211ull;
+    }
+
+    void arrive(std::size_t i) {
+        fold(i);
+        for (std::size_t c = 0; c < chains_; ++c) tick((i * chains_ + c) << 8, depth_);
+    }
+
+    void tick(std::uint64_t tag, std::size_t left) {
+        if (left == 0) return;
+        const double delay = delays_[next_delay_++ & (kTimesSize - 1)];
+        sim_.schedule(delay, [this, tag, left] {
+            fold(tag + left);
+            tick(tag, left - 1);
+        });
+    }
+
+    sim::Simulator sim_;
+    std::size_t chains_;
+    std::size_t depth_;
+    const std::vector<double>& delays_;
+    std::size_t next_delay_ = 0;
+    std::uint64_t hash_ = 14695981039346656037ull;
+};
+
 template <typename Trust>
 double cti_sum(Trust& trust, const std::vector<core::NodeId>& nodes, std::size_t iters) {
     double acc = 0.0;
@@ -717,8 +792,9 @@ int main(int argc, char** argv) {
 
     // Batch = events pending at once. At 32, per-event allocation — the
     // thing the arena removes — dominates heap reheapification. (The
-    // simulator's traced queues are deeper: 646 events for fig4_fanout,
-    // 4018 for binary_failover.)
+    // simulator's traced queues hold more events, 646 for fig4_fanout and
+    // 4018 for binary_failover, but fan-outs keep its heap at a few dozen
+    // entries.)
     const std::size_t kQueueRounds = scaled(static_cast<std::size_t>(
         std::max(1L, io.params().get_int("queue_rounds", 16000))));
     const std::size_t kQueueBatch = static_cast<std::size_t>(
@@ -787,6 +863,33 @@ int main(int argc, char** argv) {
         const auto [legacy, opt] = time_pair(ops, [&] { return run(send_per_delivery); },
                                              [&] { return run(send_fanout); });
         ok = report.pair("broadcast_fanout_105", ops, legacy, opt) && ok;
+    }
+
+    // --- Pre-scheduled arrivals ----------------------------------------------
+    {
+        // binary_failover's shape: 2000 events 10 s apart, each setting off
+        // about 100 short-lived events (8 chains of 12).
+        constexpr std::size_t kArrivals = 2000, kChains = 8, kDepth = 12;
+        constexpr double kInterval = 10.0;
+        util::Rng stream = rng.stream("arrivals");
+        std::vector<double> delays(kTimesSize);
+        for (double& d : delays) d = stream.uniform(0.0, 0.05);
+        const std::size_t drains = scaled(4);
+        const std::size_t ops = drains * kArrivals * (1 + kChains * kDepth);  // pops
+        const auto run = [&](auto schedule) {
+            double acc = 0.0;
+            for (std::size_t d = 0; d < drains; ++d) {
+                ArrivalDrain drain(kChains, kDepth, delays);
+                schedule(drain);
+                acc += drain.drain();
+            }
+            return acc;
+        };
+        const auto timers = [&](ArrivalDrain& d) { d.schedule_timers(kArrivals, kInterval); };
+        const auto stream_of = [&](ArrivalDrain& d) { d.schedule_stream(kArrivals, kInterval); };
+        const auto [legacy, opt] =
+            time_pair(ops, [&] { return run(timers); }, [&] { return run(stream_of); });
+        ok = report.pair("prescheduled_arrivals_2000", ops, legacy, opt) && ok;
     }
 
     // --- CTI sum ----------------------------------------------------------

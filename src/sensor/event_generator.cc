@@ -1,6 +1,7 @@
 #include "sensor/event_generator.h"
 
 #include <algorithm>
+#include <memory>
 #include <stdexcept>
 
 namespace tibfit::sensor {
@@ -18,18 +19,23 @@ util::Vec2 EventGenerator::draw_location() const { return rng_.point_in_rect(fie
 void EventGenerator::schedule_events(std::size_t count, double interval, double start,
                                      std::size_t burst, double min_separation) {
     if (burst == 0) throw std::invalid_argument("EventGenerator: burst must be >= 1");
+    // Every location is drawn up front (deterministic order) into the
+    // stream's shared body; each event is one fan-out item whose arg is
+    // its index there.
+    auto locations = std::make_shared<std::vector<util::Vec2>>();
+    locations->reserve(count * burst);
+    staged_.clear();
     for (std::size_t i = 0; i < count; ++i) {
         const double at = start + interval * static_cast<double>(i);
-        // Draw the burst's locations now (deterministic order), enforcing
-        // pairwise separation by rejection sampling.
-        std::vector<util::Vec2> locs;
+        // Pairwise separation within the burst by rejection sampling.
+        const std::size_t first = locations->size();
         for (std::size_t b = 0; b < burst; ++b) {
             util::Vec2 loc;
             for (int attempt = 0;; ++attempt) {
                 loc = draw_location();
                 bool ok = true;
-                for (const auto& other : locs) {
-                    if (util::distance(loc, other) < min_separation) {
+                for (std::size_t k = first; k < locations->size(); ++k) {
+                    if (util::distance(loc, (*locations)[k]) < min_separation) {
                         ok = false;
                         break;
                     }
@@ -40,21 +46,32 @@ void EventGenerator::schedule_events(std::size_t count, double interval, double 
                         "EventGenerator: cannot satisfy min_separation (field too small?)");
                 }
             }
-            locs.push_back(loc);
-        }
-        for (const auto& loc : locs) {
-            sim_->schedule_at(at, [this, loc] { fire_event(loc); });
-            ++scheduled_;
+            staged_.push_back(
+                sim::FanoutItem{at, this, static_cast<double>(locations->size())});
+            locations->push_back(loc);
         }
     }
+    sim_->schedule_fanout(
+        [](void* body, void* gen, double index) {
+            const auto& locs = *static_cast<const std::vector<util::Vec2>*>(body);
+            static_cast<EventGenerator*>(gen)->fire_event(locs[static_cast<std::size_t>(index)]);
+        },
+        locations, staged_);
+    scheduled_ += staged_.size();
 }
 
 void EventGenerator::schedule_quiet_windows(std::size_t count, double interval, double start,
                                             double spread) {
+    staged_.clear();
     for (std::size_t i = 0; i < count; ++i) {
-        const double at = start + interval * static_cast<double>(i);
-        sim_->schedule_at(at, [this, spread] { fire_quiet(spread); });
+        staged_.push_back(
+            sim::FanoutItem{start + interval * static_cast<double>(i), this, spread});
     }
+    sim_->schedule_fanout(
+        [](void*, void* gen, double spread_arg) {
+            static_cast<EventGenerator*>(gen)->fire_quiet(spread_arg);
+        },
+        nullptr, staged_);
 }
 
 void EventGenerator::ensure_spatial_index() {
@@ -125,14 +142,23 @@ void EventGenerator::fire_event(const util::Vec2& location) {
 void EventGenerator::fire_quiet(double spread) {
     const std::uint64_t id = next_quiet_id_++;
     if (quiet_cb_) quiet_cb_(id, sim_->now());
-    for (SensorNode* n : nodes_) {
-        if (spread > 0.0) {
-            const double jitter = rng_.uniform(0.0, spread);
-            sim_->schedule(jitter, [n, id] { n->on_quiet_window(id); });
-        } else {
-            n->on_quiet_window(id);
-        }
+    if (!(spread > 0.0)) {
+        for (SensorNode* n : nodes_) n->on_quiet_window(id);
+        return;
     }
+    // One jittered call per node, drawn in node order; the fan-out keeps
+    // the order individual timers would have had.
+    staged_.clear();
+    const double now = sim_->now();
+    for (SensorNode* n : nodes_) {
+        staged_.push_back(
+            sim::FanoutItem{now + rng_.uniform(0.0, spread), n, static_cast<double>(id)});
+    }
+    sim_->schedule_fanout(
+        [](void*, void* node, double window) {
+            static_cast<SensorNode*>(node)->on_quiet_window(static_cast<std::uint64_t>(window));
+        },
+        nullptr, staged_);
 }
 
 }  // namespace tibfit::sensor

@@ -62,16 +62,22 @@ class EventGenerator {
     /// (1 = the paper's single-event runs; >1 = Experiment 2's concurrent
     /// runs) whose locations are pairwise at least `min_separation` apart
     /// (rejection sampling; the paper requires concurrent events never
-    /// within r_error of each other).
+    /// within r_error of each other). All locations are drawn here, and the
+    /// whole call takes one queue entry (a sim fan-out) that fires each
+    /// event exactly as its own timer would have. All or nothing: if it
+    /// throws (burst 0, unsatisfiable separation, a start in the past),
+    /// nothing is scheduled and scheduled() is unchanged.
     void schedule_events(std::size_t count, double interval, double start = 0.0,
                          std::size_t burst = 1, double min_separation = 0.0);
 
     /// Schedules `count` quiet windows (potential false-alarm opportunities),
-    /// one every `interval` seconds starting at `start`. Every node gets an
+    /// one every `interval` seconds starting at `start`, as one queue entry
+    /// (all or nothing, like schedule_events). Every node gets an
     /// on_quiet_window call; each node's call is jittered by an independent
     /// uniform delay in [0, spread) so that level-0 false alarms are
     /// *uncoordinated* in time (each typically opens its own decision
-    /// window at the CH). spread = 0 fires every node simultaneously.
+    /// window at the CH). A window's jittered calls share one queue entry
+    /// too. spread = 0 fires every node simultaneously.
     void schedule_quiet_windows(std::size_t count, double interval, double start,
                                 double spread = 0.0);
 
@@ -107,6 +113,7 @@ class EventGenerator {
     double index_radius_max_ = 0.0;
     std::vector<std::size_t> candidates_;
     std::vector<std::size_t> hits_;
+    std::vector<sim::FanoutItem> staged_;  ///< fan-out items being built (reused)
     std::function<void(const GeneratedEvent&)> event_cb_;
     std::function<void(std::uint64_t, double)> quiet_cb_;
     std::vector<GeneratedEvent> history_;
