@@ -16,34 +16,38 @@ Channel::Channel(sim::Simulator& sim, util::Rng rng, ChannelParams params)
     : sim_(&sim), rng_(rng), params_(params) {}
 
 void Channel::attach(sim::Process& process, const util::Vec2& position, double radio_range) {
-    endpoints_[process.id()] = Endpoint{&process, position, radio_range, -1.0, {}, {}};
+    const sim::ProcessId id = process.id();
+    // The dense index holds one pointer per id up to the largest attached.
+    if (id >= kMaxProcessId) throw std::out_of_range("Channel::attach: process id too large");
+    Endpoint& ep = endpoints_[id] = Endpoint{&process, position, radio_range, -1.0, {}, {}};
+    if (id >= index_.size()) index_.resize(std::size_t{id} + 1, nullptr);
+    index_[id] = &ep;
     ++topology_;
 }
 
 void Channel::detach(sim::ProcessId id) {
     endpoints_.erase(id);
+    if (id < index_.size()) index_[id] = nullptr;
     ++topology_;
 }
 
 void Channel::set_position(sim::ProcessId id, const util::Vec2& position) {
-    auto it = endpoints_.find(id);
-    if (it == endpoints_.end()) throw std::out_of_range("Channel::set_position: unknown process");
-    it->second.position = position;
+    Endpoint* ep = find(id);
+    if (!ep) throw std::out_of_range("Channel::set_position: unknown process");
+    ep->position = position;
     ++topology_;
 }
 
 util::Vec2 Channel::position(sim::ProcessId id) const {
-    auto it = endpoints_.find(id);
-    if (it == endpoints_.end()) throw std::out_of_range("Channel::position: unknown process");
-    return it->second.position;
+    const Endpoint* ep = find(id);
+    if (!ep) throw std::out_of_range("Channel::position: unknown process");
+    return ep->position;
 }
 
 void Channel::set_drop_probability(sim::ProcessId id, double p) {
-    auto it = endpoints_.find(id);
-    if (it == endpoints_.end()) {
-        throw std::out_of_range("Channel::set_drop_probability: unknown process");
-    }
-    it->second.drop_override = p;
+    Endpoint* ep = find(id);
+    if (!ep) throw std::out_of_range("Channel::set_drop_probability: unknown process");
+    ep->drop_override = p;
 }
 
 void Channel::add_monitor(sim::ProcessId monitor, sim::ProcessId target) {
@@ -63,18 +67,19 @@ void Channel::remove_monitor(sim::ProcessId monitor, sim::ProcessId target) {
 }
 
 void Channel::snoop(const std::shared_ptr<Packet>& body, const Endpoint& src) {
+    if (monitors_.empty()) return;
     // Copies for monitors of either endpoint of a unicast.
     for (sim::ProcessId watched : {body->src, body->dst}) {
         auto it = monitors_.find(watched);
         if (it == monitors_.end()) continue;
         for (sim::ProcessId mon : it->second) {
             if (mon == body->src || mon == body->dst) continue;
-            auto mon_it = endpoints_.find(mon);
-            if (mon_it == endpoints_.end()) continue;
-            const double dist = util::distance(src.position, mon_it->second.position);
+            Endpoint* to = find(mon);
+            if (!to) continue;
+            const double dist = util::distance(src.position, to->position);
             if (dist > src.range) continue;
             if (rng_.chance(sender_drop_probability(src))) continue;
-            deliver(mon_it->second, body, dist);
+            deliver(*to, body, dist);
         }
     }
 }
@@ -264,18 +269,23 @@ bool Channel::transmit(Endpoint& to, const std::shared_ptr<Packet>& body, double
     return true;
 }
 
+std::shared_ptr<Packet> Channel::make_body(Packet&& packet) {
+    return std::allocate_shared<Packet>(sim::BodyAllocator<Packet>(sim_->body_pool()),
+                                        std::move(packet));
+}
+
 bool Channel::unicast(Packet packet) {
-    auto src_it = endpoints_.find(packet.src);
-    if (src_it == endpoints_.end()) throw std::out_of_range("Channel::unicast: unknown sender");
-    auto dst_it = endpoints_.find(packet.dst);
-    if (dst_it == endpoints_.end()) {
+    Endpoint* src = find(packet.src);
+    if (!src) throw std::out_of_range("Channel::unicast: unknown sender");
+    Endpoint* dst = find(packet.dst);
+    if (!dst) {
         ++out_of_range_;
         if (c_out_of_range_) c_out_of_range_->inc();
         note_drop(packet, obs::DropReason::OutOfRange);
         return false;
     }
-    const double dist = util::distance(src_it->second.position, dst_it->second.position);
-    if (dist > src_it->second.range) {
+    const double dist = util::distance(src->position, dst->position);
+    if (dist > src->range) {
         ++out_of_range_;
         if (c_out_of_range_) c_out_of_range_->inc();
         note_drop(packet, obs::DropReason::OutOfRange);
@@ -283,9 +293,9 @@ bool Channel::unicast(Packet packet) {
     }
     packet.sent_at = sim_->now();
     // One body for the delivery, every monitor copy and any duplicate.
-    auto body = std::make_shared<Packet>(std::move(packet));
-    snoop(body, src_it->second);
-    const bool sent = transmit(dst_it->second, body, dist, src_it->second);
+    auto body = make_body(std::move(packet));
+    snoop(body, *src);
+    const bool sent = transmit(*dst, body, dist, *src);
     flush(std::move(body));
     return sent;
 }
@@ -324,13 +334,13 @@ const Channel::Plan& Channel::plan_for(sim::ProcessId id, Endpoint& src) {
 }
 
 std::size_t Channel::broadcast(Packet packet) {
-    auto src_it = endpoints_.find(packet.src);
-    if (src_it == endpoints_.end()) throw std::out_of_range("Channel::broadcast: unknown sender");
-    Endpoint& src = src_it->second;
+    Endpoint* sender = find(packet.src);
+    if (!sender) throw std::out_of_range("Channel::broadcast: unknown sender");
+    Endpoint& src = *sender;
     packet.sent_at = sim_->now();
     packet.dst = kBroadcast;
     // Built once: every receiver's delivery shares this body.
-    auto body = std::make_shared<Packet>(std::move(packet));
+    auto body = make_body(std::move(packet));
 
     const Plan& plan = plan_for(body->src, src);
     out_of_range_ += plan.out_of_range;

@@ -60,7 +60,8 @@ class Channel {
 
     /// Attaches a process at a position with a radio range. A process must
     /// be attached before it can send or receive; re-attaching updates
-    /// position/range.
+    /// position/range. Throws std::out_of_range on an id of 2^20 or more
+    /// (ids are dense: node i has id i).
     void attach(sim::Process& process, const util::Vec2& position, double radio_range);
 
     /// Removes a process from the medium (failed / departed node).
@@ -186,10 +187,27 @@ class Channel {
     /// injection-free artifacts keep their historical shape).
     void resolve_injected_counters();
 
+    /// Ids at or above this are refused by attach: the dense index would
+    /// need a pointer for every id below the one attached.
+    static constexpr sim::ProcessId kMaxProcessId = sim::ProcessId{1} << 20;
+
+    /// The attached endpoint with this id, or nullptr.
+    Endpoint* find(sim::ProcessId id) const {
+        return id < index_.size() ? index_[id] : nullptr;
+    }
+    /// A shared body for one send, from the simulator's body pool.
+    std::shared_ptr<Packet> make_body(Packet&& packet);
+
     sim::Simulator* sim_;
     util::Rng rng_;
     ChannelParams params_;
+    /// Owns the endpoints. Every lookup by id goes through index_; the map
+    /// is still walked to build broadcast plans, because its order fixes
+    /// the order in which a broadcast draws its loss coins.
     std::unordered_map<sim::ProcessId, Endpoint> endpoints_;
+    /// index_[id] is endpoints_'s node for id, or nullptr if detached.
+    /// Process ids are dense, so this is a direct lookup.
+    std::vector<Endpoint*> index_;
     /// Bumped by attach, detach and set_position; a plan built at an older
     /// value is stale (and may hold dangling Endpoint pointers).
     std::uint64_t topology_ = 1;

@@ -1,5 +1,7 @@
 #include "net/transport.h"
 
+#include <utility>
+
 #include "obs/names.h"
 #include "obs/recorder.h"
 
@@ -44,31 +46,49 @@ void ReliableTransport::transmit_hop(const RelayEnvelopePayload& envelope) {
     }
     const std::uint64_t key = make_key(envelope.source, envelope.seq);
     PendingHop pending;
+    pending.key = key;
     pending.envelope = envelope;
     pending.envelope.ttl = static_cast<std::uint8_t>(envelope.ttl - 1);
     pending.next_hop = hop;
     pending.retries_left = params_.max_retries;
-    PendingHop& entry = pending_.insert_or_assign(key, std::move(pending)).first->second;
+    PendingHop* entry = find_pending(key);
+    if (entry) {
+        *entry = std::move(pending);
+    } else {
+        entry = &pending_.emplace_back(std::move(pending));
+    }
 
-    radio_.send(hop, entry.envelope);
-    arm_retransmit(key, entry);
+    radio_.send(hop, entry->envelope);
+    arm_retransmit(*entry);
 }
 
-void ReliableTransport::arm_retransmit(std::uint64_t key, PendingHop& hop) {
-    hop.timer = sim_->schedule(params_.ack_timeout, [this, key] {
-        auto it = pending_.find(key);
-        if (it == pending_.end()) return;  // acked meanwhile
-        if (it->second.retries_left == 0) {
+ReliableTransport::PendingHop* ReliableTransport::find_pending(std::uint64_t key) {
+    for (PendingHop& hop : pending_) {
+        if (hop.key == key) return &hop;
+    }
+    return nullptr;
+}
+
+void ReliableTransport::erase_pending(PendingHop& hop) {
+    if (&hop != &pending_.back()) hop = std::move(pending_.back());
+    pending_.pop_back();
+}
+
+void ReliableTransport::arm_retransmit(PendingHop& hop) {
+    hop.timer = sim_->schedule(params_.ack_timeout, [this, key = hop.key] {
+        PendingHop* pending = find_pending(key);
+        if (!pending) return;  // acked meanwhile
+        if (pending->retries_left == 0) {
             ++gave_up_;
             if (c_gave_up_) c_gave_up_->inc();
-            pending_.erase(it);
+            erase_pending(*pending);
             return;
         }
-        --it->second.retries_left;
+        --pending->retries_left;
         ++retransmissions_;
         if (c_retransmissions_) c_retransmissions_->inc();
-        radio_.send(it->second.next_hop, it->second.envelope);
-        arm_retransmit(key, it->second);
+        radio_.send(pending->next_hop, pending->envelope);
+        arm_retransmit(*pending);
     });
 }
 
@@ -85,11 +105,10 @@ bool ReliableTransport::mark_seen(sim::ProcessId source, std::uint32_t seq) {
 
 std::optional<Delivered> ReliableTransport::on_packet(const Packet& packet) {
     if (const auto* ack = packet.as<RelayAckPayload>()) {
-        const std::uint64_t key = make_key(ack->source, ack->seq);
-        auto it = pending_.find(key);
-        if (it != pending_.end() && packet.src == it->second.next_hop) {
-            sim_->cancel(it->second.timer);
-            pending_.erase(it);
+        PendingHop* hop = find_pending(make_key(ack->source, ack->seq));
+        if (hop && packet.src == hop->next_hop) {
+            sim_->cancel(hop->timer);
+            erase_pending(*hop);
         }
         return std::nullopt;
     }

@@ -21,7 +21,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -97,20 +96,28 @@ class ReliableTransport {
     bool mark_seen(sim::ProcessId source, std::uint32_t seq);
 
     struct PendingHop {
+        std::uint64_t key;  ///< make_key(envelope.source, envelope.seq)
         RelayEnvelopePayload envelope;
         sim::ProcessId next_hop;
         std::uint32_t retries_left;
         sim::Timer timer;
     };
-    /// Schedules `hop`'s (the entry at `key`) next retransmission check.
-    void arm_retransmit(std::uint64_t key, PendingHop& hop);
+    /// The pending hop with this key, or nullptr.
+    PendingHop* find_pending(std::uint64_t key);
+    /// Removes `hop` from pending_ (swap with the last entry and pop).
+    void erase_pending(PendingHop& hop);
+    /// Schedules `hop`'s next retransmission check.
+    void arm_retransmit(PendingHop& hop);
 
     sim::Simulator* sim_;
     Radio radio_;
     const RoutingTable* routes_;
     TransportParams params_;
     std::uint32_t next_seq_ = 0;
-    std::unordered_map<std::uint64_t, PendingHop> pending_;
+    /// Hops awaiting their ack, in no particular order. A node has only a
+    /// few in flight (at most 14 per node on the multi-hop benches), so a
+    /// linear scan beats hashing, and the entries need no node allocation.
+    std::vector<PendingHop> pending_;
     /// seen_[source] bit seq: (source, seq) has been sent or accepted here.
     std::vector<std::vector<std::uint64_t>> seen_;
     std::size_t originated_ = 0;

@@ -384,16 +384,12 @@ class EventQueue {
     struct Entry {
         Time at;
         EventId key;
-        // Min-ordering: earlier time wins, then lower key — keys increase
-        // strictly in push order, so same-instant events fire in scheduling
-        // order. Keys are unique, so the pop order is a total order — it
-        // does not depend on the heap's internal shape or arity. Keeping
-        // the entry at 16 bytes (vs the historical 24) measurably cuts the
-        // sift memory traffic of every heap operation.
-        bool operator>(const Entry& o) const {
-            if (at != o.at) return at > o.at;
-            return key > o.key;
-        }
+        // Min-ordering (see earlier()): earlier time wins, then lower key —
+        // keys increase strictly in push order, so same-instant events fire
+        // in scheduling order. Keys are unique, so the pop order is a total
+        // order — it does not depend on the heap's internal shape or arity.
+        // Keeping the entry at 16 bytes (vs the historical 24) measurably
+        // cuts the sift memory traffic of every heap operation.
     };
 
     /// Fan-out entries are never cancelled; a timer entry is live while its
@@ -499,31 +495,71 @@ class EventQueue {
         while (heap_.size() != live_entries_ && !entry_live(heap_.front())) heap_pop();
     }
 
-    // Binary min-heap via std::push_heap/pop_heap. (A 4-ary heap was
-    // measured here and lost at a queue depth of 32: libstdc++'s bottom-up
-    // pop_heap sift does fewer comparisons than a naive d-ary sift-down.)
+    // Binary min-heap with hand-written sifts over earlier(). A 4-ary
+    // heap lost to libstdc++'s std::push_heap/pop_heap (see
+    // docs/PERFORMANCE.md); these sifts beat both, because child selection
+    // is a conditional move rather than an unpredictable branch. The pop
+    // order is the total (at, key) order whatever the sift, so the
+    // outputs do not depend on it.
+
+    /// The strict (at, key) order, without short-circuit branches: `&` and
+    /// `|` on bools evaluate both sides. Same result as a lexicographic
+    /// compare, including -0.0 == +0.0 ties breaking on key.
+    static bool earlier(const Entry& a, const Entry& b) {
+        return (a.at < b.at) | ((a.at == b.at) & (a.key < b.key));
+    }
+
     void heap_push(const Entry& e) {
         heap_.push_back(e);
-        std::push_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        sift_up(heap_.size() - 1, e);
     }
 
+    /// Moves `e` from the hole at `i` toward the root until its parent is
+    /// earlier, then stores it. `e` is a copy: the loop overwrites slots.
+    void sift_up(std::size_t i, Entry e) {
+        Entry* const h = heap_.data();
+        while (i > 0) {
+            const std::size_t parent = (i - 1) / 2;
+            if (!earlier(e, h[parent])) break;
+            h[i] = h[parent];
+            i = parent;
+        }
+        h[i] = e;
+    }
+
+    /// Removes the top. Bottom-up, as libstdc++'s pop_heap: the hole walks
+    /// down the earlier children to a leaf, and the last entry (which
+    /// belongs near the bottom) sifts up from there, so a level costs one
+    /// comparison instead of two.
     void heap_pop() {
-        std::pop_heap(heap_.begin(), heap_.end(), std::greater<>{});
+        const Entry last = heap_.back();
         heap_.pop_back();
+        const std::size_t n = heap_.size();
+        if (n == 0) return;
+        Entry* const h = heap_.data();
+        std::size_t hole = 0;
+        for (std::size_t child = 1; child < n; child = 2 * hole + 1) {
+            if (child + 1 < n) child += earlier(h[child + 1], h[child]);
+            h[hole] = h[child];
+            hole = child;
+        }
+        sift_up(hole, last);
     }
 
-    /// Replaces the top entry with `e` and sifts it down, keeping the
-    /// std::push_heap/pop_heap layout (no parent greater than a child).
+    /// Replaces the top entry with `e` and sifts it down. Top-down with an
+    /// early stop: a fan-out's next delivery is usually still the earliest
+    /// event, so the loop ends at the first comparison.
     void replace_top(const Entry& e) {
         const std::size_t n = heap_.size();
+        Entry* const h = heap_.data();
         std::size_t i = 0;
         for (std::size_t child = 1; child < n; child = 2 * i + 1) {
-            if (child + 1 < n && heap_[child] > heap_[child + 1]) ++child;
-            if (!(e > heap_[child])) break;
-            heap_[i] = heap_[child];
+            if (child + 1 < n) child += earlier(h[child + 1], h[child]);
+            if (!earlier(h[child], e)) break;
+            h[i] = h[child];
             i = child;
         }
-        heap_[i] = e;
+        h[i] = e;
     }
 
     std::vector<Entry> heap_;

@@ -10,6 +10,7 @@
 #include <type_traits>
 #include <utility>
 
+#include "sim/body_pool.h"
 #include "sim/event_queue.h"
 
 namespace tibfit::sim {
@@ -111,6 +112,12 @@ class Simulator {
     /// Maximum pending-queue depth ever reached.
     std::size_t queue_high_water() const { return queue_high_water_; }
 
+    /// Recycled blocks for the shared bodies of messages in flight (see
+    /// BodyPool). Bodies allocated from it may be held only by this
+    /// simulator's events.
+    BodyPool& body_pool() { return body_pool_; }
+    const BodyPool& body_pool() const { return body_pool_; }
+
   private:
     void check_time(Time at, const char* who) const {
         if (!(at >= now_)) {
@@ -118,6 +125,9 @@ class Simulator {
         }
     }
 
+    // Declared before queue_ so that it outlives the bodies that pending
+    // fan-outs and delivery closures still hold when the simulator dies.
+    BodyPool body_pool_;
     EventQueue queue_;
     Time now_ = 0.0;
     std::size_t executed_ = 0;

@@ -426,20 +426,57 @@ TEST_F(ChannelTest, SharedBodyFreedAfterLastDelivery) {
     simulator_.run();
 
     Packet packet = decision_packet(0, {}, {});
+    const sim::BodyPool& pool = simulator_.body_pool();
     const long before = live_allocations();
+    EXPECT_EQ(pool.in_use(), 0u);
     const std::size_t scheduled = channel_.broadcast(std::move(packet));
     const long during = live_allocations();
+    const std::size_t in_use_during = pool.in_use();
     simulator_.step();
-    const long after_first = live_allocations();
+    const std::size_t in_use_after_first = pool.in_use();
     simulator_.run();
     const long after = live_allocations();
 
     EXPECT_EQ(scheduled, 3u);
-    EXPECT_EQ(during - before, 1);       // one body, no per-delivery allocation
-    EXPECT_EQ(after_first - before, 1);  // still shared by the pending deliveries
-    EXPECT_EQ(after, before);            // freed once the last one ran
+    // The body reuses the warm-up's pooled block: a warm send allocates
+    // nothing, neither for the body nor per delivery.
+    EXPECT_EQ(during, before);
+    EXPECT_EQ(in_use_during, 1u);       // one body for all three deliveries
+    EXPECT_EQ(in_use_after_first, 1u);  // still shared by the pending deliveries
+    EXPECT_EQ(pool.in_use(), 0u);       // released once the last one ran
+    EXPECT_EQ(after, before);
     EXPECT_EQ(a.received + b.received + c.received, 6u);
 }
+
+#ifdef TIBFIT_ASAN
+// A released body goes back to the simulator's pool rather than to the
+// allocator, so AddressSanitizer only sees a use after release if the pool
+// poisons the block.
+TEST_F(ChannelTest, ReleasedBodyIsPoisonedUnderAsan) {
+    Sink ch(simulator_, 0), a(simulator_, 1), b(simulator_, 2);
+    channel_.attach(ch, {0, 0}, 100.0);
+    channel_.attach(a, {1, 0}, 100.0);
+    channel_.attach(b, {2, 0}, 100.0);
+    channel_.broadcast(decision_packet(0, {}, {}));
+    simulator_.step();
+    ASSERT_EQ(a.bodies.size(), 1u);
+    const void* body = a.bodies[0];
+    EXPECT_FALSE(__asan_address_is_poisoned(body));  // b's delivery is pending
+    simulator_.run();
+    ASSERT_EQ(b.bodies.size(), 1u);
+    ASSERT_EQ(b.bodies[0], body);
+    EXPECT_TRUE(__asan_address_is_poisoned(body));
+
+    // Reused for the next send, and unpoisoned again.
+    channel_.broadcast(decision_packet(0, {}, {}));
+    simulator_.step();
+    ASSERT_EQ(a.bodies.size(), 2u);
+    EXPECT_EQ(a.bodies[1], body);
+    EXPECT_FALSE(__asan_address_is_poisoned(body));
+    simulator_.run();
+    EXPECT_TRUE(__asan_address_is_poisoned(body));
+}
+#endif
 
 TEST_F(ChannelTest, SharedBodyFreedWhenCollisionCancelsDelivery) {
     ChannelParams p = lossless();

@@ -2,12 +2,15 @@
 
 #include <algorithm>
 #include <array>
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <limits>
+#include <map>
 #include <memory>
 #include <random>
+#include <set>
 #include <utility>
 #include <vector>
 
@@ -143,6 +146,116 @@ TEST(EventQueue, CancelledHeadDoesNotBlockNextTime) {
     q.push(2.0, [] {});
     q.cancel(id);
     EXPECT_DOUBLE_EQ(q.next_time(), 2.0);
+}
+
+/// Records a popped event's tag (its reference seq) in the log `target`
+/// points to.
+void log_tag(void*, void* target, double tag) {
+    static_cast<std::vector<std::uint64_t>*>(target)->push_back(static_cast<std::uint64_t>(tag));
+}
+
+// Differential test of the heap against the order it must reproduce: a
+// std::set of (at, seq), where seq counts pushes as the queue's keys do.
+// std::pair compares with < only, so -0.0 and +0.0 are equivalent there and
+// tie on seq, as the queue's lexicographic compare always did.
+TEST(EventQueue, MatchesOrderedReferenceUnderRandomOperations) {
+    constexpr Time kInf = std::numeric_limits<Time>::infinity();
+    for (std::uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
+        std::mt19937_64 rng(seed);
+        const auto draw = [&rng](std::uint64_t n) { return rng() % n; };
+        EventQueue q;
+        std::set<std::pair<Time, std::uint64_t>> ref;
+        std::vector<std::pair<EventId, std::uint64_t>> timers;  // (id, seq), any state
+        std::map<std::uint64_t, Time> timer_at;                  // pending timers: seq -> at
+        std::vector<std::uint64_t> log;
+        std::uint64_t next_seq = 0;
+        Time now = 0.0;
+        Time last_at = 0.0;
+        std::size_t pops = 0, zero_ties = 0;  // zero_ties: -0.0 and +0.0 popped in turn
+        int op = 0;
+        // Only signed zeros for the first kZeroOps operations, +inf now and
+        // then, otherwise the clock plus a coarse offset: equal times are
+        // common.
+        constexpr int kZeroOps = 300;
+        const auto pick_time = [&]() -> Time {
+            if (draw(16) == 0) return kInf;
+            if (op < kZeroOps) return draw(2) == 0 ? -0.0 : 0.0;
+            return now + 0.5 * static_cast<double>(draw(6));
+        };
+        const auto pop = [&] {
+            ASSERT_FALSE(ref.empty());
+            const auto [at, seq] = *ref.begin();
+            ref.erase(ref.begin());
+            timer_at.erase(seq);
+            const std::size_t logged = log.size();
+            q.run_next(now);
+            ASSERT_EQ(log.size(), logged + 1) << "seed " << seed;
+            ASSERT_EQ(log.back(), seq) << "seed " << seed << " pop " << pops;
+            // Bitwise: a -0.0 event must not be reported as +0.0.
+            ASSERT_EQ(std::signbit(now), std::signbit(at)) << "seed " << seed;
+            ASSERT_EQ(now, at) << "seed " << seed;
+            if (pops > 0 && at == 0.0 && last_at == 0.0 && std::signbit(at) != std::signbit(last_at)) {
+                ++zero_ties;
+            }
+            last_at = at;
+            ++pops;
+        };
+        for (; op < 8000; ++op) {
+            switch (draw(10)) {
+                case 0:
+                case 1:
+                case 2: {
+                    const Time at = pick_time();
+                    const std::uint64_t seq = next_seq++;
+                    timers.emplace_back(q.push(at, [&log, seq] { log.push_back(seq); }), seq);
+                    timer_at.emplace(seq, at);
+                    ref.emplace(at, seq);
+                    break;
+                }
+                case 3: {
+                    // Any timer ever pushed: pending, popped or cancelled.
+                    if (timers.empty()) break;
+                    const auto [id, seq] = timers[draw(timers.size())];
+                    const auto it = timer_at.find(seq);
+                    const bool pending = it != timer_at.end();
+                    ASSERT_EQ(q.cancel(id), pending) << "seed " << seed << " op " << op;
+                    if (pending) {
+                        ref.erase({it->second, seq});
+                        timer_at.erase(it);
+                    }
+                    break;
+                }
+                case 4: {
+                    std::vector<FanoutItem> items(static_cast<std::size_t>(1 + draw(8)));
+                    for (FanoutItem& item : items) {
+                        const std::uint64_t seq = next_seq++;
+                        item = FanoutItem{pick_time(), &log, static_cast<double>(seq)};
+                        ref.emplace(item.at, seq);
+                    }
+                    q.push_fanout(&log_tag, std::make_shared<int>(0), items);
+                    break;
+                }
+                default:
+                    // Leave +inf to the final drain, so the clock stays finite.
+                    if (!ref.empty() && ref.begin()->first != kInf) pop();
+                    break;
+            }
+            if (HasFatalFailure()) return;
+            ASSERT_EQ(q.size(), ref.size()) << "seed " << seed << " op " << op;
+            ASSERT_EQ(q.empty(), ref.empty());
+            if (!ref.empty()) {
+                ASSERT_EQ(q.next_time(), ref.begin()->first);
+            }
+        }
+        while (!ref.empty()) {
+            pop();
+            if (HasFatalFailure()) return;
+        }
+        EXPECT_TRUE(q.empty());
+        EXPECT_GT(pops, 5000u) << "the operation mix should keep the queue busy";
+        EXPECT_GT(zero_ties, 0u) << "signed-zero ties should occur";
+        EXPECT_EQ(now, kInf) << "+inf events pop last";
+    }
 }
 
 TEST(Simulator, ClockAdvancesMonotonically) {

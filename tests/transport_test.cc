@@ -2,9 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <iterator>
 #include <memory>
+#include <random>
 #include <vector>
 
 #include "net/channel.h"
@@ -255,6 +257,102 @@ TEST_F(TransportTest, DedupSuppressesOwnReportsLoopingBack) {
     EXPECT_EQ(hosts_[3]->transport.duplicates_suppressed(), 2u);
     simulator_.run();
     EXPECT_EQ(hosts_[0]->delivered.size(), 2u);
+}
+
+// A relay holds many hops at once, and acks settle them in any order.
+// Each settled hop is swapped out of the relay's pending table, so a wrong
+// swap would settle, retransmit or give up the wrong hop; the counts and
+// the envelopes that finally get through must come out exactly.
+TEST_F(TransportTest, ConcurrentHopsSettleInAnyOrder) {
+    build(0.0);
+    ReliableTransport& relay = hosts_[1]->transport;  // next hop toward 3 is 2
+    const double timeout = relay.params().ack_timeout;
+    const auto offer = [&](std::uint32_t seq) {
+        RelayEnvelopePayload env;
+        env.source = 0;
+        env.final_dst = 3;
+        env.seq = seq;
+        env.report = report();
+        env.report.offset.r = seq;  // identifies the envelope on delivery
+        Packet p;
+        p.src = 0;
+        p.dst = 1;
+        p.payload = env;
+        relay.on_packet(p);
+    };
+    const auto ack = [&](sim::ProcessId from, std::uint32_t seq) {
+        Packet p;
+        p.src = from;
+        p.dst = 1;
+        p.payload = RelayAckPayload{0, seq};
+        relay.on_packet(p);
+    };
+
+    // The relay's sends are all lost until the end, so only the acks fed
+    // here settle hops, and unsettled ones keep retransmitting.
+    channel_->set_drop_probability(1, 1.0);
+    constexpr std::uint32_t kHops = 20;
+    for (std::uint32_t seq = 0; seq < kHops; ++seq) offer(seq);
+    ASSERT_EQ(relay.in_flight(), kHops);
+    EXPECT_EQ(relay.forwarded(), kHops);
+
+    // Stray acks: from the previous hop, from a node off the path, and for
+    // a hop the relay never had.
+    ack(0, 7);
+    ack(3, 7);
+    ack(2, kHops + 5);
+    EXPECT_EQ(relay.in_flight(), kHops);
+
+    // The upper half in reverse order; a repeated ack is a no-op.
+    for (std::uint32_t seq = kHops; seq-- > kHops / 2;) {
+        ack(2, seq);
+        EXPECT_EQ(relay.in_flight(), seq) << seq;
+    }
+    ack(2, kHops - 1);
+    EXPECT_EQ(relay.in_flight(), kHops / 2);
+
+    // Two timeouts pass: each of the ten open hops retransmits twice.
+    simulator_.run_until(2.5 * timeout);
+    EXPECT_EQ(relay.retransmissions(), 2 * kHops / 2);
+    EXPECT_EQ(relay.gave_up(), 0u);
+    EXPECT_EQ(relay.in_flight(), kHops / 2);
+
+    // The lower half in shuffled order, all but three, with a stray ack for
+    // one of those three mixed in.
+    std::vector<std::uint32_t> lower;
+    for (std::uint32_t seq = 0; seq < kHops / 2; ++seq) {
+        if (seq != 2 && seq != 5 && seq != 8) lower.push_back(seq);
+    }
+    std::shuffle(lower.begin(), lower.end(), std::mt19937(42));
+    for (std::size_t i = 0; i < lower.size(); ++i) {
+        if (i == lower.size() / 2) ack(0, 5);
+        ack(2, lower[i]);
+    }
+    EXPECT_EQ(relay.in_flight(), 3u);
+
+    // Now let the relay through: the three open hops retransmit once more,
+    // reach host 2, are acked, and only those three envelopes arrive.
+    channel_->set_drop_probability(1, 0.0);
+    simulator_.run();
+    EXPECT_EQ(relay.in_flight(), 0u);
+    EXPECT_EQ(relay.retransmissions(), 2 * kHops / 2 + 3);
+    EXPECT_EQ(relay.gave_up(), 0u);
+    std::vector<double> arrived;
+    for (const Delivered& d : hosts_[3]->delivered) arrived.push_back(d.report.offset.r);
+    std::sort(arrived.begin(), arrived.end());
+    EXPECT_EQ(arrived, (std::vector<double>{2.0, 5.0, 8.0}));
+
+    // A second batch that is never acked gives up hop by hop, and acks for
+    // the first batch arriving late change nothing.
+    channel_->set_drop_probability(1, 1.0);
+    for (std::uint32_t seq = kHops; seq < 2 * kHops; ++seq) offer(seq);
+    ack(2, 3);
+    ack(2, 5);
+    EXPECT_EQ(relay.in_flight(), kHops);
+    simulator_.run();
+    EXPECT_EQ(relay.in_flight(), 0u);
+    EXPECT_EQ(relay.gave_up(), kHops);
+    EXPECT_EQ(relay.retransmissions(), 2 * kHops / 2 + 3 + kHops * relay.params().max_retries);
 }
 
 }  // namespace
