@@ -29,10 +29,10 @@
 //                         binary_failover-shaped log (2000 events, 4400
 //                         decisions); ops are events.
 //   broadcast_plan_105  — net::Channel::broadcast (the sender's cached
-//                         plan, staged in time order so the fan-out needs
-//                         no sort) vs. the per-send walk: distances to
-//                         every endpoint, a coin per receiver, staging in
-//                         walk order, then the fan-out's sort. 105
+//                         plan, already in (delay, id) order) vs. the
+//                         per-send walk: distances to every endpoint in
+//                         id order, a stable sort by delay, then a coin
+//                         and a staged delivery per receiver. 105
 //                         receivers plus 15 out of range; ops are
 //                         deliveries.
 //   location_decide_100 — core::LocationArbiter::decide (dense epoch-
@@ -62,6 +62,7 @@
 #include <cstring>
 #include <functional>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <unordered_map>
 #include <unordered_set>
@@ -180,10 +181,10 @@ class LegacyTrustTable {
 };
 
 /// The broadcast path before per-sender plans: every send walks all
-/// endpoints, measures each distance, draws the receiver's loss coin and
-/// stages its delivery in walk order; the fan-out then has to sort. Its
-/// endpoint map sees the same inserts as net::Channel's, so both walk in
-/// the same order and draw the same coins.
+/// endpoints in id order, measures each distance, sorts the in-range
+/// receivers by delay (stable, so ties keep id order), then draws each
+/// receiver's loss coin and stages its delivery. That is net::Channel's
+/// (delay, id) order, so both draw the same coins.
 class LegacyBroadcaster {
   public:
     LegacyBroadcaster(sim::Simulator& sim, util::Rng rng, net::ChannelParams params)
@@ -198,7 +199,7 @@ class LegacyBroadcaster {
         packet.sent_at = sim_->now();
         packet.dst = net::kBroadcast;
         auto body = std::make_shared<net::Packet>(std::move(packet));
-        staged_.clear();
+        hops_.clear();
         for (auto& [id, ep] : endpoints_) {
             if (id == body->src) continue;
             const double dist = util::distance(src.position, ep.position);
@@ -206,10 +207,16 @@ class LegacyBroadcaster {
                 ++out_of_range_;
                 continue;
             }
-            if (rng_.chance(params_.drop_probability)) continue;
             const double delay = params_.base_latency + dist / params_.propagation_speed + 0.0;
-            staged_.push_back(
-                sim::FanoutItem{sim_->now() + delay, ep.process, 1.0 / (1.0 + dist * dist)});
+            hops_.push_back(Hop{ep.process, dist, delay});
+        }
+        std::stable_sort(hops_.begin(), hops_.end(),
+                         [](const Hop& a, const Hop& b) { return a.delay < b.delay; });
+        staged_.clear();
+        for (const Hop& hop : hops_) {
+            if (rng_.chance(params_.drop_probability)) continue;
+            staged_.push_back(sim::FanoutItem{sim_->now() + hop.delay, hop.process,
+                                              1.0 / (1.0 + hop.dist * hop.dist)});
         }
         sim_->schedule_fanout(
             [](void* b, void* process, double rssi) {
@@ -229,11 +236,17 @@ class LegacyBroadcaster {
         util::Vec2 position;
         double range;
     };
+    struct Hop {
+        sim::Process* process;
+        double dist;
+        double delay;
+    };
 
     sim::Simulator* sim_;
     util::Rng rng_;
     net::ChannelParams params_;
-    std::unordered_map<sim::ProcessId, Endpoint> endpoints_;
+    std::map<sim::ProcessId, Endpoint> endpoints_;
+    std::vector<Hop> hops_;
     std::vector<sim::FanoutItem> staged_;
     std::size_t out_of_range_ = 0;
 };

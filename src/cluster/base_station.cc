@@ -26,65 +26,46 @@ void BaseStation::handle_packet(const net::Packet& packet) {
         reply.v_values = archive_.export_v();
         radio_.send(packet.src, std::move(reply));
     } else if (const auto* decision = packet.as<net::DecisionPayload>()) {
-        // Only unicast copies from the CH open a vote (the broadcast copy
-        // also reaches us if in range; dedupe by key).
+        // The CH's copy opens the vote, or completes one an early alert
+        // opened (independent channel delays can reorder them). The
+        // broadcast copy also reaches us if in range: count one copy.
         const std::uint64_t key = vote_key(packet.src, decision->decision_seq);
-        if (pending_.count(key)) return;
-        PendingVote v;
-        v.seq = decision->decision_seq;
-        v.ch = packet.src;
-        v.announced = *decision;
-        pending_.emplace(key, std::move(v));
+        PendingVote& vote = pending_.try_emplace(key, decision->decision_seq, packet.src)
+                                .first->second;
+        if (vote.announced) return;
+        vote.announced = *decision;
+        vote.vote_at = sim().now() + alert_wait_;
         sim().schedule(alert_wait_, [this, key] { finalize(key); });
     } else if (const auto* alert = packet.as<net::SchAlertPayload>()) {
-        // A shadow disputes a CH announcement. The alert may arrive before
-        // the CH's own copy (independent channel delays): buffer it then.
-        for (auto& [key, vote] : pending_) {
-            if (vote.seq == alert->decision_seq) {
-                ++vote.disagreements;
-                vote.shadow_conclusion = alert->event_declared;
-                vote.shadow_location = alert->location;
-                return;
-            }
-        }
-        // No matching vote yet: create a placeholder keyed by seq alone so
-        // the CH copy (or the timer) can still resolve it.
-        PendingVote v;
-        v.seq = alert->decision_seq;
-        v.ch = sim::kNoProcess;
-        v.disagreements = 1;
-        v.shadow_conclusion = alert->event_declared;
-        v.shadow_location = alert->location;
-        const std::uint64_t key = vote_key(sim::kNoProcess, alert->decision_seq);
-        pending_.emplace(key, std::move(v));
-        sim().schedule(alert_wait_, [this, key] { finalize(key); });
+        // A shadow disputes the announcement of the CH it watches.
+        const std::uint64_t key = vote_key(alert->ch, alert->decision_seq);
+        const auto [it, opened] = pending_.try_emplace(key, alert->decision_seq, alert->ch);
+        PendingVote& vote = it->second;
+        ++vote.disagreements;
+        vote.shadow_conclusion = alert->event_declared;
+        vote.shadow_location = alert->location;
+        if (opened) sim().schedule(alert_wait_, [this, key] { finalize(key); });
     }
 }
 
 void BaseStation::finalize(std::uint64_t key) {
     auto it = pending_.find(key);
     if (it == pending_.end()) return;
+    if (!it->second.announced) {
+        // An early alert the CH's copy did not follow within alert_wait:
+        // nothing to decide.
+        pending_.erase(it);
+        return;
+    }
+    // An early alert's timer: the copy's own timer closes the vote.
+    if (sim().now() < it->second.vote_at) return;
     PendingVote vote = std::move(it->second);
     pending_.erase(it);
-
-    // Merge a placeholder (alert arrived first) with the CH copy if both
-    // exist: the CH-keyed entry absorbs the placeholder's disagreements.
-    if (vote.ch == sim::kNoProcess) {
-        for (auto& [k2, v2] : pending_) {
-            if (v2.seq == vote.seq && v2.ch != sim::kNoProcess) {
-                v2.disagreements += vote.disagreements;
-                v2.shadow_conclusion = vote.shadow_conclusion;
-                v2.shadow_location = vote.shadow_location;
-                return;  // the CH-keyed finalize will complete the vote
-            }
-        }
-        return;  // alert with no CH announcement at all: nothing to decide
-    }
 
     FinalDecision f;
     f.seq = vote.seq;
     f.time = sim().now();
-    f.has_location = vote.announced.has_location;
+    f.has_location = vote.announced->has_location;
 
     // Simple vote over three conclusions: the CH plus two shadows. A
     // silent shadow agrees. Two dissents outvote the CH.
@@ -97,8 +78,8 @@ void BaseStation::finalize(std::uint64_t key) {
         ch_trust_.judge_faulty(static_cast<core::NodeId>(vote.ch));
         if (reelect_cb_) reelect_cb_(vote.ch);
     } else {
-        f.event_declared = vote.announced.event_declared;
-        f.location = vote.announced.location;
+        f.event_declared = vote.announced->event_declared;
+        f.location = vote.announced->location;
         ch_trust_.judge_correct(static_cast<core::NodeId>(vote.ch));
     }
     finals_.push_back(f);

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -31,7 +32,8 @@ struct FinalDecision {
 class BaseStation : public sim::Process {
   public:
     /// `alert_wait` is how long after a CH announcement the station waits
-    /// for shadow alerts before finalizing its vote.
+    /// for shadow alerts before finalizing its vote, and how long an alert
+    /// that arrives first waits for the announcement.
     BaseStation(sim::Simulator& sim, sim::ProcessId id, net::Radio radio,
                 core::TrustParams trust_params, double alert_wait = 0.5);
 
@@ -61,15 +63,19 @@ class BaseStation : public sim::Process {
     void handle_packet(const net::Packet& packet) override;
 
   private:
+    /// One CH decision under vote, keyed by (CH, seq).
     struct PendingVote {
         std::uint64_t seq;
         sim::ProcessId ch;
-        net::DecisionPayload announced;
+        std::optional<net::DecisionPayload> announced;  ///< the CH's copy, once heard
+        double vote_at = 0.0;  ///< when the vote closes; set by the CH's copy
         std::size_t disagreements = 0;
         bool shadow_conclusion = false;  ///< last dissenting conclusion
         util::Vec2 shadow_location;
     };
 
+    /// Runs `alert_wait` after a vote's first message: closes the vote if
+    /// its time has come, or drops an alert the CH's copy did not follow.
     void finalize(std::uint64_t key);
     static std::uint64_t vote_key(sim::ProcessId ch, std::uint64_t seq) {
         return (static_cast<std::uint64_t>(ch) << 32) | seq;

@@ -131,6 +131,7 @@ void ShadowClusterHead::check_announcement(const net::DecisionPayload& d) {
         return;
     }
     net::SchAlertPayload alert;
+    alert.ch = watched_ch_;
     alert.decision_seq = d.decision_seq;
     alert.event_declared = match->event_declared;
     alert.has_location = match->has_location;

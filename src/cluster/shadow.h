@@ -24,7 +24,8 @@ namespace tibfit::cluster {
 class ShadowClusterHead : public sim::Process {
   public:
     /// The owner must also register this process as a channel monitor of
-    /// the watched CH (Channel::add_monitor) so report traffic is overheard.
+    /// the watched CH (Channel::add_monitor, once the CH is attached) so
+    /// report traffic is overheard.
     ShadowClusterHead(sim::Simulator& sim, sim::ProcessId id, net::Radio radio,
                       core::EngineConfig engine_cfg, sim::ProcessId watched_ch,
                       sim::ProcessId base_station);

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <memory>
-#include <numeric>
 #include <stdexcept>
 #include <utility>
 
@@ -17,17 +16,20 @@ Channel::Channel(sim::Simulator& sim, util::Rng rng, ChannelParams params)
 
 void Channel::attach(sim::Process& process, const util::Vec2& position, double radio_range) {
     const sim::ProcessId id = process.id();
-    // The dense index holds one pointer per id up to the largest attached.
+    // The endpoint table holds one slot per id up to the largest attached.
     if (id >= kMaxProcessId) throw std::out_of_range("Channel::attach: process id too large");
-    Endpoint& ep = endpoints_[id] = Endpoint{&process, position, radio_range, -1.0, {}, {}};
-    if (id >= index_.size()) index_.resize(std::size_t{id} + 1, nullptr);
-    index_[id] = &ep;
+    if (id >= endpoints_.size()) endpoints_.resize(std::size_t{id} + 1);
+    std::unique_ptr<Endpoint>& slot = endpoints_[id];
+    // A re-attach starts afresh, except for the monitors listening on it.
+    std::vector<sim::ProcessId> monitors;
+    if (slot) monitors = std::move(slot->monitors);
+    slot = std::make_unique<Endpoint>(
+        Endpoint{&process, position, radio_range, -1.0, {}, {}, std::move(monitors)});
     ++topology_;
 }
 
 void Channel::detach(sim::ProcessId id) {
-    endpoints_.erase(id);
-    if (id < index_.size()) index_[id] = nullptr;
+    if (id < endpoints_.size()) endpoints_[id].reset();
     ++topology_;
 }
 
@@ -51,28 +53,24 @@ void Channel::set_drop_probability(sim::ProcessId id, double p) {
 }
 
 void Channel::add_monitor(sim::ProcessId monitor, sim::ProcessId target) {
-    auto& list = monitors_[target];
-    for (auto m : list) {
-        if (m == monitor) return;
-    }
-    list.push_back(monitor);
+    Endpoint* ep = find(target);
+    if (!ep) throw std::out_of_range("Channel::add_monitor: unknown target");
+    auto& list = ep->monitors;
+    if (std::find(list.begin(), list.end(), monitor) == list.end()) list.push_back(monitor);
 }
 
 void Channel::remove_monitor(sim::ProcessId monitor, sim::ProcessId target) {
-    auto it = monitors_.find(target);
-    if (it == monitors_.end()) return;
-    auto& list = it->second;
+    Endpoint* ep = find(target);
+    if (!ep) return;
+    auto& list = ep->monitors;
     list.erase(std::remove(list.begin(), list.end(), monitor), list.end());
-    if (list.empty()) monitors_.erase(it);
 }
 
-void Channel::snoop(const std::shared_ptr<Packet>& body, const Endpoint& src) {
-    if (monitors_.empty()) return;
+void Channel::snoop(const std::shared_ptr<Packet>& body, const Endpoint& src,
+                    const Endpoint& dst) {
     // Copies for monitors of either endpoint of a unicast.
-    for (sim::ProcessId watched : {body->src, body->dst}) {
-        auto it = monitors_.find(watched);
-        if (it == monitors_.end()) continue;
-        for (sim::ProcessId mon : it->second) {
+    for (const Endpoint* watched : {&src, &dst}) {
+        for (sim::ProcessId mon : watched->monitors) {
             if (mon == body->src || mon == body->dst) continue;
             Endpoint* to = find(mon);
             if (!to) continue;
@@ -294,7 +292,7 @@ bool Channel::unicast(Packet packet) {
     packet.sent_at = sim_->now();
     // One body for the delivery, every monitor copy and any duplicate.
     auto body = make_body(std::move(packet));
-    snoop(body, *src);
+    snoop(body, *src, *dst);
     const bool sent = transmit(*dst, body, dist, *src);
     flush(std::move(body));
     return sent;
@@ -307,9 +305,10 @@ const Channel::Plan& Channel::plan_for(sim::ProcessId id, Endpoint& src) {
     plan.hops.clear();
     plan.out_of_range = 0;
     bool orderable = true;
-    for (auto& [other, ep] : endpoints_) {
-        if (other == id) continue;
-        const double dist = util::distance(src.position, ep.position);
+    for (std::size_t other = 0; other < endpoints_.size(); ++other) {
+        Endpoint* ep = endpoints_[other].get();
+        if (!ep || other == id) continue;
+        const double dist = util::distance(src.position, ep->position);
         if (dist > src.range) {
             ++plan.out_of_range;
             continue;
@@ -317,17 +316,13 @@ const Channel::Plan& Channel::plan_for(sim::ProcessId id, Endpoint& src) {
         // The expressions deliver() evaluates, so cached values are bit-equal.
         const double delay = params_.base_latency + dist / params_.propagation_speed + 0.0;
         orderable = orderable && !std::isnan(delay);
-        plan.hops.push_back(Hop{&ep, dist, delay, 1.0 / (1.0 + dist * dist)});
+        plan.hops.push_back(Hop{ep, dist, delay, 1.0 / (1.0 + dist * dist)});
     }
-    plan.by_time.clear();
+    // A NaN delay has no place in (delay, id) order: keep id order then.
     if (orderable) {
-        plan.by_time.resize(plan.hops.size());
-        std::iota(plan.by_time.begin(), plan.by_time.end(), 0u);
-        std::sort(plan.by_time.begin(), plan.by_time.end(), [&](std::uint32_t a, std::uint32_t b) {
-            if (plan.hops[a].delay != plan.hops[b].delay) {
-                return plan.hops[a].delay < plan.hops[b].delay;
-            }
-            return a < b;
+        std::sort(plan.hops.begin(), plan.hops.end(), [](const Hop& a, const Hop& b) {
+            if (a.delay != b.delay) return a.delay < b.delay;
+            return a.to->process->id() < b.to->process->id();
         });
     }
     return plan;
@@ -347,10 +342,10 @@ std::size_t Channel::broadcast(Packet packet) {
     if (c_out_of_range_) c_out_of_range_->inc(plan.out_of_range);
 
     // Same loss and injection stack as unicast, with independent coins per
-    // receiver (broadcast receptions fail independently), drawn in walk
+    // receiver (broadcast receptions fail independently), drawn in plan
     // order. Collisions and injected faults go hop by hop through transmit.
-    std::size_t n = 0;
     if (params_.airtime > 0.0 || active_fault_window()) {
+        std::size_t n = 0;
         for (const Hop& hop : plan.hops) {
             if (transmit(*hop.to, body, hop.dist, src)) ++n;
         }
@@ -358,48 +353,23 @@ std::size_t Channel::broadcast(Packet packet) {
         return n;
     }
 
+    // One pass: draw each hop's coin and stage the survivor. now + delay
+    // is monotone in delay, so the items come out in the fan-out's (time,
+    // seq) order, even where distinct delays round to the same time.
     const double p = sender_drop_probability(src);
-    survived_.resize(plan.hops.size());
-    for (std::size_t i = 0; i < plan.hops.size(); ++i) {
-        survived_[i] = !rng_.chance(p);
-        if (survived_[i]) {
-            ++n;
+    const double now = sim_->now();
+    for (const Hop& hop : plan.hops) {
+        if (rng_.chance(p)) {
+            ++dropped_;
+            if (c_dropped_) c_dropped_->inc();
+            note_drop(*body, obs::DropReason::Natural);
             continue;
         }
-        ++dropped_;
-        if (c_dropped_) c_dropped_->inc();
-        note_drop(*body, obs::DropReason::Natural);
+        staged_.push_back(sim::FanoutItem{now + hop.delay, hop.to->process, hop.rssi});
     }
+    const std::size_t n = staged_.size();
     delivered_ += n;
     if (c_delivered_) c_delivered_->inc(n);
-
-    // Stage the survivors in the plan's (delay, walk index) order: the
-    // order the fan-out's (time, seq) sort produced from walk-order staging,
-    // so push_fanout finds it sorted. The exception is a floating-point
-    // merge, where now + delay is equal for distinct delays and walk order
-    // must decide; then stage in walk order and let push_fanout sort.
-    const double now = sim_->now();
-    bool walk_order = plan.by_time.empty();
-    const Hop* prev = nullptr;
-    for (std::uint32_t i : plan.by_time) {
-        if (!survived_[i]) continue;
-        const Hop& hop = plan.hops[i];
-        const double at = now + hop.delay;
-        if (prev && at == staged_.back().at && hop.delay != prev->delay) {
-            walk_order = true;
-            break;
-        }
-        staged_.push_back(sim::FanoutItem{at, hop.to->process, hop.rssi});
-        prev = &hop;
-    }
-    if (walk_order) {
-        staged_.clear();
-        for (std::size_t i = 0; i < plan.hops.size(); ++i) {
-            if (!survived_[i]) continue;
-            const Hop& hop = plan.hops[i];
-            staged_.push_back(sim::FanoutItem{now + hop.delay, hop.to->process, hop.rssi});
-        }
-    }
     flush(std::move(body));
     return n;
 }

@@ -8,7 +8,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
-#include <unordered_map>
 #include <vector>
 
 #include "net/packet.h"
@@ -80,9 +79,12 @@ class Channel {
     /// receives copies of unicast packets sent to or by `target` (shadow
     /// cluster heads "listen in to the communication going in and out of
     /// the CH", Section 3.4). Each copy takes an independent loss coin.
+    /// The registration lives on `target`'s endpoint: re-attaching keeps
+    /// it, detaching drops it. Throws std::out_of_range on an unattached
+    /// target.
     void add_monitor(sim::ProcessId monitor, sim::ProcessId target);
 
-    /// Removes a monitor registration.
+    /// Removes a monitor registration (a no-op if there is none).
     void remove_monitor(sim::ProcessId monitor, sim::ProcessId target);
 
     /// Sends to one destination. The packet is lost if the destination is
@@ -91,12 +93,12 @@ class Channel {
     bool unicast(Packet packet);
 
     /// Sends to every other attached process within the sender's radio
-    /// range, with an independent loss coin per receiver. Returns the
-    /// number of deliveries scheduled. The receivers, distances and delays
-    /// come from the sender's cached plan (rebuilt after any attach, detach
-    /// or set_position), so a send does no distance walk and, without
-    /// airtime or an active fault window, stages its deliveries already in
-    /// time order.
+    /// range, with an independent loss coin per receiver, drawn in (delay,
+    /// id) order. Returns the number of deliveries scheduled. The
+    /// receivers, distances and delays come from the sender's cached plan
+    /// (rebuilt after any attach, detach or set_position), so a send does
+    /// no distance walk and, without airtime or an active fault window,
+    /// stages its deliveries already in time order.
     std::size_t broadcast(Packet packet);
 
     /// Installs an injected-fault schedule. `rng` must be a dedicated
@@ -145,10 +147,9 @@ class Channel {
     /// before, cached until the topology changes.
     struct Plan {
         std::uint64_t topology = 0;  ///< topology_ it was built at; 0 = never
-        std::vector<Hop> hops;       ///< in-range receivers, in endpoint-walk order
-        /// hops indices sorted by (delay, index); empty if a delay is NaN
-        /// (such a send is refused by the simulator, as it always was).
-        std::vector<std::uint32_t> by_time;
+        /// In-range receivers in (delay, id) order; in id order if a delay
+        /// is NaN (such a send is refused by the simulator, as it always was).
+        std::vector<Hop> hops;
         std::size_t out_of_range = 0;  ///< receivers the walk skipped
     };
 
@@ -159,6 +160,7 @@ class Channel {
         double drop_override = -1.0;  // < 0 means "use params_"
         std::vector<Reception> in_flight;
         Plan plan;
+        std::vector<sim::ProcessId> monitors;  ///< listeners on this endpoint
     };
 
     /// `src`'s plan, rebuilt first if the topology changed since.
@@ -175,7 +177,8 @@ class Channel {
                  double extra_delay = 0.0);
     /// Schedules the send's staged deliveries as one fan-out sharing `body`.
     void flush(std::shared_ptr<Packet> body);
-    void snoop(const std::shared_ptr<Packet>& body, const Endpoint& src);
+    /// Copies a unicast to the monitors of its sender and its receiver.
+    void snoop(const std::shared_ptr<Packet>& body, const Endpoint& src, const Endpoint& dst);
     void note_drop(const Packet& packet, obs::DropReason reason);
 
     /// Fault window covering the current simulation time, or nullptr.
@@ -187,13 +190,13 @@ class Channel {
     /// injection-free artifacts keep their historical shape).
     void resolve_injected_counters();
 
-    /// Ids at or above this are refused by attach: the dense index would
-    /// need a pointer for every id below the one attached.
+    /// Ids at or above this are refused by attach: the endpoint table
+    /// needs a slot for every id below the one attached.
     static constexpr sim::ProcessId kMaxProcessId = sim::ProcessId{1} << 20;
 
     /// The attached endpoint with this id, or nullptr.
     Endpoint* find(sim::ProcessId id) const {
-        return id < index_.size() ? index_[id] : nullptr;
+        return id < endpoints_.size() ? endpoints_[id].get() : nullptr;
     }
     /// A shared body for one send, from the simulator's body pool.
     std::shared_ptr<Packet> make_body(Packet&& packet);
@@ -201,20 +204,13 @@ class Channel {
     sim::Simulator* sim_;
     util::Rng rng_;
     ChannelParams params_;
-    /// Owns the endpoints. Every lookup by id goes through index_; the map
-    /// is still walked to build broadcast plans, because its order fixes
-    /// the order in which a broadcast draws its loss coins.
-    std::unordered_map<sim::ProcessId, Endpoint> endpoints_;
-    /// index_[id] is endpoints_'s node for id, or nullptr if detached.
-    /// Process ids are dense, so this is a direct lookup.
-    std::vector<Endpoint*> index_;
+    /// endpoints_[id] is the endpoint attached with that id, or null.
+    /// Process ids are dense (node i has id i), so this is a direct lookup,
+    /// and a walk over it visits the endpoints in id order.
+    std::vector<std::unique_ptr<Endpoint>> endpoints_;
     /// Bumped by attach, detach and set_position; a plan built at an older
     /// value is stale (and may hold dangling Endpoint pointers).
     std::uint64_t topology_ = 1;
-    /// Per-hop survival of the current broadcast's loss coins.
-    std::vector<unsigned char> survived_;
-    /// target -> monitors listening on it
-    std::unordered_map<sim::ProcessId, std::vector<sim::ProcessId>> monitors_;
     /// The current send's no-airtime deliveries, in scheduling order.
     std::vector<sim::FanoutItem> staged_;
     std::vector<ChannelFaultWindow> fault_windows_;

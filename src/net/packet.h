@@ -61,8 +61,9 @@ struct TiRequestPayload {
 /// Shadow-CH alert to the base station: the shadow's own conclusion
 /// diverged from what the CH announced (Section 3.4).
 struct SchAlertPayload {
-    std::uint64_t decision_seq = 0;  ///< the CH decision being disputed
-    bool event_declared = false;     ///< the shadow's own conclusion
+    std::uint64_t decision_seq = 0;       ///< the CH decision being disputed
+    sim::ProcessId ch = sim::kNoProcess;  ///< the CH that announced it
+    bool event_declared = false;          ///< the shadow's own conclusion
     bool has_location = false;
     util::Vec2 location;
 };

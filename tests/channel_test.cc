@@ -5,11 +5,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <new>
 #include <ostream>
 #include <random>
-#include <unordered_map>
 #include <vector>
 
 #include "net/radio.h"
@@ -232,6 +232,31 @@ TEST_F(ChannelTest, RemoveMonitorStopsCopies) {
     channel_.unicast(report_packet(0, 1));
     simulator_.run();
     EXPECT_TRUE(shadow.received.empty());
+}
+
+TEST_F(ChannelTest, AddMonitorOnUnknownTargetThrows) {
+    Sink shadow(simulator_, 2);
+    channel_.attach(shadow, {12, 0}, 100.0);
+    EXPECT_THROW(channel_.add_monitor(2, 1), std::out_of_range);
+}
+
+TEST_F(ChannelTest, MonitorsSurviveReattachButNotDetach) {
+    Sink node(simulator_, 0), ch(simulator_, 1), shadow(simulator_, 2);
+    channel_.attach(node, {0, 0}, 100.0);
+    channel_.attach(ch, {10, 0}, 100.0);
+    channel_.attach(shadow, {12, 0}, 100.0);
+    channel_.add_monitor(2, 1);
+    channel_.attach(ch, {11, 0}, 100.0);  // re-attach: the shadow still listens
+    channel_.unicast(report_packet(0, 1));
+    simulator_.run();
+    EXPECT_EQ(shadow.received.size(), 1u);
+
+    channel_.detach(1);
+    channel_.attach(ch, {10, 0}, 100.0);  // a fresh endpoint: nobody listens
+    channel_.unicast(report_packet(0, 1));
+    simulator_.run();
+    EXPECT_EQ(ch.received.size(), 2u);
+    EXPECT_EQ(shadow.received.size(), 1u);
 }
 
 TEST_F(ChannelTest, RadioCountsTraffic) {
@@ -536,11 +561,10 @@ std::ostream& operator<<(std::ostream& os, const Heard& h) {
     return os << "{to " << h.to << " at " << h.at << " rssi " << h.rssi << "}";
 }
 
-/// A test-local copy of the broadcast path as it was before per-sender
-/// plans: walk every endpoint, measure the distance, draw the receiver's
-/// coins, stage its deliveries, then sort them by (time, staging order).
-/// Its endpoint map sees the same insert/erase sequence as the channel's,
-/// so both walk the endpoints in the same order.
+/// A test-local copy of the broadcast path without per-sender plans: walk
+/// every endpoint in id order and measure the distance, order the in-range
+/// receivers by (delay, id), draw each one's coins and stage its
+/// deliveries, then sort them by (time, staging order).
 class LegacyMedium {
   public:
     LegacyMedium(util::Rng rng, ChannelParams params) : rng_(rng), params_(params) {}
@@ -561,7 +585,12 @@ class LegacyMedium {
     /// The deliveries of one broadcast from `src` at `now`, in pop order.
     std::vector<Heard> broadcast(sim::ProcessId src, double now) {
         const Ep& from = endpoints_.at(src);
-        staged_.clear();
+        struct Receiver {
+            sim::ProcessId id;
+            double dist;
+            double delay;
+        };
+        std::vector<Receiver> receivers;
         for (const auto& [id, ep] : endpoints_) {
             if (id == src) continue;
             const double dist = util::distance(from.position, ep.position);
@@ -569,11 +598,18 @@ class LegacyMedium {
                 ++out_of_range;
                 continue;
             }
-            transmit(id, dist, from, now);
+            receivers.push_back(
+                Receiver{id, dist, params_.base_latency + dist / params_.propagation_speed});
         }
-        // The fan-out's (time, seq) order; seq is the staging index. (Not
-        // std::stable_sort: its nothrow buffer would bypass this file's
+        // (Not std::stable_sort: its nothrow buffer would bypass this file's
         // counting operator new but not its operator delete.)
+        std::sort(receivers.begin(), receivers.end(), [](const Receiver& a, const Receiver& b) {
+            if (a.delay != b.delay) return a.delay < b.delay;
+            return a.id < b.id;
+        });
+        staged_.clear();
+        for (const Receiver& r : receivers) transmit(r.id, r.dist, from, now);
+        // The fan-out's (time, seq) order; seq is the staging index.
         std::vector<std::size_t> order(staged_.size());
         for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
         std::sort(order.begin(), order.end(), [this](std::size_t a, std::size_t b) {
@@ -654,7 +690,7 @@ class LegacyMedium {
 
     util::Rng rng_;
     ChannelParams params_;
-    std::unordered_map<sim::ProcessId, Ep> endpoints_;
+    std::map<sim::ProcessId, Ep> endpoints_;
     std::vector<ChannelFaultWindow> windows_;
     util::Rng fault_rng_{0};
     std::vector<Heard> staged_;
@@ -878,7 +914,9 @@ TEST(BroadcastPlan, MatchesPerSendWalkWithAirtime) {
 
 // At t = 1e12 one ulp is about 1.2e-4 s, more than the delay difference of
 // neighbouring lattice distances: distinct delays round to the same
-// delivery time, and walk order (the seq order) must decide between them.
+// delivery time. Staging in (delay, id) order still gives the fan-out's
+// (time, seq) order, since now + delay is monotone in delay, so the
+// deliveries keep (delay, id) order with no re-sort.
 TEST(BroadcastPlan, MatchesPerSendWalkWhenDeliveryTimesMerge) {
     ChannelParams p;
     p.drop_probability = 0.1;
@@ -887,6 +925,69 @@ TEST(BroadcastPlan, MatchesPerSendWalkWhenDeliveryTimesMerge) {
         d.advance_to(1e12);
         run_differential(d, seed, 200);
         EXPECT_TRUE(d.counters_match()) << "seed " << seed;
+    }
+}
+
+/// What a lattice attached in `order` hears: every delivery of a few
+/// broadcasts, the channel's counters, then the next natural-loss draws.
+struct LatticeOutcome {
+    std::vector<Heard> heard;
+    std::vector<std::size_t> counters;
+    std::vector<bool> next_draws;
+    bool operator==(const LatticeOutcome&) const = default;
+};
+
+LatticeOutcome broadcast_on_lattice(const std::vector<sim::ProcessId>& order) {
+    constexpr sim::ProcessId kSide = 7;
+    ChannelParams p;
+    p.drop_probability = 0.2;
+    sim::Simulator sim;
+    LatticeOutcome out;
+    std::vector<std::unique_ptr<Listener>> nodes;
+    for (sim::ProcessId id = 0; id < kSide * kSide; ++id) {
+        nodes.push_back(std::make_unique<Listener>(sim, id, out.heard));
+    }
+    Channel ch(sim, util::Rng(11), p);
+    for (sim::ProcessId id : order) {
+        ch.attach(*nodes[id], {10.0 * (id % kSide), 10.0 * (id / kSide)}, 35.0);
+    }
+    // Senders in the middle, at a corner and on an edge: many receivers
+    // share a distance, so ties in delay are common.
+    for (sim::ProcessId src : {24u, 0u, 10u, 48u, 24u}) {
+        Packet packet;
+        packet.src = src;
+        packet.payload = DecisionPayload{};
+        ch.broadcast(std::move(packet));
+        sim.run();
+    }
+    out.counters = {ch.delivered(), ch.dropped(), ch.out_of_range()};
+    // Each unicast to a neighbour in range reveals one bit of the next draw.
+    for (int i = 0; i < 32; ++i) {
+        Packet packet;
+        packet.src = 0;
+        packet.dst = 1;
+        packet.payload = ReportPayload{};
+        out.next_draws.push_back(ch.unicast(std::move(packet)));
+    }
+    return out;
+}
+
+// Broadcasts depend on the ids and positions alone: the order in which the
+// endpoints were attached never reaches a delivery, a counter or the loss
+// stream.
+TEST(BroadcastPlan, AttachOrderDoesNotChangeBroadcasts) {
+    std::vector<sim::ProcessId> order(49);
+    for (sim::ProcessId id = 0; id < order.size(); ++id) order[id] = id;
+    std::mt19937_64 rng(17);
+    std::shuffle(order.begin(), order.end(), rng);
+    const LatticeOutcome first = broadcast_on_lattice(order);
+    EXPECT_GT(first.counters[1], 0u) << "the loss coins should fire";
+    for (int shuffle = 0; shuffle < 2; ++shuffle) {
+        std::shuffle(order.begin(), order.end(), rng);
+        const LatticeOutcome again = broadcast_on_lattice(order);
+        EXPECT_EQ(again.counters, first.counters) << "shuffle " << shuffle;
+        EXPECT_EQ(again.heard, first.heard) << "shuffle " << shuffle;
+        EXPECT_EQ(again.next_draws, first.next_draws) << "shuffle " << shuffle;
     }
 }
 

@@ -54,19 +54,21 @@ class BsOrderingTest : public ::testing::Test {
         return p;
     }
 
-    net::Packet decision_from_ch(std::uint64_t seq, bool declared) {
+    net::Packet decision_from_ch(std::uint64_t seq, bool declared, sim::ProcessId ch = 10) {
         net::DecisionPayload d;
         d.decision_seq = seq;
         d.event_declared = declared;
         net::Packet p;
-        p.src = 10;  // the CH
+        p.src = ch;
         p.dst = 50;
         p.payload = d;
         return p;
     }
 
-    net::Packet alert(std::uint64_t seq, bool conclusion, sim::ProcessId shadow) {
+    net::Packet alert(std::uint64_t seq, bool conclusion, sim::ProcessId shadow,
+                      sim::ProcessId ch = 10) {
         net::SchAlertPayload a;
+        a.ch = ch;
         a.decision_seq = seq;
         a.event_declared = conclusion;
         net::Packet p;
@@ -117,6 +119,47 @@ TEST_F(BsOrderingTest, ChTrustAccruesAcrossVotes) {
     simulator_.run();
     EXPECT_EQ(bs_.overrides(), 3u);
     EXPECT_LT(bs_.ch_trust(10), 0.6);  // three demotions compound
+}
+
+TEST_F(BsOrderingTest, VotesAreKeyedByChAndSeq) {
+    // Two CHs announce the same seq; both shadows dispute CH 20's only.
+    bs_.handle_packet(decision_from_ch(4, false, 10));
+    bs_.handle_packet(decision_from_ch(4, false, 20));
+    bs_.handle_packet(alert(4, true, 11, 20));
+    bs_.handle_packet(alert(4, true, 12, 20));
+    simulator_.run();
+    ASSERT_EQ(bs_.final_decisions().size(), 2u);
+    EXPECT_EQ(bs_.overrides(), 1u);
+    EXPECT_FALSE(bs_.final_decisions()[0].overridden);  // CH 10's vote stands
+    EXPECT_FALSE(bs_.final_decisions()[0].event_declared);
+    EXPECT_TRUE(bs_.final_decisions()[1].overridden);
+    EXPECT_TRUE(bs_.final_decisions()[1].event_declared);
+    EXPECT_GT(bs_.ch_trust(10), bs_.ch_trust(20));
+}
+
+TEST_F(BsOrderingTest, AlertExpiresIfAnnouncementComesTooLate) {
+    // Both alerts land, then the CH's copy follows more than alert_wait
+    // (0.5) later: the alerts have expired and the CH's decision stands.
+    bs_.handle_packet(alert(5, true, 11));
+    bs_.handle_packet(alert(5, true, 12));
+    simulator_.run_until(0.6);
+    bs_.handle_packet(decision_from_ch(5, false));
+    simulator_.run();
+    ASSERT_EQ(bs_.final_decisions().size(), 1u);
+    EXPECT_FALSE(bs_.final_decisions()[0].overridden);
+    EXPECT_FALSE(bs_.final_decisions()[0].event_declared);
+    EXPECT_EQ(bs_.overrides(), 0u);
+}
+
+TEST_F(BsOrderingTest, EarlyAlertCountsWithinAlertWait) {
+    bs_.handle_packet(alert(6, true, 11));
+    bs_.handle_packet(alert(6, true, 12));
+    simulator_.run_until(0.4);
+    bs_.handle_packet(decision_from_ch(6, false));
+    simulator_.run();
+    ASSERT_EQ(bs_.final_decisions().size(), 1u);
+    EXPECT_TRUE(bs_.final_decisions()[0].overridden);
+    EXPECT_DOUBLE_EQ(bs_.final_decisions()[0].time, 0.9);  // the copy's alert_wait
 }
 
 // ---------- Binary false-alarm coincidence knob ----------
