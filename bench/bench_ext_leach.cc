@@ -79,8 +79,8 @@ double run_self_organized(double pct_faulty, core::DecisionPolicy policy,
 }
 
 double mean_self_organized(double pct, core::DecisionPolicy policy, std::size_t runs) {
-    // Same trial-seed derivation and index-ordered reduction as exp::sweep,
-    // so the mean is bit-identical at any --jobs width.
+    // Trial r draws derive_trial_seed(seed, r) and the sum runs in trial
+    // order, so the mean is bit-identical at any --jobs width.
     std::vector<double> acc(runs, 0.0);
     par::run_trials(runs, [&](std::size_t r) {
         acc[r] = run_self_organized(pct, policy, util::derive_trial_seed(20050628, r));

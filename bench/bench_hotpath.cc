@@ -1,6 +1,6 @@
 // Microbenchmarks of the hot paths this tree optimised, each measured
 // against an in-file re-implementation of the previous design (pre-arena,
-// pre-fan-out, pre-memoisation, pre-grid, pre-index) so the speedup is
+// pre-fan-out, pre-memoisation, pre-index) so the speedup is
 // visible in one run:
 //
 //   event_queue_churn   — push/pop through sim::EventQueue (slab arena +
@@ -21,8 +21,6 @@
 //                         one pushed timer per arrival. ops are pops.
 //   cti_sum             — core::TrustManager::cumulative_ti (dense cells,
 //                         memoised exp) vs. unordered_map + exp per query.
-//   neighbour_query_*   — util::SpatialGrid::query_within vs. the O(N)
-//                         brute-force scan, at two field sizes.
 //   binary_scoring      — exp::detail::score_binary (the decision log
 //                         ordered once, one window lookup per event) vs.
 //                         the scan of the whole log per event, on a
@@ -56,7 +54,6 @@
 // compared non-gating in CI.
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdint>
 #include <cstdlib>
 #include <cstring>
@@ -82,7 +79,6 @@
 #include "sim/event_queue.h"
 #include "sim/process.h"
 #include "util/rng.h"
-#include "util/spatial_grid.h"
 #include "util/table.h"
 #include "util/vec2.h"
 
@@ -551,34 +547,6 @@ void seed_trust(Trust& trust, const std::vector<core::NodeId>& nodes, util::Rng 
     }
 }
 
-constexpr std::size_t kQueryCount = 1024;  // power of two: cycling by mask
-
-double neighbour_brute(const std::vector<util::Vec2>& pts,
-                       const std::vector<util::Vec2>& queries, double r, std::size_t iters) {
-    double acc = 0.0;
-    std::vector<std::size_t> out;
-    for (std::size_t it = 0; it < iters; ++it) {
-        const util::Vec2& q = queries[it & (kQueryCount - 1)];
-        out.clear();
-        for (std::size_t i = 0; i < pts.size(); ++i) {
-            if (util::distance(pts[i], q) <= r) out.push_back(i);
-        }
-        for (std::size_t i : out) acc += static_cast<double>(i + 1);
-    }
-    return acc;
-}
-
-double neighbour_grid(const util::SpatialGrid& grid, const std::vector<util::Vec2>& queries,
-                      double r, std::size_t iters) {
-    double acc = 0.0;
-    std::vector<std::size_t> out;
-    for (std::size_t it = 0; it < iters; ++it) {
-        grid.query_within(queries[it & (kQueryCount - 1)], r, out);
-        for (std::size_t i : out) acc += static_cast<double>(i + 1);
-    }
-    return acc;
-}
-
 // Binary scoring at binary_failover's shape: kScoringEvents events 10 s
 // apart, each answered by one window shortly after it, plus false-alarm
 // windows between them, kScoringDecisions windows in all, t_out 1 s.
@@ -817,8 +785,6 @@ int main(int argc, char** argv) {
     constexpr std::size_t kBroadcastParked = 650;
     const std::size_t kCtiNodes = 100;
     const std::size_t kCtiIters = scaled(100000);
-    const std::size_t kNeighbourIters = scaled(20000);
-    const double kRadius = 50.0;
 
     util::Table t("Hot-path microbenchmarks: legacy vs optimized");
     t.header({"bench", "impl", "ops", "ns_per_op", "Mops_per_sec", "speedup"});
@@ -920,26 +886,6 @@ int main(int argc, char** argv) {
             time_pair(kCtiIters, [&] { return cti_sum(legacy_table, nodes, kCtiIters); },
                       [&] { return cti_sum(opt_table, nodes, kCtiIters); });
         ok = report.pair("cti_sum_100", kCtiIters, legacy, opt) && ok;
-    }
-
-    // --- Neighbour queries ------------------------------------------------
-    for (const std::size_t n : {std::size_t{1024}, std::size_t{4096}}) {
-        // Density-scaled field: side grows with sqrt(N) so a radius-50 query
-        // keeps ~13 neighbours at either scale — the brute-force cost grows
-        // with N, the grid cost with the (constant) local density.
-        const double side = 25.0 * std::sqrt(static_cast<double>(n));
-        util::Rng stream = rng.stream("field", n);
-        std::vector<util::Vec2> pts(n);
-        for (auto& p : pts) p = stream.point_in_rect(side, side);
-        std::vector<util::Vec2> queries(kQueryCount);
-        for (auto& q : queries) q = stream.point_in_rect(side, side);
-        const util::SpatialGrid grid(pts, kRadius);
-        const std::size_t iters = n >= 4096 ? kNeighbourIters / 2 : kNeighbourIters;
-
-        const auto [legacy, opt] =
-            time_pair(iters, [&] { return neighbour_brute(pts, queries, kRadius, iters); },
-                      [&] { return neighbour_grid(grid, queries, kRadius, iters); });
-        ok = report.pair("neighbour_query_" + std::to_string(n), iters, legacy, opt) && ok;
     }
 
     // --- Binary scoring ---------------------------------------------------
@@ -1053,9 +999,7 @@ int main(int argc, char** argv) {
         .set("queue_batch", static_cast<long>(kQueueBatch))
         .set("broadcast_rounds", static_cast<long>(kBroadcastRounds))
         .set("cti_nodes", static_cast<long>(kCtiNodes))
-        .set("cti_iters", static_cast<long>(kCtiIters))
-        .set("neighbour_iters", static_cast<long>(kNeighbourIters))
-        .set("radius", kRadius);
+        .set("cti_iters", static_cast<long>(kCtiIters));
 
     const int rc = io.finish();
     return ok ? rc : 1;

@@ -63,6 +63,7 @@ void BaseStation::finalize(std::uint64_t key) {
     pending_.erase(it);
 
     FinalDecision f;
+    f.ch = vote.ch;
     f.seq = vote.seq;
     f.time = sim().now();
     f.has_location = vote.announced->has_location;

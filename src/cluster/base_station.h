@@ -19,6 +19,7 @@ namespace tibfit::cluster {
 
 /// The base station's final conclusion for one CH decision.
 struct FinalDecision {
+    sim::ProcessId ch = sim::kNoProcess;  ///< the CH whose decision was voted on
     std::uint64_t seq = 0;
     double time = 0.0;
     bool event_declared = false;

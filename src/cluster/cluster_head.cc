@@ -222,6 +222,7 @@ void ClusterHead::decide_binary_window() {
     window_reporters_.clear();
 
     DecisionRecord rec;
+    rec.ch = id();
     rec.seq = next_seq_++;
     rec.time = sim().now();
     rec.window_opened = window_opened_at_;
@@ -252,6 +253,7 @@ void ClusterHead::collect_location_windows() {
     auto decisions = engine_.collect(sim().now(), engine_positions());
     for (auto& d : decisions) {
         DecisionRecord rec;
+        rec.ch = id();
         rec.seq = next_seq_++;
         rec.time = sim().now();
         rec.window_opened = sim().now() - engine_.config().t_out;

@@ -27,7 +27,8 @@ namespace tibfit::cluster {
 
 /// One entry of the CH's decision log — what the harness scores.
 struct DecisionRecord {
-    std::uint64_t seq = 0;
+    sim::ProcessId ch = sim::kNoProcess;  ///< the deciding CH
+    std::uint64_t seq = 0;                ///< numbered per CH, from 0
     double time = 0.0;           ///< when the decision was made
     double window_opened = 0.0;  ///< when the first report of the window arrived
     bool event_declared = false;

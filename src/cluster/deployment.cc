@@ -64,9 +64,6 @@ Deployment::Deployment(sim::Simulator& sim, util::Rng rng, DeploymentConfig conf
     raw.reserve(n);
     for (auto& nd : nodes_) raw.push_back(nd.get());
     generator_->set_nodes(std::move(raw));
-    // Deployments are stationary: build the event-neighbour grid once now
-    // (cell size = sensing radius) so no round pays the lazy first build.
-    generator_->prime_spatial_index();
 
     election_ = std::make_unique<LeachElection>(config_.leach, rng_.stream("election"));
     batteries_.assign(n, Battery(config_.initial_energy));

@@ -3,7 +3,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <numeric>
-#include <unordered_map>
+#include <map>
+#include <utility>
 
 #include "util/vec2.h"
 
@@ -94,11 +95,13 @@ LocationScore score_location(const std::vector<sensor::GeneratedEvent>& history,
 
 void apply_station_verdicts(std::vector<cluster::DecisionRecord>& decisions,
                             const std::vector<cluster::FinalDecision>& finals) {
-    std::unordered_map<std::uint64_t, bool> verdict;
-    verdict.reserve(finals.size());
-    for (const auto& f : finals) verdict.emplace(f.seq, f.event_declared);  // first one wins
+    // Every CH numbers its decisions from 0, so a verdict names its CH too.
+    std::map<std::pair<sim::ProcessId, std::uint64_t>, bool> verdict;
+    for (const auto& f : finals) {
+        verdict.emplace(std::pair{f.ch, f.seq}, f.event_declared);  // first one wins
+    }
     for (auto& d : decisions) {
-        if (const auto it = verdict.find(d.seq); it != verdict.end()) {
+        if (const auto it = verdict.find({d.ch, d.seq}); it != verdict.end()) {
             d.event_declared = it->second;
         }
     }

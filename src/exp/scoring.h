@@ -68,7 +68,8 @@ LocationScore score_location(const std::vector<sensor::GeneratedEvent>& history,
                              double window, double r_error, std::size_t epoch_events);
 
 /// Overrides each decision's verdict with the base station's final
-/// decision of the same seq (the first one, if the station holds several).
+/// decision of the same (CH, seq) (the first one, if the station holds
+/// several).
 void apply_station_verdicts(std::vector<cluster::DecisionRecord>& decisions,
                             const std::vector<cluster::FinalDecision>& finals);
 

@@ -98,17 +98,4 @@ std::vector<double> mean_epoch_accuracy(Scenario scenario, std::size_t runs) {
     return sum;
 }
 
-std::vector<double> sweep(Scenario scenario, const std::vector<double>& xs,
-                          const std::function<void(Scenario&, double)>& set,
-                          std::size_t runs) {
-    std::vector<double> out;
-    out.reserve(xs.size());
-    for (double x : xs) {
-        Scenario s = scenario;
-        set(s, x);
-        out.push_back(mean_accuracy(s, runs));
-    }
-    return out;
-}
-
 }  // namespace tibfit::exp

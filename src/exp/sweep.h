@@ -13,7 +13,6 @@
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <vector>
 
 #include "exp/binary_experiment.h"
@@ -32,11 +31,5 @@ double mean_accuracy(Scenario scenario, std::size_t runs);
 /// recorder attached, the exp.sweep.truncated_runs counter records how
 /// many runs fell short.
 std::vector<double> mean_epoch_accuracy(Scenario scenario, std::size_t runs);
-
-/// Sweep helper: applies `set` for each value in `xs` and records the mean
-/// accuracy of the resulting scenario.
-std::vector<double> sweep(Scenario scenario, const std::vector<double>& xs,
-                          const std::function<void(Scenario&, double)>& set,
-                          std::size_t runs);
 
 }  // namespace tibfit::exp

@@ -55,7 +55,7 @@ inline constexpr const char* kInjectFailovers = "inject.failovers";
 inline constexpr const char* kInjectFaultEvents = "inject.fault_events";
 inline constexpr const char* kInjectDecisionsDegraded = "inject.decisions_degraded";
 
-// exp::sweep trial aggregation
+// exp::mean_epoch_accuracy trial aggregation
 inline constexpr const char* kSweepTruncatedRuns = "exp.sweep.truncated_runs";
 
 // Correctness tooling (tibfit::check + core safety nets). Deliberately

@@ -1,6 +1,5 @@
 #include "sensor/event_generator.h"
 
-#include <algorithm>
 #include <memory>
 #include <stdexcept>
 
@@ -74,69 +73,24 @@ void EventGenerator::schedule_quiet_windows(std::size_t count, double interval, 
         nullptr, staged_);
 }
 
-void EventGenerator::ensure_spatial_index() {
-    const std::size_t n = nodes_.size();
-    bool stale = index_positions_.size() != n;
-    if (!stale) {
-        for (std::size_t i = 0; i < n; ++i) {
-            if (nodes_[i]->position() != index_positions_[i] ||
-                nodes_[i]->sensing_radius() != index_radii_[i]) {
-                stale = true;
-                break;
-            }
-        }
-    }
-    if (!stale) return;
-    index_positions_.resize(n);
-    index_radii_.resize(n);
-    index_radius_max_ = 0.0;
-    for (std::size_t i = 0; i < n; ++i) {
-        index_positions_[i] = nodes_[i]->position();
-        index_radii_[i] = nodes_[i]->sensing_radius();
-        if (index_radii_[i] > index_radius_max_) index_radius_max_ = index_radii_[i];
-    }
-    if (n != 0 && index_radius_max_ > 0.0) {
-        grid_.rebuild(index_positions_, index_radius_max_);
-    }
-}
-
 void EventGenerator::fire_event(const util::Vec2& location) {
     GeneratedEvent ev;
     ev.id = next_id_++;
     ev.time = sim_->now();
     ev.location = location;
-    // Event neighbours via the spatial index: candidate nodes come from the
-    // grid cells around the event (unordered); the inclusion predicate is
-    // the exact expression the old O(N) scan used, and sorting the accepted
-    // hits restores that scan's ascending visit order, so the neighbour set
-    // is bit-identical.
+    // Event neighbours: one scan over the population in order, so the
+    // neighbour list is in node order. A radius-0 node exactly at the event
+    // counts (distance 0 <= radius 0).
     hits_.clear();
-    ensure_spatial_index();
-    if (!nodes_.empty() && index_radius_max_ > 0.0) {
-        grid_.candidates_within(location, index_radius_max_, candidates_);
-        for (std::size_t i : candidates_) {
-            SensorNode* n = nodes_[i];
-            if (util::distance(n->position(), location) <= n->sensing_radius()) {
-                hits_.push_back(i);
-            }
-        }
-        std::sort(hits_.begin(), hits_.end());
-        for (std::size_t i : hits_) ev.event_neighbours.push_back(nodes_[i]->id());
-    } else {
-        // Degenerate topology (no positive sensing radius): the grid has no
-        // usable cell size; keep the plain scan so a node exactly at the
-        // event location still counts (distance 0 <= radius 0).
-        for (std::size_t i = 0; i < nodes_.size(); ++i) {
-            SensorNode* n = nodes_[i];
-            if (util::distance(n->position(), location) <= n->sensing_radius()) {
-                hits_.push_back(i);
-                ev.event_neighbours.push_back(n->id());
-            }
+    for (SensorNode* n : nodes_) {
+        if (util::distance(n->position(), location) <= n->sensing_radius()) {
+            hits_.push_back(n);
+            ev.event_neighbours.push_back(n->id());
         }
     }
     history_.push_back(ev);
     if (event_cb_) event_cb_(history_.back());
-    for (std::size_t i : hits_) nodes_[i]->on_event(ev.id, location);
+    for (SensorNode* n : hits_) n->on_event(ev.id, location);
 }
 
 void EventGenerator::fire_quiet(double spread) {

@@ -16,7 +16,6 @@
 #include "sensor/sensor_node.h"
 #include "sim/simulator.h"
 #include "util/rng.h"
-#include "util/spatial_grid.h"
 #include "util/vec2.h"
 
 namespace tibfit::sensor {
@@ -37,16 +36,7 @@ class EventGenerator {
     EventGenerator(sim::Simulator& sim, util::Rng rng, double field_w, double field_h);
 
     /// The population (non-owning). May be re-pointed between runs.
-    void set_nodes(std::vector<SensorNode*> nodes) {
-        nodes_ = std::move(nodes);
-        index_positions_.clear();  // force a spatial-index rebuild
-    }
-
-    /// Builds the spatial neighbour index now instead of lazily at the
-    /// first event (e.g. a Deployment pre-warming before its first round).
-    /// Purely a latency optimisation; fire paths validate and rebuild the
-    /// index on their own whenever the topology changed.
-    void prime_spatial_index() { ensure_spatial_index(); }
+    void set_nodes(std::vector<SensorNode*> nodes) { nodes_ = std::move(nodes); }
 
     /// Called (at event time) with the ground-truth record, before the
     /// neighbours are informed. Used by the harness to score decisions.
@@ -92,27 +82,12 @@ class EventGenerator {
     void fire_quiet(double spread);
     util::Vec2 draw_location() const;
 
-    /// Keeps the uniform-grid neighbour index in sync with the node set.
-    /// The index caches a snapshot of every node's (position, radius); a
-    /// cheap equality sweep detects any change (mobility, behaviour swaps
-    /// re-pointing nodes_) and triggers an O(N) rebuild, so the grid can
-    /// never serve a stale topology no matter who moved the nodes.
-    void ensure_spatial_index();
-
     sim::Simulator* sim_;
     mutable util::Rng rng_;
     double field_w_;
     double field_h_;
     std::vector<SensorNode*> nodes_;
-
-    // Spatial neighbour index (cell size = max sensing radius) + the
-    // snapshot it was built from and reusable query scratch buffers.
-    util::SpatialGrid grid_;
-    std::vector<util::Vec2> index_positions_;
-    std::vector<double> index_radii_;
-    double index_radius_max_ = 0.0;
-    std::vector<std::size_t> candidates_;
-    std::vector<std::size_t> hits_;
+    std::vector<SensorNode*> hits_;  ///< the current event's neighbours (reused)
     std::vector<sim::FanoutItem> staged_;  ///< fan-out items being built (reused)
     std::function<void(const GeneratedEvent&)> event_cb_;
     std::function<void(std::uint64_t, double)> quiet_cb_;

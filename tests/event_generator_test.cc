@@ -1,9 +1,7 @@
-// EventGenerator neighbour resolution through the spatial grid. The grid
-// caches a (position, radius) snapshot of the node set; these tests move
-// nodes between events (mobility), re-point the node set, and use
-// degenerate radii to prove the snapshot validation always rebuilds before
-// serving a query — the reported neighbour set must match a brute-force
-// scan of the *current* topology at every event.
+// EventGenerator neighbour resolution. These tests move nodes between
+// events (mobility), re-point the node set, and use degenerate radii — the
+// reported neighbour set must match a brute-force scan of the *current*
+// topology at every event.
 //
 // The generator schedules each call's events, quiet windows and jittered
 // quiet-window calls as one sim fan-out; the last tests pin that these
@@ -52,7 +50,7 @@ class EventGeneratorTest : public ::testing::Test {
         return out;
     }
 
-    /// The O(N) scan the grid replaced, over the *current* node positions.
+    /// The reference scan, over the *current* node positions.
     std::vector<sim::ProcessId> brute_neighbours(const util::Vec2& loc) const {
         std::vector<sim::ProcessId> out;
         for (const auto& n : nodes_) {
@@ -88,13 +86,12 @@ TEST_F(EventGeneratorTest, NeighboursWithinSensingRadius) {
 TEST_F(EventGeneratorTest, MovedNodesChangeNeighbourSetsBetweenEvents) {
     // One node patrols between two corners; events land uniformly. After
     // every event the neighbour set must reflect the position the node had
-    // *at that event*, not the position the grid was first built from.
+    // *at that event*, not the position it had when the set was given.
     SensorNode* rover = make_node(0, {10, 10}, 40.0);
     make_node(1, {50, 50});
     make_node(2, {90, 90});
     EventGenerator gen(simulator_, util::Rng(3), 100.0, 100.0);
     gen.set_nodes(node_ptrs());
-    gen.prime_spatial_index();  // pre-warm: the move below must invalidate it
 
     gen.on_event([&](const GeneratedEvent& ev) {
         EXPECT_EQ(ev.event_neighbours, brute_neighbours(ev.location)) << "event " << ev.id;
@@ -111,7 +108,7 @@ TEST_F(EventGeneratorTest, MovedNodesChangeNeighbourSetsBetweenEvents) {
     EXPECT_EQ(gen.history().size(), 16u);
 
     // Sanity: the rover's membership actually flipped across the run
-    // (otherwise the test never exercised a post-move rebuild).
+    // (otherwise the test never exercised a post-move event).
     int with = 0;
     int without = 0;
     for (const auto& ev : gen.history()) {
@@ -126,10 +123,9 @@ TEST_F(EventGeneratorTest, SetNodesRepointsAndRebuilds) {
     make_node(0, {10, 10});
     EventGenerator gen(simulator_, util::Rng(4), 100.0, 100.0);
     gen.set_nodes(node_ptrs());
-    gen.prime_spatial_index();
 
     // Re-point at a different population (same size, different geometry):
-    // the snapshot must be invalidated even though the count matches.
+    // events must see the new one even though the count matches.
     nodes_.clear();
     make_node(5, {60, 60});
     gen.set_nodes(node_ptrs());
@@ -143,14 +139,12 @@ TEST_F(EventGeneratorTest, SetNodesRepointsAndRebuilds) {
 }
 
 TEST_F(EventGeneratorTest, ChangedRadiusInvalidatesSnapshot) {
-    // Radius changes (not just positions) must also trigger a rebuild: the
-    // grid's cell size derives from the max sensing radius. Simulate by
+    // Radius changes (not just positions) must also be seen. Simulate by
     // swapping the node set for one with a larger radius node at the same
     // position.
     make_node(0, {50, 50}, 5.0);
     EventGenerator gen(simulator_, util::Rng(5), 100.0, 100.0);
     gen.set_nodes(node_ptrs());
-    gen.prime_spatial_index();
 
     nodes_.clear();
     make_node(0, {50, 50}, 80.0);  // now covers the whole field
@@ -165,8 +159,8 @@ TEST_F(EventGeneratorTest, ChangedRadiusInvalidatesSnapshot) {
 }
 
 TEST_F(EventGeneratorTest, ZeroRadiusFallsBackToPlainScan) {
-    // All-zero radii give the grid no usable cell size; the generator must
-    // fall back to the O(N) scan, where a node exactly at the event counts.
+    // A radius-0 node counts only when an event lands exactly on it
+    // (distance 0 <= radius 0).
     make_node(0, {50, 50}, 0.0);
     EventGenerator gen(simulator_, util::Rng(6), 100.0, 100.0);
     gen.set_nodes(node_ptrs());

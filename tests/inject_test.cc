@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
+#include <variant>
 #include <vector>
 
 #include "core/trust.h"
@@ -16,6 +20,7 @@
 #include "exp/scenario.h"
 #include "exp/sweep.h"
 #include "obs/json.h"
+#include "obs/recorder.h"
 #include "par/jobs.h"
 
 namespace tibfit::exp {
@@ -137,6 +142,44 @@ TEST(Inject, InactiveFaultWindowCannotPerturbDecisions) {
     const BinaryResult b = run_binary_experiment(armed);
     EXPECT_EQ(a.accuracy, b.accuracy);
     EXPECT_TRUE(same_decisions(a.decisions, b.decisions));
+}
+
+TEST(Inject, StationVerdictsNeverOverrideTheStandbyCh) {
+    // Shadows watch the primary CH only, and the base station votes on its
+    // decisions only. Both CHs number their decisions from 0, so a verdict
+    // matched by seq alone would overturn standby decisions from other
+    // windows; matched by (CH, seq), every standby decision keeps the
+    // verdict its CH announced.
+    Scenario s = Scenario::binary_defaults();
+    s.binary.pct_faulty = 0.6;
+    s.faults.false_alarm_rate = 0.2;  // false-alarm windows: more seqs to confuse
+    s.binary.use_shadows = true;
+    s.binary.corrupt_ch = true;
+    s.campaign.failovers.push_back({100.0, -1.0, true});
+    s.keep_decisions = true;
+    obs::Recorder rec;
+    rec.trace().set_enabled(true);
+    s.recorder = &rec;
+    const BinaryResult r = run_binary_experiment(s);
+
+    // What each CH announced, before the base station's vote.
+    std::map<std::pair<std::uint32_t, std::uint64_t>, bool> announced;
+    for (const auto& record : rec.trace().records()) {
+        if (const auto* d = std::get_if<obs::DecisionMade>(&record.data)) {
+            announced.emplace(std::pair{d->ch, d->decision_seq}, d->event_declared);
+        }
+    }
+    const auto primary = static_cast<sim::ProcessId>(s.binary.n_nodes);
+    std::size_t standby_decisions = 0;
+    for (const auto& d : r.decisions) {
+        if (d.ch == primary) continue;
+        ++standby_decisions;
+        const auto it = announced.find({d.ch, d.seq});
+        ASSERT_NE(it, announced.end()) << "ch " << d.ch << " seq " << d.seq;
+        EXPECT_EQ(d.event_declared, it->second) << "ch " << d.ch << " seq " << d.seq;
+    }
+    EXPECT_GT(standby_decisions, 10u);
+    EXPECT_GT(r.ch_overrides, 0u);  // the station did overturn the primary
 }
 
 TEST(Inject, WarmHandoffBeatsColdAtMajorityCompromise) {

@@ -88,24 +88,38 @@ TEST(ParallelDeterminism, EpochSeriesBitIdenticalAcrossJobs) {
 
 TEST(ParallelDeterminism, SweepBinaryBitIdenticalAcrossJobs) {
     JobsGuard guard;
-    const std::vector<double> xs = {0.2, 0.4, 0.6};
-    const auto set = [](Scenario& c, double x) { c.binary.pct_faulty = x; };
+    const auto sweep = [] {
+        std::vector<double> accs;
+        for (const double x : {0.2, 0.4, 0.6}) {
+            Scenario c = small_binary();
+            c.binary.pct_faulty = x;
+            accs.push_back(mean_accuracy(c, 8));
+        }
+        return accs;
+    };
     par::set_jobs(1);
-    const auto serial = sweep(small_binary(), xs, set, 8);
+    const auto serial = sweep();
     for (std::size_t jobs : {2u, 8u}) {
         par::set_jobs(jobs);
-        EXPECT_EQ(sweep(small_binary(), xs, set, 8), serial) << "jobs=" << jobs;
+        EXPECT_EQ(sweep(), serial) << "jobs=" << jobs;
     }
 }
 
 TEST(ParallelDeterminism, SweepLocationBitIdenticalAcrossJobs) {
     JobsGuard guard;
-    const std::vector<double> xs = {0.1, 0.5};
-    const auto set = [](Scenario& c, double x) { c.location.pct_faulty = x; };
+    const auto sweep = [] {
+        std::vector<double> accs;
+        for (const double x : {0.1, 0.5}) {
+            Scenario c = small_location();
+            c.location.pct_faulty = x;
+            accs.push_back(mean_accuracy(c, 4));
+        }
+        return accs;
+    };
     par::set_jobs(1);
-    const auto serial = sweep(small_location(), xs, set, 4);
+    const auto serial = sweep();
     par::set_jobs(8);
-    EXPECT_EQ(sweep(small_location(), xs, set, 4), serial);
+    EXPECT_EQ(sweep(), serial);
 }
 
 TEST(ParallelDeterminism, MergedMetricsJsonBitIdenticalAcrossJobs) {

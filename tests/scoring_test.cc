@@ -91,7 +91,7 @@ void reference_verdicts(std::vector<DecisionRecord>& decisions,
                         const std::vector<cluster::FinalDecision>& finals) {
     for (auto& d : decisions) {
         for (const auto& f : finals) {
-            if (f.seq == d.seq) {
+            if (f.ch == d.ch && f.seq == d.seq) {
                 d.event_declared = f.event_declared;
                 break;
             }
@@ -210,9 +210,12 @@ TEST(Scoring, LocationMatchesTheReferenceScan) {
 TEST(Scoring, StationVerdictsMatchTheReferenceScan) {
     util::Rng rng(1107);
     for (int i = 0; i < kLogs; ++i) {
-        const Log log = random_log(rng);
+        Log log = random_log(rng);
+        // Two CHs (a failover log), each numbering its decisions from 0.
+        for (auto& d : log.decisions) d.ch = static_cast<sim::ProcessId>(rng.uniform_index(2));
         std::vector<cluster::FinalDecision> finals(rng.uniform_index(40));
         for (auto& f : finals) {
+            f.ch = static_cast<sim::ProcessId>(rng.uniform_index(2));
             f.seq = rng.uniform_index(30);  // repeats, and seqs no decision has
             f.event_declared = rng.chance(0.5);
         }
@@ -223,6 +226,35 @@ TEST(Scoring, StationVerdictsMatchTheReferenceScan) {
         for (std::size_t d = 0; d < got.size(); ++d) {
             ASSERT_EQ(got[d].event_declared, want[d].event_declared) << "log " << i;
         }
+    }
+}
+
+TEST(Scoring, StationVerdictsApplyOnlyToTheirCh) {
+    // Two CHs share seqs 0..4 (each numbers its decisions from 0); the
+    // station voted on CH 7's decisions only, overturning each one.
+    std::vector<DecisionRecord> decisions;
+    for (const sim::ProcessId ch : {7u, 9u}) {
+        for (std::uint64_t seq = 0; seq < 5; ++seq) {
+            DecisionRecord d;
+            d.ch = ch;
+            d.seq = seq;
+            d.event_declared = seq % 2 == 0;
+            decisions.push_back(d);
+        }
+    }
+    std::vector<cluster::FinalDecision> finals;
+    for (std::uint64_t seq = 0; seq < 5; ++seq) {
+        cluster::FinalDecision f;
+        f.ch = 7;
+        f.seq = seq;
+        f.event_declared = seq % 2 != 0;
+        finals.push_back(f);
+    }
+    std::vector<DecisionRecord> got = decisions;
+    detail::apply_station_verdicts(got, finals);
+    for (std::size_t d = 0; d < got.size(); ++d) {
+        const bool overturned = got[d].event_declared != decisions[d].event_declared;
+        EXPECT_EQ(overturned, got[d].ch == 7) << "ch " << got[d].ch << " seq " << got[d].seq;
     }
 }
 
