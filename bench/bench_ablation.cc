@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "exp/bench_io.h"
-#include "exp/location_experiment.h"
 #include "exp/sweep.h"
 #include "util/table.h"
 
@@ -96,12 +95,5 @@ int main(int argc, char** argv) {
                util::Table::num(off, 3) + " -> " + util::Table::num(on, 3)});
     }
     io.emit(t);
-    io.params()
-        .set("pct_faulty", base.location.pct_faulty)
-        .set("events", static_cast<long>(base.location.events));
-    return io.finish([&](obs::Recorder& rec) {
-        exp::Scenario c = base;
-        c.recorder = &rec;
-        exp::run_location_experiment(c);
-    });
+    return io.finish(base);
 }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "exp/bench_io.h"
-#include "exp/location_experiment.h"
 #include "exp/sweep.h"
 #include "util/table.h"
 
@@ -46,12 +45,8 @@ int main(int argc, char** argv) {
                      3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.3).set("collusion_defense", true);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::Scenario c = base;
-        c.location.pct_faulty = 0.3;
-        c.engine.collusion_defense = true;
-        c.recorder = &rec;
-        exp::run_location_experiment(c);
-    });
+    exp::Scenario representative = base;
+    representative.location.pct_faulty = 0.3;
+    representative.engine.collusion_defense = true;
+    return io.finish(representative);
 }

@@ -76,6 +76,7 @@ Lifetime run(double ch_fraction, std::uint64_t seed) {
 
 int main(int argc, char** argv) {
     tibfit::exp::BenchIo io("bench_ext_energy", argc, argv);
+    io.apply();
     tibfit::util::Table t(
         "Extension: network lifetime vs CH rotation aggressiveness (64 nodes, 0.05 J)");
     t.header({"ch_fraction", "first death (round)", "half dead (round)",
@@ -88,6 +89,6 @@ int main(int argc, char** argv) {
     }
     io.emit(t);
     // The lifetime harness drives a Deployment directly; the artifact's
-    // metrics come from the shared default instrumented run.
+    // metrics come from finish()'s small default run.
     return io.finish();
 }

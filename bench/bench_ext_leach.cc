@@ -13,7 +13,6 @@
 
 #include "cluster/deployment.h"
 #include "exp/bench_io.h"
-#include "exp/location_experiment.h"
 #include "exp/sweep.h"
 #include "par/trial_runner.h"
 #include "util/rng.h"
@@ -118,11 +117,7 @@ int main(int argc, char** argv) {
         t.row_values(row, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.3);
-    return io.finish([&](tibfit::obs::Recorder& rec) {
-        auto c = dedicated;
-        c.location.pct_faulty = 0.3;
-        c.recorder = &rec;
-        tibfit::exp::run_location_experiment(c);
-    });
+    auto representative = dedicated;
+    representative.location.pct_faulty = 0.3;
+    return io.finish(representative);
 }

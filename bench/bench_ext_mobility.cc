@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "exp/bench_io.h"
-#include "exp/location_experiment.h"
 #include "exp/sweep.h"
 #include "util/table.h"
 
@@ -38,12 +37,8 @@ int main(int argc, char** argv) {
         t.row_values({100.0 * p, stationary, slow, exp::mean_accuracy(c, runs)}, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.3).set("mobile", true);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::Scenario c = base;
-        c.location.pct_faulty = 0.3;
-        c.location.mobile = true;
-        c.recorder = &rec;
-        exp::run_location_experiment(c);
-    });
+    exp::Scenario representative = base;
+    representative.location.pct_faulty = 0.3;
+    representative.location.mobile = true;
+    return io.finish(representative);
 }

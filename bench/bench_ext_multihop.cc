@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "exp/bench_io.h"
-#include "exp/location_experiment.h"
 #include "exp/sweep.h"
 #include "util/table.h"
 
@@ -41,13 +40,9 @@ int main(int argc, char** argv) {
         t.row_values(row, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.3).set("multihop", true).set("radio_range", 30.0);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::Scenario c = base;
-        c.location.pct_faulty = 0.3;
-        c.location.multihop = true;
-        c.location.radio_range = 30.0;
-        c.recorder = &rec;
-        exp::run_location_experiment(c);
-    });
+    exp::Scenario representative = base;
+    representative.location.pct_faulty = 0.3;
+    representative.location.multihop = true;
+    representative.location.radio_range = 30.0;
+    return io.finish(representative);
 }

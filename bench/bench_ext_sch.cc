@@ -10,7 +10,6 @@
 #include <vector>
 
 #include "exp/bench_io.h"
-#include "exp/binary_experiment.h"
 #include "exp/sweep.h"
 #include "util/table.h"
 
@@ -43,13 +42,9 @@ int main(int argc, char** argv) {
         t.row_values({100.0 * p, honest, corrupt, exp::mean_accuracy(c, runs)}, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.6).set("corrupt_ch", true).set("use_shadows", true);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::Scenario c = base;
-        c.binary.pct_faulty = 0.6;
-        c.binary.corrupt_ch = true;
-        c.binary.use_shadows = true;
-        c.recorder = &rec;
-        exp::run_binary_experiment(c);
-    });
+    exp::Scenario representative = base;
+    representative.binary.pct_faulty = 0.6;
+    representative.binary.corrupt_ch = true;
+    representative.binary.use_shadows = true;
+    return io.finish(representative);
 }

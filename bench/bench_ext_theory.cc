@@ -13,8 +13,6 @@
 #include "analysis/ti_dynamics.h"
 #include "analysis/trust_trajectory.h"
 #include "exp/bench_io.h"
-#include "exp/binary_experiment.h"
-#include "exp/location_experiment.h"
 #include "exp/sweep.h"
 #include "util/table.h"
 
@@ -92,12 +90,8 @@ int main(int argc, char** argv) {
         loc.row_values(row, 3);
     }
     io.emit(loc);
-    io.params().set("pct_faulty", 0.5).set("correct_ner", 0.01);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::Scenario c = sim_cfg;
-        c.binary.pct_faulty = 0.5;
-        c.faults.natural_error_rate = 0.01;
-        c.recorder = &rec;
-        exp::run_binary_experiment(c);
-    });
+    exp::Scenario representative = sim_cfg;
+    representative.binary.pct_faulty = 0.5;
+    representative.faults.natural_error_rate = 0.01;
+    return io.finish(representative);
 }

@@ -12,6 +12,7 @@ int main(int argc, char** argv) {
     using tibfit::analysis::baseline_success;
     using tibfit::util::Table;
     tibfit::exp::BenchIo io("bench_fig10", argc, argv);
+    io.apply();
 
     constexpr std::uint64_t kN = 10;
     constexpr double kQ = 0.5;
@@ -26,7 +27,7 @@ int main(int argc, char** argv) {
         t.row_values(row, 4);
     }
     io.emit(t);
-    // Pure closed-form bench: the artifact's metrics come from the shared
-    // default instrumented run.
+    // Pure closed-form bench: the artifact's metrics come from finish()'s
+    // small default run.
     return io.finish();
 }

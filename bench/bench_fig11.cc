@@ -13,6 +13,7 @@
 int main(int argc, char** argv) {
     using namespace tibfit;
     exp::BenchIo io("bench_fig11", argc, argv);
+    io.apply();
     constexpr std::uint64_t kN = 10;
     const std::vector<double> lambdas = {0.05, 0.10, 0.25, 0.50};
 
@@ -33,7 +34,7 @@ int main(int argc, char** argv) {
                          3);
     }
     io.emit(roots);
-    // Pure closed-form bench: the artifact's metrics come from the shared
-    // default instrumented run.
+    // Pure closed-form bench: the artifact's metrics come from finish()'s
+    // small default run.
     return io.finish();
 }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "exp/bench_io.h"
-#include "exp/binary_experiment.h"
 #include "exp/sweep.h"
 #include "util/table.h"
 
@@ -47,12 +46,8 @@ int main(int argc, char** argv) {
         t.row_values(row, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.5).set("correct_ner", 0.01);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::Scenario s = base;
-        s.binary.pct_faulty = 0.5;
-        s.faults.natural_error_rate = 0.01;
-        s.recorder = &rec;
-        exp::run_binary_experiment(s);
-    });
+    exp::Scenario representative = base;
+    representative.binary.pct_faulty = 0.5;
+    representative.faults.natural_error_rate = 0.01;
+    return io.finish(representative);
 }

@@ -9,7 +9,6 @@
 #include <vector>
 
 #include "exp/bench_io.h"
-#include "exp/binary_experiment.h"
 #include "exp/sweep.h"
 #include "util/table.h"
 
@@ -44,12 +43,8 @@ int main(int argc, char** argv) {
         t.row_values(row, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.5).set("false_alarm_rate", 0.10);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::Scenario c = base;
-        c.binary.pct_faulty = 0.5;
-        c.faults.false_alarm_rate = 0.10;
-        c.recorder = &rec;
-        exp::run_binary_experiment(c);
-    });
+    exp::Scenario representative = base;
+    representative.binary.pct_faulty = 0.5;
+    representative.faults.false_alarm_rate = 0.10;
+    return io.finish(representative);
 }

@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "exp/bench_io.h"
-#include "exp/location_experiment.h"
 #include "exp/sweep.h"
 #include "util/table.h"
 
@@ -52,14 +51,10 @@ int main(int argc, char** argv) {
         t.row_values(row, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.3).set("burst", 2);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::Scenario c = base;
-        c.location.pct_faulty = 0.3;
-        c.faults.correct_sigma = 1.6;
-        c.faults.faulty_sigma = 4.25;
-        c.location.burst = 2;
-        c.recorder = &rec;
-        exp::run_location_experiment(c);
-    });
+    exp::Scenario representative = base;
+    representative.location.pct_faulty = 0.3;
+    representative.faults.correct_sigma = 1.6;
+    representative.faults.faulty_sigma = 4.25;
+    representative.location.burst = 2;
+    return io.finish(representative);
 }

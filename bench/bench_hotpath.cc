@@ -763,7 +763,7 @@ int main(int argc, char** argv) {
 
     // Workload sizes; scale=<f> shrinks/expands everything for smoke runs.
     const double scale = [&io] {
-        const double s = io.params().get_double("scale", 1.0);
+        const double s = io.option("scale", 1.0, "multiplies every workload size (0.2: smoke)");
         return s > 0.0 ? s : 1.0;
     }();
     const auto scaled = [scale](std::size_t n) {
@@ -777,9 +777,10 @@ int main(int argc, char** argv) {
     // 4018 for binary_failover, but fan-outs keep its heap at a few dozen
     // entries.)
     const std::size_t kQueueRounds = scaled(static_cast<std::size_t>(
-        std::max(1L, io.params().get_int("queue_rounds", 16000))));
+        std::max(1.0, io.option("queue_rounds", 16000.0, "event-queue rounds, before scale"))));
     const std::size_t kQueueBatch = static_cast<std::size_t>(
-        std::max(1L, io.params().get_int("queue_batch", 32)));
+        std::max(1.0, io.option("queue_batch", 32.0, "events pending at once per queue round")));
+    io.apply();
     const std::size_t kBroadcastRounds = scaled(4000);
     // Timers parked during a broadcast drain: fig4_fanout's traced depth.
     constexpr std::size_t kBroadcastParked = 650;
@@ -994,13 +995,6 @@ int main(int argc, char** argv) {
     }
 
     io.emit(t);
-    io.params()
-        .set("queue_rounds", static_cast<long>(kQueueRounds))
-        .set("queue_batch", static_cast<long>(kQueueBatch))
-        .set("broadcast_rounds", static_cast<long>(kBroadcastRounds))
-        .set("cti_nodes", static_cast<long>(kCtiNodes))
-        .set("cti_iters", static_cast<long>(kCtiIters));
-
     const int rc = io.finish();
     return ok ? rc : 1;
 }

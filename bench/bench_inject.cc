@@ -32,7 +32,6 @@
 #include "exp/sweep.h"
 #include "inject/campaign.h"
 #include "obs/json.h"
-#include "obs/recorder.h"
 #include "util/table.h"
 
 namespace {
@@ -179,17 +178,13 @@ int main(int argc, char** argv) {
         io.emit(c);
     }
 
-    io.params().set("events", static_cast<long>(base.binary.events)).set("pct_faulty", 0.4);
-    return io.finish([&](obs::Recorder& rec) {
-        // Representative instrumented run: the warm-handoff failover arm
-        // (or the replayed campaign when one was given), so the artifact's
-        // registry carries the inject.* counters the CI golden gates on.
-        exp::Scenario s = replayed ? replay : fb;
-        if (!replayed) {
-            s.binary.pct_faulty = 0.4;
-            s.campaign = failover_campaign(kill_at, true, degrade);
-        }
-        s.recorder = &rec;
-        exp::run_binary_experiment(s);
-    });
+    // Representative instrumented run: the warm-handoff failover arm (or
+    // the replayed campaign when one was given), so the artifact's registry
+    // carries the inject.* counters the CI golden gates on.
+    exp::Scenario representative = replay;
+    if (!replayed) {
+        representative.binary.pct_faulty = 0.4;
+        representative.campaign = failover_campaign(kill_at, true, degrade);
+    }
+    return io.finish(representative);
 }

@@ -46,13 +46,9 @@ int main(int argc, char** argv) {
                      3);
     }
     io.emit(v);
-    io.params().set("pct_faulty", 0.5).set("correct_ner", 0.01).set("seed", 1);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::Scenario r = c;
-        r.binary.pct_faulty = 0.5;
-        r.faults.natural_error_rate = 0.01;
-        r.seed = 1;
-        r.recorder = &rec;
-        exp::run_binary_experiment(r);
-    });
+    exp::Scenario representative = c;
+    representative.binary.pct_faulty = 0.5;
+    representative.faults.natural_error_rate = 0.01;
+    representative.seed = 1;
+    return io.finish(representative);
 }

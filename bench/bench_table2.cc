@@ -4,7 +4,7 @@
 // error percentages the paper derives from the joint Gaussian).
 #include "analysis/rayleigh.h"
 #include "exp/bench_io.h"
-#include "exp/location_experiment.h"
+#include "exp/scenario.h"
 #include "util/table.h"
 
 int main(int argc, char** argv) {
@@ -42,13 +42,9 @@ int main(int argc, char** argv) {
         e.row_values({sigma, analysis::rayleigh_exceed(c.engine.r_error, sigma)}, 4);
     }
     io.emit(e);
-    io.params().set("pct_faulty", 0.3).set("events", 50).set("seed", 1);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::Scenario r = c;
-        r.location.pct_faulty = 0.3;
-        r.location.events = 50;
-        r.seed = 1;
-        r.recorder = &rec;
-        exp::run_location_experiment(r);
-    });
+    exp::Scenario representative = c;
+    representative.location.pct_faulty = 0.3;
+    representative.location.events = 50;
+    representative.seed = 1;
+    return io.finish(representative);
 }

@@ -1,14 +1,13 @@
 // The location-model figure sweeps, shared by the benches that differ only
 // in the adversary level (Figures 4-6) or the faulty sigma (Figures 8-9).
-// Each driver emits its table, echoes the representative run's knobs and
-// returns the bench's exit code from BenchIo::finish.
+// Each function emits its table and returns the bench's exit code from
+// BenchIo::finish, whose artifact records the representative scenario.
 #pragma once
 
 #include <string>
 #include <vector>
 
 #include "exp/bench_io.h"
-#include "exp/location_experiment.h"
 #include "exp/sweep.h"
 #include "util/table.h"
 
@@ -50,15 +49,11 @@ inline int level_sweep_figure(exp::BenchIo& io, const exp::Scenario& base,
         t.row_values(row, 3);
     }
     io.emit(t);
-    io.params().set("pct_faulty", 0.3).set("correct_sigma", 1.6).set("faulty_sigma", 4.25);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::Scenario c = base;
-        c.location.pct_faulty = 0.3;
-        c.faults.correct_sigma = 1.6;
-        c.faults.faulty_sigma = 4.25;
-        c.recorder = &rec;
-        exp::run_location_experiment(c);
-    });
+    exp::Scenario representative = base;
+    representative.location.pct_faulty = 0.3;
+    representative.faults.correct_sigma = 1.6;
+    representative.faults.faulty_sigma = 4.25;
+    return io.finish(representative);
 }
 
 /// Figures 8-9: per-epoch accuracy of a decaying network (level 0, 5% to
@@ -108,14 +103,10 @@ inline int decay_figure(exp::BenchIo& io, double faulty_sigma, const std::string
         t.row_values(row, 3);
     }
     io.emit(t);
-    io.params().set("correct_sigma", 1.6).set("faulty_sigma", faulty_sigma).set("decay", true);
-    return io.finish([&](obs::Recorder& rec) {
-        exp::Scenario c = base;
-        c.faults.correct_sigma = 1.6;
-        c.faults.faulty_sigma = faulty_sigma;
-        c.recorder = &rec;
-        exp::run_location_experiment(c);
-    });
+    exp::Scenario representative = base;
+    representative.faults.correct_sigma = 1.6;
+    representative.faults.faulty_sigma = faulty_sigma;
+    return io.finish(representative);
 }
 
 }  // namespace tibfit::bench

@@ -1,6 +1,7 @@
 #include "exp/bench_io.h"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
@@ -11,8 +12,10 @@
 #include <string>
 
 #include "exp/binary_experiment.h"
+#include "exp/location_experiment.h"
 #include "exp/scenario.h"
 #include "obs/artifact.h"
+#include "obs/json.h"
 #include "obs/recorder.h"
 #include "par/jobs.h"
 
@@ -20,34 +23,52 @@ namespace tibfit::exp {
 
 namespace {
 
+[[noreturn]] void reject(const std::string& bench, const std::string& message) {
+    std::cerr << bench << ": " << message << '\n';
+    std::exit(2);
+}
+
 void apply_jobs(const std::string& value, const std::string& bench) {
-    try {
-        const long n = std::stol(value);
-        if (n > 0) {
-            par::set_jobs(static_cast<std::size_t>(n));
-            return;
-        }
-    } catch (...) {
+    std::size_t n = 0;
+    const char* end = value.data() + value.size();
+    const auto [stop, ec] = std::from_chars(value.data(), end, n);
+    if (ec != std::errc{} || stop != end || n == 0) {
+        reject(bench, "--jobs needs a positive integer, got '" + value + "'");
     }
-    std::cerr << bench << ": ignoring invalid --jobs value '" << value << "'\n";
+    par::set_jobs(n);
+}
+
+/// `read()`, or exit 2 with its message when the typed value is refused.
+template <class Read>
+auto checked(const std::string& bench, Read read) {
+    try {
+        return read();
+    } catch (const std::out_of_range& e) {
+        reject(bench, e.what());
+    }
 }
 
 }  // namespace
 
 BenchIo::BenchIo(std::string name, int argc, char** argv) : name_(std::move(name)) {
+    // The value of flag argv[i] is the next token, which must exist.
+    const auto value_of = [&](int& i) -> std::string {
+        if (i + 1 >= argc) reject(name_, std::string(argv[i]) + " needs a value");
+        return argv[++i];
+    };
     argv_.reserve(static_cast<std::size_t>(argc));
     if (argc > 0) argv_.emplace_back(argv[0]);
     for (int i = 1; i < argc; ++i) {
-        const std::string_view arg(argv[i]);
+        const std::string arg(argv[i]);
         // --jobs only picks the thread count; results are bit-identical at
         // any value, so it is deliberately NOT echoed into argv_ (and thus
         // the artifact) — `--jobs 1` and `--jobs 8` runs must diff clean.
-        if (arg == "--jobs" && i + 1 < argc) {
-            apply_jobs(argv[++i], name_);
+        if (arg == "--jobs") {
+            apply_jobs(value_of(i), name_);
             continue;
         }
         if (arg.rfind("--jobs=", 0) == 0) {
-            apply_jobs(std::string(arg.substr(std::strlen("--jobs="))), name_);
+            apply_jobs(arg.substr(std::strlen("--jobs=")), name_);
             continue;
         }
         // --help short-circuits the run before finish(), so it never
@@ -56,37 +77,41 @@ BenchIo::BenchIo(std::string name, int argc, char** argv) : name_(std::move(name
             help_ = true;
             continue;
         }
-        argv_.emplace_back(argv[i]);
+        argv_.push_back(arg);
         if (arg == "--csv") {
             csv_ = true;
         } else if (arg == "--timing") {
             timing_ = true;
-        } else if (arg == "--json" && i + 1 < argc) {
-            json_path_ = argv[++i];
-            argv_.emplace_back(json_path_);
-        } else if (arg.rfind("--json=", 0) == 0) {
-            json_path_ = arg.substr(std::strlen("--json="));
-        } else if (params_.parse_assignment(std::string(arg))) {
-            assignments_.emplace_back(arg);
+        } else if (arg == "--json" || arg.rfind("--json=", 0) == 0) {
+            json_path_ = arg == "--json" ? value_of(i) : arg.substr(std::strlen("--json="));
+            // `--json runs=1` would otherwise swallow the override as a
+            // file name.
+            if (json_path_.empty() || json_path_[0] == '-' ||
+                json_path_.find('=') != std::string::npos) {
+                reject(name_, "--json needs a file path, got '" + json_path_ + "'");
+            }
+            if (arg == "--json") argv_.push_back(json_path_);
+        } else if (assigned_.parse_assignment(arg)) {
+            assignments_.push_back(arg);
+        } else {
+            reject(name_, "unknown argument '" + arg + "' (see --help)");
         }
     }
 }
 
 std::size_t BenchIo::trial_runs(std::size_t dflt) const {
-    try {
-        const std::size_t n = params_.get_count("runs", dflt);
-        return n > 0 ? n : dflt;
-    } catch (const std::out_of_range& e) {
-        std::cerr << name_ << ": " << e.what() << '\n';
-        std::exit(2);
-    }
+    const std::size_t n = checked(name_, [&] { return assigned_.get_count("runs", dflt); });
+    return n > 0 ? n : dflt;
+}
+
+void BenchIo::exit_on_help(bool takes_scenario) const {
+    if (!help_) return;
+    print_help(std::cout, takes_scenario);
+    std::exit(0);
 }
 
 void BenchIo::apply(Scenario& base) {
-    if (help_) {
-        print_help(std::cout);
-        std::exit(0);
-    }
+    exit_on_help(true);
     std::vector<std::string> paths;
     for (const std::string& a : assignments_) {
         const std::string key = a.substr(0, a.find('='));
@@ -101,6 +126,15 @@ void BenchIo::apply(Scenario& base) {
     }
     for (const std::string& e : errors) std::cerr << name_ << ": " << e << '\n';
     if (!errors.empty()) std::exit(2);
+}
+
+void BenchIo::apply() {
+    exit_on_help(false);
+    for (const std::string& a : assignments_) {
+        if (!declared(a.substr(0, a.find('=')))) {
+            reject(name_, "unknown option '" + a + "': this bench runs no scenario (see --help)");
+        }
+    }
 }
 
 void BenchIo::declare(const std::string& key, std::string dflt, const std::string& help) {
@@ -119,20 +153,20 @@ double BenchIo::option(const std::string& key, double dflt, const std::string& h
     std::ostringstream rendered;
     rendered << dflt;
     declare(key, rendered.str(), help);
-    return params_.get_double(key, dflt);
+    return checked(name_, [&] { return assigned_.get_double(key, dflt); });
 }
 
 bool BenchIo::option(const std::string& key, bool dflt, const std::string& help) {
     declare(key, dflt ? "true" : "false", help);
-    return params_.get_bool(key, dflt);
+    return checked(name_, [&] { return assigned_.get_bool(key, dflt); });
 }
 
 std::string BenchIo::option(const std::string& key, std::string dflt, const std::string& help) {
     declare(key, dflt, help);
-    return params_.get_string(key, dflt);
+    return checked(name_, [&] { return assigned_.get_string(key, dflt); });
 }
 
-void BenchIo::print_help(std::ostream& out) const {
+void BenchIo::print_help(std::ostream& out, bool takes_scenario) const {
     out << "usage: " << name_ << " [key=value ...] [flags]\n";
     if (!description_.empty()) out << "\n  " << description_ << "\n";
     std::size_t width = std::strlen("--json PATH");
@@ -146,8 +180,10 @@ void BenchIo::print_help(std::ostream& out) const {
         for (const auto& o : options_) row(o.key + '=' + o.dflt, o.help);
     }
     out << "\nstandard:\n";
-    row("runs=N", "replications per data point (default is per bench)");
-    row("PATH=VALUE", "overrides any Scenario field (engine.trust.lambda=0.2)");
+    if (takes_scenario) {
+        row("runs=N", "replications per data point (default is per bench)");
+        row("PATH=VALUE", "overrides any Scenario field (engine.trust.lambda=0.2)");
+    }
     row("--csv", "machine-readable tables on stdout");
     row("--json PATH", "write the schema-versioned run artifact");
     row("--jobs N", "worker threads for trial fan-out (outputs identical at any N)");
@@ -164,13 +200,15 @@ void BenchIo::emit(const util::Table& t) {
     tables_.push_back(t);
 }
 
-int BenchIo::finish(const std::function<void(obs::Recorder&)>& instrument) {
+int BenchIo::finish(const Scenario& representative) {
     if (json_path_.empty()) return 0;
     obs::Recorder rec;
-    if (instrument) {
-        instrument(rec);
+    Scenario run = representative;
+    run.recorder = &rec;
+    if (run.kind == Scenario::Kind::Binary) {
+        run_binary_experiment(run);
     } else {
-        instrument_default_run(rec);
+        run_location_experiment(run);
     }
     std::ofstream out(json_path_);
     if (!out) {
@@ -185,10 +223,9 @@ int BenchIo::finish(const std::function<void(obs::Recorder&)>& instrument) {
         meta.timing.wall_seconds = obs::process_wall_seconds();
         meta.timing.peak_rss_bytes = obs::process_peak_rss_bytes();
     }
-    std::vector<const util::Table*> tables;
-    tables.reserve(tables_.size());
-    for (const auto& t : tables_) tables.push_back(&t);
-    obs::write_run_artifact(out, meta, rec.metrics(), &params_, tables);
+    obs::write_run_artifact(
+        out, meta, rec.metrics(), [&](obs::json::Writer& w) { write_json(representative, w); },
+        tables_);
     out.flush();
     if (!out) {
         std::cerr << name_ << ": failed writing " << json_path_ << '\n';
@@ -197,11 +234,10 @@ int BenchIo::finish(const std::function<void(obs::Recorder&)>& instrument) {
     return 0;
 }
 
-void instrument_default_run(obs::Recorder& rec) {
+int BenchIo::finish() {
     Scenario s = Scenario::binary_defaults();  // 10 nodes, 40% faulty, seed 1
     s.binary.events = 50;
-    s.recorder = &rec;
-    run_binary_experiment(s);
+    return finish(s);
 }
 
 }  // namespace tibfit::exp

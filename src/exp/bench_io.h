@@ -4,12 +4,11 @@
 //
 //   bench_fig2 --json out.json
 //
-// writes a schema-versioned JSON document with the emitted tables, the
-// echoed parameters, build metadata, and the full metrics registry of one
-// representative instrumented run (the bench supplies it via finish()).
+// writes a schema-versioned JSON document with the emitted tables, build
+// metadata, and the scenario and full metrics registry of one
+// representative instrumented run (the bench names it in finish()).
 #pragma once
 
-#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
@@ -17,28 +16,26 @@
 #include "util/config.h"
 #include "util/table.h"
 
-namespace tibfit::obs {
-class Recorder;
-}  // namespace tibfit::obs
-
 namespace tibfit::exp {
 
 struct Scenario;
 
 class BenchIo {
   public:
-    /// Parses `--json <path>` / `--json=<path>` and `--jobs N` /
-    /// `--jobs=N` out of argv (the latter sets the process-wide
-    /// par::set_jobs; it is excluded from the artifact's argv echo because
-    /// outputs are thread-count-invariant) and echoes any key=value tokens
-    /// into params().
+    /// Parses argv: `--csv`, `--timing`, `--help`/`-h`, `--json <path>` /
+    /// `--json=<path>`, `--jobs N` / `--jobs=N` and key=value tokens (read
+    /// by apply(), option() and trial_runs()). `--jobs` sets the
+    /// process-wide par::set_jobs and is excluded from the artifact's argv
+    /// echo, because outputs are thread-count-invariant. Anything else (an
+    /// unknown flag, a bare word, a flag without its value, a --json path
+    /// that reads as a flag or a key=value token, a --jobs count that is
+    /// not a positive integer) prints a message and exits with status 2.
     BenchIo(std::string name, int argc, char** argv);
 
     /// The replication count for this bench's sweeps: the `runs=<n>`
-    /// command-line override when given (echoed into the artifact like any
-    /// parameter), else `dflt` — the bench's paper-faithful default.
-    /// `runs=0` also means the default; a negative count prints a message
-    /// and exits with status 2.
+    /// command-line override when given, else `dflt` — the bench's
+    /// paper-faithful default. `runs=0` also means the default; a negative
+    /// count prints a message and exits with status 2.
     std::size_t trial_runs(std::size_t dflt) const;
 
     /// Applies every key=value token that is neither a declared option nor
@@ -48,14 +45,19 @@ class BenchIo {
     /// the usage and exits 0.
     void apply(Scenario& base);
 
+    /// apply() for a bench with no Scenario: --help prints the usage and
+    /// exits 0, and a key=value token that is not a declared option prints
+    /// a message and exits with status 2. Call after declaring options,
+    /// before any work.
+    void apply();
+
     /// One-line bench description printed at the top of --help.
     void describe(std::string text) { description_ = std::move(text); }
 
     /// Declares a `key=value` knob that is not a Scenario field and returns
     /// the command-line override when given, else `dflt`. Declaring lists
-    /// the key in --help and keeps it out of apply(); defaults are never
-    /// written into params(), so the artifact's parameter echo carries
-    /// exactly what the user typed plus what the bench sets explicitly.
+    /// the key in --help and keeps it out of apply(). A value of the wrong
+    /// type prints a message and exits with status 2.
     double option(const std::string& key, double dflt, const std::string& help);
     bool option(const std::string& key, bool dflt, const std::string& help);
     std::string option(const std::string& key, std::string dflt, const std::string& help);
@@ -67,9 +69,6 @@ class BenchIo {
     /// copy for the artifact.
     void emit(const util::Table& t);
 
-    /// True when the run should produce a JSON artifact.
-    bool json_requested() const { return !json_path_.empty(); }
-
     /// Stamps wall time (steady clock, since process start) and peak RSS
     /// into the artifact's optional `timing` block. Off by default because
     /// timing differs run to run and the determinism CI byte-compares
@@ -78,16 +77,18 @@ class BenchIo {
     /// their numbers are timings already.
     void enable_timing() { timing_ = true; }
 
-    /// Parameters echoed into the artifact. Benches add the knobs of their
-    /// representative run here.
-    util::Config& params() { return params_; }
+    /// Call as the last statement of main: `return io.finish(s)`. With
+    /// --json, runs `representative` — one corner of the bench's sweep —
+    /// with a recorder attached, through the runner its kind names, and
+    /// writes the artifact: that scenario as its `scenario` member, the
+    /// run's metrics registry and the emitted tables. Returns the process
+    /// exit code.
+    int finish(const Scenario& representative);
 
-    /// Call as the last statement of main: `return io.finish(...)`. With
-    /// --json, runs `instrument` — which should execute ONE representative
-    /// experiment with the passed Recorder attached — and writes the
-    /// artifact; without a callback, a small default binary run supplies
-    /// the metrics. Returns the process exit code.
-    int finish(const std::function<void(obs::Recorder&)>& instrument = {});
+    /// finish() for a bench that runs no Scenario of its own (closed-form
+    /// analysis, hand-built deployments, microbenchmarks): a small binary
+    /// run (binary defaults, 50 events, seed 1) supplies the metrics.
+    int finish();
 
   private:
     struct DeclaredOption {
@@ -97,9 +98,11 @@ class BenchIo {
     };
 
     /// Uniform usage text: description, the declared key=value options,
-    /// then the standard flags every bench shares (runs=N, PATH=VALUE,
-    /// --csv, --json, --jobs, --timing, --help).
-    void print_help(std::ostream& out) const;
+    /// then the standard flags every bench shares (runs=N and PATH=VALUE
+    /// only when the bench takes a scenario, --csv, --json, --jobs,
+    /// --timing, --help).
+    void print_help(std::ostream& out, bool takes_scenario) const;
+    void exit_on_help(bool takes_scenario) const;
     void declare(const std::string& key, std::string dflt, const std::string& help);
     bool declared(const std::string& key) const;
 
@@ -110,15 +113,10 @@ class BenchIo {
     bool timing_ = false;
     bool help_ = false;
     std::string json_path_;
-    util::Config params_;
+    util::Config assigned_;  ///< the key=value tokens, typed
     std::vector<std::string> assignments_;  ///< the key=value tokens, as typed
     std::vector<DeclaredOption> options_;
     std::vector<util::Table> tables_;
 };
-
-/// Fallback instrumented run (analysis-only benches with no simulation of
-/// their own): a small binary experiment, so the artifact still carries a
-/// live metrics registry.
-void instrument_default_run(obs::Recorder& rec);
 
 }  // namespace tibfit::exp

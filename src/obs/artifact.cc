@@ -1,16 +1,18 @@
 #include "obs/artifact.h"
 
 #include <chrono>
+#include <cstring>
+#include <fstream>
 #include <ostream>
+#include <string>
 
-#if defined(__unix__) || defined(__APPLE__)
+#if !defined(__linux__) && (defined(__unix__) || defined(__APPLE__))
 #include <sys/resource.h>
 #endif
 
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/version.h"
-#include "util/config.h"
 #include "util/table.h"
 
 namespace tibfit::obs {
@@ -27,13 +29,23 @@ double process_wall_seconds() {
 }
 
 double process_peak_rss_bytes() {
-#if defined(__unix__) || defined(__APPLE__)
+#if defined(__linux__)
+    // Not getrusage: Linux carries ru_maxrss across exec, so a launcher's
+    // larger peak would read as this image's. VmHWM is this image's alone.
+    std::ifstream status("/proc/self/status");
+    for (std::string line; std::getline(status, line);) {
+        if (line.rfind("VmHWM:", 0) == 0) {
+            return std::stod(line.substr(std::strlen("VmHWM:"))) * 1024.0;  // "<n> kB"
+        }
+    }
+    return 0.0;
+#elif defined(__unix__) || defined(__APPLE__)
     rusage ru{};
     if (getrusage(RUSAGE_SELF, &ru) != 0) return 0.0;
 #if defined(__APPLE__)
     return static_cast<double>(ru.ru_maxrss);  // bytes on macOS
 #else
-    return static_cast<double>(ru.ru_maxrss) * 1024.0;  // KiB on Linux
+    return static_cast<double>(ru.ru_maxrss) * 1024.0;  // KiB on the BSDs
 #endif
 #else
     return 0.0;
@@ -41,8 +53,8 @@ double process_peak_rss_bytes() {
 }
 
 void write_run_artifact(std::ostream& os, const ArtifactMeta& meta, const Registry& metrics,
-                        const util::Config* params,
-                        const std::vector<const util::Table*>& tables) {
+                        const std::function<void(json::Writer&)>& write_scenario,
+                        const std::vector<util::Table>& tables) {
     json::Writer w(os, 2);
     w.begin_object();
     w.field("schema", kArtifactSchemaVersion);
@@ -53,7 +65,7 @@ void write_run_artifact(std::ostream& os, const ArtifactMeta& meta, const Regist
     for (const auto& a : meta.argv) w.value(a);
     w.end_array();
     if (meta.has_timing) {
-        // Optional, additive block (schema stays 1): run wall time and peak
+        // Optional, additive block (no schema bump): run wall time and peak
         // RSS, so BENCH_HOTPATH.json-style baselines are machine-comparable
         // across PRs. Producers that must stay byte-identical across runs
         // (the --jobs determinism contract) simply never opt in.
@@ -62,23 +74,19 @@ void write_run_artifact(std::ostream& os, const ArtifactMeta& meta, const Regist
         w.field("peak_rss_bytes", meta.timing.peak_rss_bytes);
         w.end_object();
     }
-    w.key("params").begin_object();
-    if (params) {
-        for (const auto& k : params->keys()) w.field(k, params->to_string(k));
-    }
-    w.end_object();
+    w.key("scenario");
+    write_scenario(w);
     w.key("metrics");
     metrics.write_json(w);
     w.key("tables").begin_array();
-    for (const util::Table* t : tables) {
-        if (!t) continue;
+    for (const util::Table& t : tables) {
         w.begin_object();
-        w.field("title", t->title());
+        w.field("title", t.title());
         w.key("header").begin_array();
-        for (const auto& cell : t->header_cells()) w.value(cell);
+        for (const auto& cell : t.header_cells()) w.value(cell);
         w.end_array();
         w.key("rows").begin_array();
-        for (const auto& row : t->all_rows()) {
+        for (const auto& row : t.all_rows()) {
             w.begin_array();
             for (const auto& cell : row) w.value(cell);
             w.end_array();

@@ -1,23 +1,28 @@
-// Machine-readable run artifact: one JSON document per bench/CLI run,
-// carrying the metrics registry, the echoed parameters, the emitted tables
-// and enough metadata (tool, build revision, argv) to reproduce the run.
+// Machine-readable run artifact: one JSON document per bench run, carrying
+// the scenario of its representative run, that run's metrics registry, the
+// emitted tables and enough metadata (tool, build revision, argv) to tie it
+// to the source tree that produced it.
 #pragma once
 
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <vector>
 
 namespace tibfit::util {
-class Config;
 class Table;
 }  // namespace tibfit::util
 
 namespace tibfit::obs {
 
 class Registry;
+namespace json {
+class Writer;
+}  // namespace json
 
 /// Bumped whenever the artifact document gains/loses/renames a field.
-inline constexpr int kArtifactSchemaVersion = 1;
+/// 2: the `scenario` member replaced the `params` echo.
+inline constexpr int kArtifactSchemaVersion = 2;
 
 /// Process resource usage of the run, for machine comparison of bench
 /// artifacts across PRs. Only written when the producer opted in (timing
@@ -40,8 +45,8 @@ struct ArtifactMeta {
 /// clock bench artifacts stamp into ArtifactTiming.
 double process_wall_seconds();
 
-/// Peak resident set size of this process in bytes (0 where the platform
-/// offers no getrusage-style accounting).
+/// Peak resident set size of this process image in bytes: VmHWM on Linux,
+/// getrusage's ru_maxrss elsewhere, 0 where neither is available.
 double process_peak_rss_bytes();
 
 /// The build revision baked in at configure time (`git describe`), or
@@ -49,9 +54,11 @@ double process_peak_rss_bytes();
 std::string build_revision();
 
 /// Writes the full artifact document (pretty-printed JSON, trailing
-/// newline). `params` may be nullptr when the run has no Config echo.
+/// newline). `write_scenario` writes the value of the `scenario` member:
+/// the representative run's configuration, which obs does not know the
+/// shape of (exp::write_json does).
 void write_run_artifact(std::ostream& os, const ArtifactMeta& meta, const Registry& metrics,
-                        const util::Config* params,
-                        const std::vector<const util::Table*>& tables);
+                        const std::function<void(json::Writer&)>& write_scenario,
+                        const std::vector<util::Table>& tables);
 
 }  // namespace tibfit::obs

@@ -1,5 +1,5 @@
-// Typed key=value parameter sets: a bench artifact's parameter echo and
-// the examples' own knobs. Experiments themselves are exp::Scenario, whose
+// Typed key=value parameter sets: a bench's declared options and the
+// examples' own knobs. Experiments themselves are exp::Scenario, whose
 // fields the command line sets by path (exp::overlay_from_tokens).
 #pragma once
 

@@ -13,7 +13,6 @@
 #include "obs/names.h"
 #include "obs/recorder.h"
 #include "obs/trace.h"
-#include "util/config.h"
 #include "util/table.h"
 
 namespace tibfit {
@@ -225,7 +224,7 @@ TEST(Trace, ReaderRejectsUnknownRecordType) {
     EXPECT_THROW(obs::read_trace_jsonl(is), std::runtime_error);
 }
 
-TEST(Artifact, CarriesMetricsParamsAndTables) {
+TEST(Artifact, CarriesMetricsScenarioAndTables) {
     obs::Recorder rec;
     exp::Scenario cfg = exp::Scenario::binary_defaults();
     cfg.binary.events = 30;
@@ -234,8 +233,6 @@ TEST(Artifact, CarriesMetricsParamsAndTables) {
     cfg.recorder = &rec;
     exp::run_binary_experiment(cfg);
 
-    util::Config params;
-    params.set("events", 30).set("pct_faulty", 0.4);
     util::Table t("demo");
     t.header({"k", "v"});
     t.row({"x", "1"});
@@ -244,13 +241,19 @@ TEST(Artifact, CarriesMetricsParamsAndTables) {
     meta.name = "obs_test";
     meta.argv = {"obs_test", "--json", "out.json"};
     std::ostringstream os;
-    obs::write_run_artifact(os, meta, rec.metrics(), &params, {&t});
+    obs::write_run_artifact(
+        os, meta, rec.metrics(), [&](obs::json::Writer& w) { exp::write_json(cfg, w); }, {t});
 
     const auto doc = obs::json::parse(os.str());
     EXPECT_DOUBLE_EQ(doc.number_or("schema", -1), obs::kArtifactSchemaVersion);
     EXPECT_EQ(doc.string_or("name", ""), "obs_test");
     EXPECT_EQ(doc.find("argv")->as_array().size(), 3u);
-    EXPECT_EQ(doc.find("params")->string_or("events", ""), "30");
+    EXPECT_EQ(doc.find("params"), nullptr);
+    const obs::json::Value& scenario = *doc.find("scenario");
+    EXPECT_EQ(scenario.string_or("kind", ""), "binary");
+    EXPECT_EQ(scenario.number_or("seed", -1), 3);
+    EXPECT_EQ(scenario.find("binary")->number_or("events", -1), 30);
+    EXPECT_EQ(scenario.find("binary")->number_or("pct_faulty", -1), 0.4);
 
     // The acceptance bar: at least 10 distinct named metrics, including
     // the channel/transport/latency/trust headliners.

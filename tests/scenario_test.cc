@@ -8,6 +8,7 @@
 #include <algorithm>
 #include <cctype>
 #include <cmath>
+#include <cstdio>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -16,8 +17,12 @@
 #include <vector>
 
 #include "exp/bench_io.h"
+#include "exp/binary_experiment.h"
+#include "exp/location_experiment.h"
 #include "inject/campaign.h"
+#include "obs/artifact.h"
 #include "obs/json.h"
+#include "obs/recorder.h"
 
 namespace tibfit::exp {
 namespace {
@@ -387,6 +392,63 @@ TEST(BenchIoDeathTest, ApplyExitsTwoOnInvalidScenario) {
     };
     EXPECT_EXIT(apply(), ::testing::ExitedWithCode(2),
                 "bench_x: scenario: location events must be >= 1");
+}
+
+// finish(s) records s as the artifact's scenario: the block reads back to
+// s, and a fresh run of what it reads back writes the same artifact, so
+// its metrics are reproduced exactly.
+void expect_artifact_replays(const Scenario& s, const std::string& file) {
+    const std::string path = ::testing::TempDir() + file;
+    const char* argv[] = {"bench_x", "--json", path.c_str()};
+    BenchIo io("bench_x", 3, const_cast<char**>(argv));
+    ASSERT_EQ(io.finish(s), 0);
+    std::ifstream in(path);
+    std::ostringstream written;
+    written << in.rdbuf();
+    std::remove(path.c_str());
+
+    const obs::json::Value doc = obs::json::parse(written.str());
+    EXPECT_EQ(doc.number_or("schema", -1), obs::kArtifactSchemaVersion);
+    EXPECT_GT(doc.find("metrics")->find("counters")->number_or("cluster.decisions", 0), 0);
+    const Scenario replay = scenario_from_json(*doc.find("scenario"));
+    EXPECT_EQ(to_json(replay), to_json(s));
+
+    obs::Recorder rec;
+    Scenario run = replay;
+    run.recorder = &rec;
+    if (run.kind == Scenario::Kind::Binary) {
+        run_binary_experiment(run);
+    } else {
+        run_location_experiment(run);
+    }
+    obs::ArtifactMeta meta;
+    meta.name = "bench_x";
+    meta.argv = {"bench_x", "--json", path};
+    std::ostringstream expected;
+    obs::write_run_artifact(
+        expected, meta, rec.metrics(), [&](obs::json::Writer& w) { write_json(replay, w); }, {});
+    EXPECT_EQ(written.str(), expected.str());
+}
+
+TEST(BenchIo, FinishRecordsReplayableBinaryFailoverScenario) {
+    Scenario s = Scenario::binary_defaults();
+    s.binary.events = 60;
+    s.binary.reliable_reports = true;
+    s.faults.false_alarm_rate = 0.3;
+    s.campaign.failovers.push_back({300.0, -1.0, true});
+    s.seed = 7;
+    ASSERT_TRUE(s.validate().empty());
+    expect_artifact_replays(s, "bench_io_binary_failover.json");
+}
+
+TEST(BenchIo, FinishRecordsReplayableLevel2LocationScenario) {
+    Scenario s = Scenario::location_defaults();
+    s.location.fault_level = sensor::NodeClass::Level2;
+    s.location.pct_faulty = 0.3;
+    s.location.events = 40;
+    s.seed = 11;
+    ASSERT_TRUE(s.validate().empty());
+    expect_artifact_replays(s, "bench_io_location_level2.json");
 }
 
 TEST(Scenario, FromJsonAcceptsCountLimits) {
