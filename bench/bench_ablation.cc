@@ -22,8 +22,8 @@ int main(int argc, char** argv) {
     base.location.pct_faulty = 0.5;
     base.location.events = 200;
     base.seed = 20050628;
-    io.apply(base);
     const std::size_t runs = io.trial_runs(5);
+    io.apply(base);
 
     util::Table t("Ablations (level 0, 50% faulty, 200 events, accuracy averaged over 5 seeds)");
     t.header({"variant", "accuracy"});

@@ -21,10 +21,10 @@ int main(int argc, char** argv) {
     base.faults.faulty_sigma = 4.25;
     base.location.events = 200;
     base.seed = 20050628;
+    const std::size_t runs = io.trial_runs(5);
     io.apply(base);
 
     const std::vector<double> pct = {0.10, 0.20, 0.30, 0.40, 0.50, 0.58};
-    const std::size_t runs = io.trial_runs(5);
 
     util::Table t("Extension: level-2 collusion with and without the collusion detector");
     t.header({"% faulty", "TIBFIT (paper)", "TIBFIT + detector", "detector vs jittered echoes",

@@ -11,8 +11,8 @@
 #include <map>
 #include <vector>
 
-#include "cluster/deployment.h"
 #include "exp/bench_io.h"
+#include "exp/deployment.h"
 #include "util/table.h"
 
 namespace {
@@ -27,8 +27,10 @@ struct Lifetime {
 };
 
 Lifetime run(double ch_fraction, std::uint64_t seed) {
-    sim::Simulator sim;
-    cluster::DeploymentConfig cfg;
+    exp::Scenario s = exp::Scenario::location_defaults();
+    s.faults.natural_error_rate = 0.01;  // FaultParams' default; the location defaults zero it
+    s.seed = seed;
+    exp::DeploymentConfig cfg;
     cfg.round_duration = 60.0;
     cfg.leach.ch_fraction = ch_fraction;
     cfg.initial_energy = 0.05;  // starvation budget so lifetimes are visible
@@ -37,38 +39,33 @@ Lifetime run(double ch_fraction, std::uint64_t seed) {
     for (int i = 0; i < 64; ++i) {
         positions.push_back({6.25 + 12.5 * (i % 8), 6.25 + 12.5 * (i / 8)});
     }
-    sensor::FaultParams fp;
-    std::vector<std::unique_ptr<sensor::FaultBehavior>> behaviors;
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-        behaviors.push_back(std::make_unique<sensor::CorrectBehavior>(fp));
-    }
+    const std::size_t n = positions.size();
 
-    cluster::Deployment net(sim, util::Rng(seed), cfg, positions, std::move(behaviors));
+    exp::Deployment net(s, cfg, std::move(positions), std::vector<bool>(n, false));
     const std::size_t rounds = 220;
     net.generator().schedule_events(rounds * 6, 10.0, 5.0);
-    net.start(cfg.round_duration * static_cast<double>(rounds));
-    sim.run();
+    net.run(cfg.round_duration * static_cast<double>(rounds));
 
     Lifetime life;
     std::map<sim::ProcessId, std::size_t> led;
     for (const auto& r : net.rounds()) {
         for (auto h : r.heads) ++led[h];
-        if (life.first_death_round == 0 && r.alive < positions.size()) {
+        if (life.first_death_round == 0 && r.alive < n) {
             life.first_death_round = r.round;
         }
-        if (life.half_dead_round == 0 && r.alive <= positions.size() / 2) {
+        if (life.half_dead_round == 0 && r.alive <= n / 2) {
             life.half_dead_round = r.round;
         }
     }
     if (life.first_death_round == 0) life.first_death_round = rounds;
     if (life.half_dead_round == 0) life.half_dead_round = rounds;
-    life.min_led = positions.size();
+    life.min_led = n;
     for (const auto& [id, count] : led) {
         (void)id;
         life.min_led = std::min(life.min_led, count);
         life.max_led = std::max(life.max_led, count);
     }
-    if (led.size() < positions.size()) life.min_led = 0;  // someone never led
+    if (led.size() < n) life.min_led = 0;  // someone never led
     return life;
 }
 

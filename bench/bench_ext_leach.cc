@@ -11,8 +11,8 @@
 // preserving the TIBFIT-over-baseline ordering.
 #include <vector>
 
-#include "cluster/deployment.h"
 #include "exp/bench_io.h"
+#include "exp/deployment.h"
 #include "exp/sweep.h"
 #include "par/trial_runner.h"
 #include "util/rng.h"
@@ -22,67 +22,49 @@ namespace {
 
 using namespace tibfit;
 
-double run_self_organized(double pct_faulty, core::DecisionPolicy policy,
-                          std::uint64_t seed) {
-    sim::Simulator sim;
-    cluster::DeploymentConfig cfg;
-    cfg.round_duration = 100.0;
+/// Detection rate of one LEACH-elected run of `base`'s location workload
+/// on a 10x10 lattice, `pct_faulty` of it level 0.
+double run_self_organized(exp::Scenario s, double pct_faulty, core::DecisionPolicy policy) {
+    s.engine.policy = policy;
+    // The deployment's sensors keep FaultParams' 1% natural error rate,
+    // which the location defaults zero.
+    s.faults.natural_error_rate = 0.01;
+    exp::DeploymentConfig cfg;
     cfg.leach.ch_fraction = 0.08;
-    cfg.engine.policy = policy;
 
     std::vector<util::Vec2> positions;
     for (int i = 0; i < 100; ++i) {
         positions.push_back({5.0 + 10.0 * (i % 10), 5.0 + 10.0 * (i / 10)});
     }
-    sensor::FaultParams fp;
-    fp.correct_sigma = 1.6;
-    fp.faulty_sigma = 4.25;
-    fp.faulty_drop_rate = 0.25;
-    const auto n_faulty =
+    // Spread the compromised ids across the lattice (even ids first, then
+    // odd) so no single cluster is fully compromised by construction.
+    std::size_t to_place =
         static_cast<std::size_t>(pct_faulty * static_cast<double>(positions.size()) + 0.5);
-    // Spread the compromised ids across the lattice (stride pattern) so no
-    // single cluster is fully compromised by construction.
-    std::vector<std::unique_ptr<sensor::FaultBehavior>> behaviors(positions.size());
-    std::size_t placed = 0;
-    for (std::size_t i = 0; i < positions.size() && placed < n_faulty; i += 2) {
-        behaviors[i] = std::make_unique<sensor::Level0Fault>(fp, false);
-        ++placed;
-    }
-    for (std::size_t i = 1; i < positions.size() && placed < n_faulty; i += 2) {
-        behaviors[i] = std::make_unique<sensor::Level0Fault>(fp, false);
-        ++placed;
-    }
-    for (auto& b : behaviors) {
-        if (!b) b = std::make_unique<sensor::CorrectBehavior>(fp);
-    }
-
-    cluster::Deployment net(sim, util::Rng(seed), cfg, positions, std::move(behaviors));
-    const std::size_t events = 200;
-    net.generator().schedule_events(events, 10.0, 5.0);
-    net.start(10.0 * static_cast<double>(events) + 10.0);
-    sim.run();
-
-    std::size_t detected = 0;
-    for (const auto& ev : net.generator().history()) {
-        for (const auto& dec : net.decisions()) {
-            if (!dec.event_declared || !dec.has_location) continue;
-            if (dec.time < ev.time || dec.time > ev.time + 5.0) continue;
-            if (util::distance(dec.location, ev.location) <= 5.0) {
-                ++detected;
-                break;
-            }
+    std::vector<bool> faulty(positions.size(), false);
+    for (std::size_t first : {0, 1}) {
+        for (std::size_t i = first; i < positions.size() && to_place > 0; i += 2, --to_place) {
+            faulty[i] = true;
         }
     }
-    return static_cast<double>(detected) /
+
+    exp::Deployment net(s, cfg, std::move(positions), std::move(faulty));
+    const std::size_t events = s.location.events;
+    const double interval = s.location.event_interval;
+    net.generator().schedule_events(events, interval, 5.0);
+    net.run(interval * static_cast<double>(events) + interval);
+    return static_cast<double>(net.detected_events()) /
            static_cast<double>(net.generator().history().size());
 }
 
-double mean_self_organized(double pct, core::DecisionPolicy policy, std::size_t runs) {
+double mean_self_organized(const exp::Scenario& base, double pct, core::DecisionPolicy policy,
+                           std::size_t runs) {
     // Trial r draws derive_trial_seed(seed, r) and the sum runs in trial
     // order, so the mean is bit-identical at any --jobs width.
     std::vector<double> acc(runs, 0.0);
     par::run_trials(runs, [&](std::size_t r) {
-        acc[r] = run_self_organized(pct, policy, util::derive_trial_seed(20050628, r));
+        exp::Scenario s = base;
+        s.seed = util::derive_trial_seed(base.seed, r);
+        acc[r] = run_self_organized(s, pct, policy);
     });
     double sum = 0.0;
     for (double a : acc) sum += a;
@@ -112,8 +94,10 @@ int main(int argc, char** argv) {
             c.location.pct_faulty = p;
             row.push_back(tibfit::exp::mean_accuracy(c, runs));
         }
-        row.push_back(mean_self_organized(p, tibfit::core::DecisionPolicy::TrustIndex, runs));
-        row.push_back(mean_self_organized(p, tibfit::core::DecisionPolicy::MajorityVote, runs));
+        row.push_back(
+            mean_self_organized(dedicated, p, tibfit::core::DecisionPolicy::TrustIndex, runs));
+        row.push_back(
+            mean_self_organized(dedicated, p, tibfit::core::DecisionPolicy::MajorityVote, runs));
         t.row_values(row, 3);
     }
     io.emit(t);

@@ -19,10 +19,10 @@ int main(int argc, char** argv) {
     base.location.fault_level = sensor::NodeClass::Level0;
     base.location.events = 200;
     base.seed = 20050628;
+    const std::size_t runs = io.trial_runs(5);
     io.apply(base);
 
     const std::vector<double> pct = {0.10, 0.30, 0.50};
-    const std::size_t runs = io.trial_runs(5);
 
     util::Table t("Extension: stationary vs mobile network (level 0, TIBFIT)");
     t.header({"% faulty", "stationary", "mobile 0.5-1.5 u/s", "mobile 2-4 u/s"});

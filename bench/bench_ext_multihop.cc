@@ -21,10 +21,10 @@ int main(int argc, char** argv) {
     base.location.fault_level = sensor::NodeClass::Level0;
     base.location.events = 200;
     base.seed = 20050628;
+    const std::size_t runs = io.trial_runs(5);
     io.apply(base);
 
     const std::vector<double> pct = {0.10, 0.30, 0.50, 0.58};
-    const std::size_t runs = io.trial_runs(5);
 
     util::Table t("Extension: single-hop vs multi-hop report collection (level 0, TIBFIT)");
     t.header({"% faulty", "single-hop", "multi-hop (range 30)", "multi-hop (range 25)"});

@@ -24,10 +24,10 @@ int main(int argc, char** argv) {
     base.faults.missed_alarm_rate = 0.5;
     base.channel.drop_probability = 0.0;
     base.seed = 20050628;
+    const std::size_t runs = io.trial_runs(10);
     io.apply(base);
 
     const std::vector<double> pct = {0.40, 0.60, 0.80};
-    const std::size_t runs = io.trial_runs(10);
 
     util::Table t("Extension: corrupt cluster head masked by shadow CHs + base station vote");
     t.header({"% faulty nodes", "honest CH", "corrupt CH, no shadows",

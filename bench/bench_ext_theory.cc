@@ -19,6 +19,8 @@
 int main(int argc, char** argv) {
     using namespace tibfit;
     exp::BenchIo io("bench_ext_theory", argc, argv);
+    const std::size_t binary_runs = io.trial_runs(20);
+    const std::size_t location_runs = io.trial_runs(5);
 
     util::Table t("Theory vs simulation: binary model, missed alarms only (N=10, NER 1%)");
     t.header({"% faulty", "mean-field detection", "mean-field TI_faulty@100",
@@ -40,7 +42,7 @@ int main(int argc, char** argv) {
         sim_cfg.binary.pct_faulty = static_cast<double>(m) / 10.0;
         t.row_values({100.0 * static_cast<double>(m) / 10.0,
                       analysis::predicted_detection_rate(p, 100), traj.back().ti_faulty,
-                      exp::mean_accuracy(sim_cfg, io.trial_runs(20))},
+                      exp::mean_accuracy(sim_cfg, binary_runs)},
                      3);
     }
     io.emit(t);
@@ -78,14 +80,14 @@ int main(int argc, char** argv) {
             exp::Scenario c = lc;
             c.location.pct_faulty = pct;
             c.engine.policy = core::DecisionPolicy::MajorityVote;
-            row.push_back(exp::mean_accuracy(c, io.trial_runs(5)));
+            row.push_back(exp::mean_accuracy(c, location_runs));
         }
         row.push_back(analysis::expected_field_detection(report_params, geometry, pct,
                                                          /*asymptotic=*/true));
         {
             exp::Scenario c = lc;
             c.location.pct_faulty = pct;
-            row.push_back(exp::mean_accuracy(c, io.trial_runs(5)));
+            row.push_back(exp::mean_accuracy(c, location_runs));
         }
         loc.row_values(row, 3);
     }

@@ -22,11 +22,11 @@ int main(int argc, char** argv) {
     // Exp 1 isolates protocol behaviour from channel loss.
     base.channel.drop_probability = 0.0;
     base.seed = 20050628;  // DSN 2005
+    const std::size_t runs = io.trial_runs(30);
     io.apply(base);
 
     const std::vector<double> pct = {0.40, 0.50, 0.60, 0.70, 0.80, 0.90};
     const std::vector<double> ners = {0.00, 0.01, 0.05};
-    const std::size_t runs = io.trial_runs(30);
 
     util::Table t("Figure 2: binary model accuracy vs % faulty (missed alarms only)");
     t.header({"% faulty", "NER 0% TIBFIT", "NER 1% TIBFIT", "NER 5% TIBFIT", "NER 1% Baseline"});

@@ -24,11 +24,11 @@ int main(int argc, char** argv) {
     base.faults.missed_alarm_rate = 0.5;
     base.channel.drop_probability = 0.0;
     base.seed = 20050628;
+    const std::size_t runs = io.trial_runs(30);
     io.apply(base);
 
     const std::vector<double> pct = {0.40, 0.50, 0.60, 0.70, 0.80, 0.90};
     const std::vector<double> fas = {0.0, 0.10, 0.75};
-    const std::size_t runs = io.trial_runs(30);
 
     util::Table t("Figure 3: binary model accuracy vs % faulty (missed + false alarms, NER 1%)");
     t.header({"% faulty", "FA 0%", "FA 10%", "FA 75%"});

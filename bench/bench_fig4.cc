@@ -17,7 +17,6 @@ int main(int argc, char** argv) {
     exp::Scenario base = exp::Scenario::location_defaults();
     base.location.fault_level = sensor::NodeClass::Level0;
     base.seed = 20050628;
-    io.apply(base);
     return bench::level_sweep_figure(io, base, "Lvl0",
                                      "Figure 4: location model accuracy vs % faulty (level 0)");
 }

@@ -16,7 +16,6 @@ int main(int argc, char** argv) {
     base.location.fault_level = sensor::NodeClass::Level2;
     base.location.events = 200;
     base.seed = 20050628;
-    io.apply(base);
     return bench::level_sweep_figure(
         io, base, "Lvl2",
         "Figure 6: location model accuracy vs % faulty (level 2, colluding)");

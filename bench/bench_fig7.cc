@@ -20,6 +20,7 @@ int main(int argc, char** argv) {
     base.engine.policy = core::DecisionPolicy::TrustIndex;
     base.location.events = 200;
     base.seed = 20050628;
+    const std::size_t runs = io.trial_runs(5);
     io.apply(base);
 
     const std::vector<double> pct = {0.10, 0.20, 0.30, 0.40, 0.50, 0.58};
@@ -34,7 +35,6 @@ int main(int argc, char** argv) {
         {"Lvl0 2-6 Single", 2.0, 6.0, 1},
         {"Lvl0 2-6 Concurrent", 2.0, 6.0, 2},
     };
-    const std::size_t runs = io.trial_runs(5);
 
     util::Table t("Figure 7: single vs concurrent events (level 0, TIBFIT)");
     t.header({"% faulty", series[0].name, series[1].name, series[2].name, series[3].name});

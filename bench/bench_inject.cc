@@ -90,8 +90,8 @@ int main(int argc, char** argv) {
         io.option("campaign", "", "replay a JSON inject::CampaignSpec file");
     exp::Scenario base = exp::Scenario::binary_defaults();
     base.seed = 20050628;
-    io.apply(base);
     const std::size_t runs = io.trial_runs(smoke ? 3 : 25);
+    io.apply(base);
 
     // Read the replayed campaign first, so a bad file is rejected before
     // anything runs: malformed or mistyped JSON exits 2, as tibfit_cli's

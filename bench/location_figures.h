@@ -23,8 +23,10 @@ struct SigmaSeries {
 /// Figures 4-6: accuracy vs % faulty (10%..58%) for one adversary level,
 /// the four series "Lvl<level> 1.6-4.25 / 2-6 TIBFIT / Baseline". The
 /// representative run is 30% faulty at sigma 1.6 / 4.25.
-inline int level_sweep_figure(exp::BenchIo& io, const exp::Scenario& base,
+inline int level_sweep_figure(exp::BenchIo& io, exp::Scenario base,
                               const std::string& level_label, const std::string& title) {
+    const std::size_t runs = io.trial_runs(5);
+    io.apply(base);
     const std::vector<double> pct = {0.10, 0.20, 0.30, 0.40, 0.50, 0.58};
     const SigmaSeries series[] = {
         {level_label + " 1.6-4.25 TIBFIT", 1.6, 4.25, core::DecisionPolicy::TrustIndex},
@@ -32,7 +34,6 @@ inline int level_sweep_figure(exp::BenchIo& io, const exp::Scenario& base,
         {level_label + " 2-6 TIBFIT", 2.0, 6.0, core::DecisionPolicy::TrustIndex},
         {level_label + " 2-6 Baseline", 2.0, 6.0, core::DecisionPolicy::MajorityVote},
     };
-    const std::size_t runs = io.trial_runs(5);
 
     util::Table t(title);
     t.header({"% faulty", series[0].name, series[1].name, series[2].name, series[3].name});
@@ -71,6 +72,7 @@ inline int decay_figure(exp::BenchIo& io, double faulty_sigma, const std::string
     base.location.decay_epoch_events = 50;
     base.location.epoch_events = 50;
     base.seed = 20050628;
+    const std::size_t runs = io.trial_runs(5);
     io.apply(base);
 
     const SigmaSeries series[] = {
@@ -80,7 +82,6 @@ inline int decay_figure(exp::BenchIo& io, double faulty_sigma, const std::string
         {"2-" + faulty_label + " TIBFIT", 2.0, faulty_sigma, core::DecisionPolicy::TrustIndex},
         {"2-" + faulty_label + " Baseline", 2.0, faulty_sigma, core::DecisionPolicy::MajorityVote},
     };
-    const std::size_t runs = io.trial_runs(5);
 
     std::vector<std::vector<double>> curves;
     for (const auto& s : series) {

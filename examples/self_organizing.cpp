@@ -10,9 +10,8 @@
 //
 // Usage: ./self_organizing [rounds=12] [faulty=16] [seed=9]
 #include <cstdio>
-#include <set>
 
-#include "cluster/deployment.h"
+#include "exp/deployment.h"
 #include "util/config.h"
 
 int main(int argc, char** argv) {
@@ -22,51 +21,30 @@ int main(int argc, char** argv) {
     args.parse_args(argc, argv);
     const auto rounds = static_cast<std::size_t>(args.get_int("rounds", 12));
     const auto n_faulty = static_cast<std::size_t>(args.get_int("faulty", 16));
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 9));
 
-    sim::Simulator sim;
+    exp::Scenario s = exp::Scenario::location_defaults();
+    s.seed = static_cast<std::uint64_t>(args.get_int("seed", 9));
+    s.faults.natural_error_rate = 0.01;  // correct sensors miss 1% of events
 
-    cluster::DeploymentConfig cfg;
+    exp::DeploymentConfig cfg;
     cfg.round_duration = 100.0;
     cfg.leach.ch_fraction = 0.08;
     cfg.leach.ti_threshold = 0.5;
 
     // 8x8 lattice; the first n_faulty ids are level-0 compromised.
     std::vector<util::Vec2> positions;
-    for (int i = 0; i < 64; ++i) {
-        positions.push_back({6.25 + 12.5 * (i % 8), 6.25 + 12.5 * (i / 8)});
-    }
-    sensor::FaultParams fp;
-    fp.correct_sigma = 1.6;
-    fp.faulty_sigma = 4.25;
-    fp.faulty_drop_rate = 0.25;
-    std::vector<std::unique_ptr<sensor::FaultBehavior>> behaviors;
-    for (std::size_t i = 0; i < positions.size(); ++i) {
-        if (i < n_faulty) {
-            behaviors.push_back(std::make_unique<sensor::Level0Fault>(fp, false));
-        } else {
-            behaviors.push_back(std::make_unique<sensor::CorrectBehavior>(fp));
-        }
+    std::vector<bool> faulty;
+    for (std::size_t i = 0; i < 64; ++i) {
+        positions.push_back({6.25 + 12.5 * static_cast<double>(i % 8),
+                             6.25 + 12.5 * static_cast<double>(i / 8)});
+        faulty.push_back(i < n_faulty);
     }
 
-    cluster::Deployment net(sim, util::Rng(seed), cfg, positions, std::move(behaviors));
+    exp::Deployment net(s, cfg, positions, std::move(faulty));
     const double horizon = cfg.round_duration * static_cast<double>(rounds);
     net.generator().schedule_events(static_cast<std::size_t>(horizon / 12.0), 12.0, 6.0);
-    net.start(horizon);
-    sim.run();
-
-    // Score detection.
-    std::size_t detected = 0;
-    for (const auto& ev : net.generator().history()) {
-        for (const auto& dec : net.decisions()) {
-            if (!dec.event_declared || !dec.has_location) continue;
-            if (dec.time < ev.time || dec.time > ev.time + 5.0) continue;
-            if (util::distance(dec.location, ev.location) <= 5.0) {
-                ++detected;
-                break;
-            }
-        }
-    }
+    net.run(horizon);
+    const std::size_t detected = net.detected_events();
 
     std::printf("Self-organizing run: %zu rounds, %zu events, %zu/64 sensors compromised\n\n",
                 net.rounds().size(), net.generator().history().size(), n_faulty);

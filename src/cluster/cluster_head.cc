@@ -23,14 +23,6 @@ void ClusterHead::set_topology(std::vector<util::Vec2> node_positions) {
     masked_dirty_ = true;
 }
 
-void ClusterHead::set_members(const std::vector<core::NodeId>& members) {
-    is_member_.assign(node_positions_.size(), false);
-    for (core::NodeId m : members) {
-        if (m < is_member_.size()) is_member_[m] = true;
-    }
-    masked_dirty_ = true;
-}
-
 void ClusterHead::advertise(std::uint32_t round, core::NodeId self) {
     is_member_.assign(node_positions_.size(), false);
     if (self != core::kNoNode && self < is_member_.size()) is_member_[self] = true;

@@ -52,24 +52,20 @@ class ClusterHead : public sim::Process {
     /// knows the topology of the cluster").
     void set_topology(std::vector<util::Vec2> node_positions);
 
-    /// Restricts the CH's cluster to a subset of the topology (multi-
-    /// cluster deployments: each CH only reasons about its affiliated
-    /// members — reports from strangers are ignored and strangers are
-    /// never counted as silent event neighbours). By default every node in
-    /// the topology is a member.
-    void set_members(const std::vector<core::NodeId>& members);
-
     /// Distributed cluster formation (Section 2 / LEACH): broadcasts a CH
     /// advertisement for `round` and resets membership to just this CH's
     /// own sensing identity (`self`, or no one if the CH is a dedicated
     /// entity). Nodes then join by sending AffiliatePayloads, which
-    /// add_member() absorbs as they arrive.
+    /// add_member() absorbs as they arrive. From then on the CH reasons
+    /// only about its members: reports from strangers are ignored and
+    /// strangers never count as silent event neighbours. Before the first
+    /// advertisement every node in the topology is a member.
     void advertise(std::uint32_t round, core::NodeId self = core::kNoNode);
 
     /// Adds one affiliated member (idempotent).
     void add_member(core::NodeId member);
 
-    /// Current member count (only meaningful after set_members/advertise).
+    /// Current member count (only meaningful after advertise).
     std::size_t member_count() const;
 
     /// Binary (Experiment 1) vs. location (Experiment 2) reporting.

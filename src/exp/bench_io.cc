@@ -99,12 +99,17 @@ BenchIo::BenchIo(std::string name, int argc, char** argv) : name_(std::move(name
     }
 }
 
-std::size_t BenchIo::trial_runs(std::size_t dflt) const {
+std::size_t BenchIo::trial_runs(std::size_t dflt) {
+    if (applied_ && !reads_runs_) {
+        throw std::logic_error(name_ + ": trial_runs() must precede apply()");
+    }
+    reads_runs_ = true;
     const std::size_t n = checked(name_, [&] { return assigned_.get_count("runs", dflt); });
     return n > 0 ? n : dflt;
 }
 
-void BenchIo::exit_on_help(bool takes_scenario) const {
+void BenchIo::exit_on_help(bool takes_scenario) {
+    applied_ = true;
     if (!help_) return;
     print_help(std::cout, takes_scenario);
     std::exit(0);
@@ -115,6 +120,9 @@ void BenchIo::apply(Scenario& base) {
     std::vector<std::string> paths;
     for (const std::string& a : assignments_) {
         const std::string key = a.substr(0, a.find('='));
+        if (key == "runs" && !reads_runs_) {
+            reject(name_, "'" + a + "': this bench has no trial count to set (see --help)");
+        }
         if (key != "runs" && !declared(key)) paths.push_back(a);
     }
     std::vector<std::string> errors;
@@ -180,8 +188,8 @@ void BenchIo::print_help(std::ostream& out, bool takes_scenario) const {
         for (const auto& o : options_) row(o.key + '=' + o.dflt, o.help);
     }
     out << "\nstandard:\n";
+    if (reads_runs_) row("runs=N", "replications per data point (default is per bench)");
     if (takes_scenario) {
-        row("runs=N", "replications per data point (default is per bench)");
         row("PATH=VALUE", "overrides any Scenario field (engine.trust.lambda=0.2)");
     }
     row("--csv", "machine-readable tables on stdout");

@@ -35,14 +35,17 @@ class BenchIo {
     /// The replication count for this bench's sweeps: the `runs=<n>`
     /// command-line override when given, else `dflt` — the bench's
     /// paper-faithful default. `runs=0` also means the default; a negative
-    /// count prints a message and exits with status 2.
-    std::size_t trial_runs(std::size_t dflt) const;
+    /// count prints a message and exits with status 2. Declares `runs=` the
+    /// way option() declares its key, so call it before apply(); a first
+    /// call after apply() throws std::logic_error.
+    std::size_t trial_runs(std::size_t dflt);
 
     /// Applies every key=value token that is neither a declared option nor
     /// `runs` to `base` as a Scenario path (`engine.trust.lambda=0.2`); call
-    /// after declaring options. An unknown path, a bad value or a failed
-    /// validate() prints the message and exits with status 2; --help prints
-    /// the usage and exits 0.
+    /// after declaring options and trial_runs(). An unknown path, a bad
+    /// value, a failed validate() or a `runs=` token in a bench that never
+    /// called trial_runs() prints the message and exits with status 2;
+    /// --help prints the usage and exits 0.
     void apply(Scenario& base);
 
     /// apply() for a bench with no Scenario: --help prints the usage and
@@ -98,11 +101,13 @@ class BenchIo {
     };
 
     /// Uniform usage text: description, the declared key=value options,
-    /// then the standard flags every bench shares (runs=N and PATH=VALUE
-    /// only when the bench takes a scenario, --csv, --json, --jobs,
-    /// --timing, --help).
+    /// then the standard flags every bench shares (runs=N only when the
+    /// bench reads trial_runs(), PATH=VALUE only when it takes a scenario,
+    /// --csv, --json, --jobs, --timing, --help).
     void print_help(std::ostream& out, bool takes_scenario) const;
-    void exit_on_help(bool takes_scenario) const;
+    /// Marks the options as read and, with --help, prints the usage and
+    /// exits 0.
+    void exit_on_help(bool takes_scenario);
     void declare(const std::string& key, std::string dflt, const std::string& help);
     bool declared(const std::string& key) const;
 
@@ -112,6 +117,8 @@ class BenchIo {
     bool csv_ = false;
     bool timing_ = false;
     bool help_ = false;
+    bool reads_runs_ = false;  ///< trial_runs() was called
+    bool applied_ = false;     ///< apply() was called
     std::string json_path_;
     util::Config assigned_;  ///< the key=value tokens, typed
     std::vector<std::string> assignments_;  ///< the key=value tokens, as typed

@@ -1,8 +1,9 @@
 // exp::detail::RunHarness — the wiring every experiment run shares.
 //
-// run_binary_experiment and run_location_experiment build different
-// topologies (one CH with optional shadows or a failover standby, versus
-// rotating CHs with a base station, mobility and decay) on the same
+// run_binary_experiment, run_location_experiment and exp::Deployment
+// build different topologies (one CH with optional shadows or a failover
+// standby; rotating CHs with a base station, mobility and decay;
+// LEACH-elected CH roles co-located with the sensors) on the same
 // skeleton. The harness owns that skeleton: the simulator, the root RNG,
 // the recorder clock, the channel with its armed campaign, the compromise
 // order, the sensor population, the relay fabric, the event generator,

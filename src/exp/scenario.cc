@@ -203,8 +203,7 @@ namespace {
 
 // The serialized fields, declared once: write_json walks them with a
 // JsonOut, scenario_from_json with a JsonIn. The walk order is the
-// document's key order. LEACH/energy knobs of DeploymentConfig are not
-// serialized; the experiment runners consume only the geometry.
+// document's key order.
 template <typename Io, typename S>
 void walk(Io& io, S& s) {
     io.name("kind", s.kind, kKinds);

@@ -3,9 +3,9 @@
 //
 // Scenario owns the layer structs themselves — core::EngineConfig (with
 // TrustParams), net::ChannelParams/TransportParams,
-// cluster::DeploymentConfig, sensor::FaultParams/MobilityParams,
-// inject::CampaignSpec — plus the two small workload blocks that are
-// genuinely experiment-shaped. One seed, one validate(), one JSON
+// sensor::FaultParams/MobilityParams, inject::CampaignSpec — plus the
+// field geometry and the two small workload blocks that are genuinely
+// experiment-shaped. One seed, one validate(), one JSON
 // round-trip. Start from binary_defaults() (Table 1) or
 // location_defaults() (Table 2) and set fields directly:
 //
@@ -23,7 +23,6 @@
 #include <vector>
 
 #include "check/config.h"
-#include "cluster/deployment.h"
 #include "core/decision_engine.h"
 #include "inject/campaign.h"
 #include "net/channel.h"
@@ -40,6 +39,12 @@ class Writer;
 }  // namespace tibfit::obs
 
 namespace tibfit::exp {
+
+/// The square field the sensors cover and their sensing radius r_s.
+struct Geometry {
+    double field = 100.0;
+    double sensing_radius = 20.0;
+};
 
 /// Experiment-1 workload shape (binary event model, Section 4.1).
 struct BinaryWorkload {
@@ -100,10 +105,7 @@ struct Scenario {
     core::EngineConfig engine;
     net::ChannelParams channel;
     net::TransportParams transport;  ///< relay/ack tunables (reliable paths)
-    /// Field geometry. The runners use field and sensing_radius only; the
-    /// LEACH/energy knobs and the embedded engine/channel_drop copies are
-    /// neither used nor serialized.
-    cluster::DeploymentConfig deployment;
+    Geometry deployment;
     sensor::FaultParams faults;
     sensor::MobilityParams mobility;
     inject::CampaignSpec campaign;

@@ -8,7 +8,6 @@
 namespace tibfit::util {
 
 namespace detail {
-std::atomic<int> g_invariant_action{0};
 std::atomic<std::uint64_t> g_invariant_violations{0};
 }  // namespace detail
 

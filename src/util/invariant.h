@@ -3,7 +3,7 @@
 // Hot paths assert protocol invariants (TI in (0,1], v >= 0, CTI
 // conservation, clusterer postconditions, event-queue time monotonicity,
 // checkpoint round-trips) through TIBFIT_CHECK. The checks are compiled
-// in unconditionally but cost one relaxed atomic load and a predicted
+// in unconditionally but cost one thread-local load and a predicted
 // branch when disabled — the condition and its detail string are only
 // evaluated once checking is switched on (exp::Scenario check.mode, or
 // set_invariant_action directly in tests).
@@ -14,9 +14,11 @@
 //            warning; execution continues (shadow/CI mode).
 //   Throw  — the first violation throws std::logic_error (assert mode).
 //
-// The action and counter are process-global atomics: the parallel trial
-// runner executes scenarios on several threads, and all trials of a sweep
-// share one mode.
+// The action is per thread: the parallel trial runner executes scenarios
+// on several threads at once, and each run opens its own scope for its
+// own check mode (exp::detail::RunHarness::check_engines), so one trial's
+// scope never switches another's checks on or off. The violation counter
+// is one process-wide atomic.
 #pragma once
 
 #include <atomic>
@@ -28,17 +30,16 @@ namespace tibfit::util {
 enum class InvariantAction : int { Off = 0, Count = 1, Throw = 2 };
 
 namespace detail {
-extern std::atomic<int> g_invariant_action;
+inline thread_local InvariantAction t_invariant_action = InvariantAction::Off;
 extern std::atomic<std::uint64_t> g_invariant_violations;
 }  // namespace detail
 
-inline InvariantAction invariant_action() {
-    return static_cast<InvariantAction>(
-        detail::g_invariant_action.load(std::memory_order_relaxed));
-}
+/// The calling thread's action.
+inline InvariantAction invariant_action() { return detail::t_invariant_action; }
 
+/// Sets the calling thread's action; other threads keep theirs.
 inline void set_invariant_action(InvariantAction action) {
-    detail::g_invariant_action.store(static_cast<int>(action), std::memory_order_relaxed);
+    detail::t_invariant_action = action;
 }
 
 /// True when TIBFIT_CHECK conditions are being evaluated. Guard
@@ -60,8 +61,8 @@ inline std::uint64_t invariant_violations() {
 void invariant_violation(const char* file, int line, const char* expr,
                          const std::string& detail);
 
-/// RAII action switch: sets the process-wide action for a scope and
-/// restores the previous one on exit (also on exception, so an assert-mode
+/// RAII action switch: sets the calling thread's action for a scope and
+/// restores its previous one on exit (also on exception, so an assert-mode
 /// throw doesn't leave checking enabled for later runs).
 class ScopedInvariantAction {
   public:

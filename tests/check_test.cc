@@ -1,7 +1,9 @@
 // tibfit::check — differential oracle, runtime invariants, and the
 // trust/clusterer edge-case regressions that shipped with them.
 #include <cmath>
+#include <future>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -53,6 +55,36 @@ TEST(InvariantTest, ScopeRestoresPreviousAction) {
         EXPECT_TRUE(util::invariant_checks_on());
     }
     EXPECT_FALSE(util::invariant_checks_on());
+}
+
+// Trials that overlap under --jobs N each open their own scope. Here this
+// thread (A) opens a Throw scope, thread B opens a Count scope, then A's
+// scope closes: B's checks must still count, and A must be back to Off.
+TEST(InvariantTest, ScopeOnOneThreadLeavesOtherThreadsAction) {
+    std::promise<void> a_opened, b_opened, a_closed;
+    std::uint64_t counted = 0;
+    util::InvariantAction b_saw = util::InvariantAction::Off;
+    std::thread b([&] {
+        a_opened.get_future().wait();
+        util::ScopedInvariantAction guard(util::InvariantAction::Count);
+        b_opened.set_value();
+        a_closed.get_future().wait();
+        b_saw = util::invariant_action();
+        const auto before = util::invariant_violations();
+        TIBFIT_CHECK(false, "thread B's own Count scope");
+        counted = util::invariant_violations() - before;
+    });
+    {
+        util::ScopedInvariantAction guard(util::InvariantAction::Throw);
+        a_opened.set_value();
+        b_opened.get_future().wait();
+        EXPECT_EQ(util::invariant_action(), util::InvariantAction::Throw);
+    }
+    a_closed.set_value();
+    b.join();
+    EXPECT_EQ(b_saw, util::InvariantAction::Count);
+    EXPECT_EQ(counted, 1u);
+    EXPECT_EQ(util::invariant_action(), util::InvariantAction::Off);
 }
 
 // ---------------------------------------------------------------------------

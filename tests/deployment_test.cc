@@ -1,22 +1,28 @@
 // Self-organizing deployment integration tests: LEACH-elected heads,
 // energy-driven rotation, trust continuity through the base station.
-#include "cluster/deployment.h"
+#include "exp/deployment.h"
 
 #include <gtest/gtest.h>
 
 #include <set>
 
-namespace tibfit::cluster {
+namespace tibfit::exp {
 namespace {
+
+/// Table-2 trust (lambda 0.25, f_r 0.1) on a 100x100 field; correct
+/// sensors miss 1% of events.
+Scenario scenario(std::uint64_t seed) {
+    Scenario s = Scenario::location_defaults();
+    s.seed = seed;
+    s.faults.natural_error_rate = 0.01;
+    return s;
+}
 
 DeploymentConfig config() {
     DeploymentConfig c;
-    c.field = 100.0;
     c.round_duration = 100.0;
     c.leach.ch_fraction = 0.08;
     c.leach.ti_threshold = 0.5;
-    c.engine.trust.lambda = 0.25;
-    c.engine.trust.fault_rate = 0.1;
     return c;
 }
 
@@ -31,36 +37,23 @@ std::vector<util::Vec2> lattice(std::size_t side = 6, double field = 100.0) {
     return p;
 }
 
-std::vector<std::unique_ptr<sensor::FaultBehavior>> behaviors(std::size_t n,
-                                                              std::size_t faulty_first = 0) {
-    sensor::FaultParams fp;
-    fp.correct_sigma = 1.6;
-    fp.faulty_sigma = 4.25;
-    fp.faulty_drop_rate = 0.25;
-    std::vector<std::unique_ptr<sensor::FaultBehavior>> out;
-    for (std::size_t i = 0; i < n; ++i) {
-        if (i < faulty_first) {
-            out.push_back(std::make_unique<sensor::Level0Fault>(fp, false));
-        } else {
-            out.push_back(std::make_unique<sensor::CorrectBehavior>(fp));
-        }
-    }
+/// The first `faulty_first` of `n` nodes are level-0 faulty.
+std::vector<bool> faulty(std::size_t n, std::size_t faulty_first = 0) {
+    std::vector<bool> out(n, false);
+    for (std::size_t i = 0; i < faulty_first && i < n; ++i) out[i] = true;
     return out;
 }
 
 TEST(Deployment, RejectsSizeMismatch) {
-    sim::Simulator sim;
     auto pos = lattice();
-    EXPECT_THROW(Deployment(sim, util::Rng(1), config(), pos, behaviors(3)),
+    EXPECT_THROW(Deployment(scenario(1), config(), pos, faulty(3)),
                  std::invalid_argument);
 }
 
 TEST(Deployment, ElectsHeadsEveryRound) {
-    sim::Simulator sim;
     auto pos = lattice();
-    Deployment d(sim, util::Rng(2), config(), pos, behaviors(pos.size()));
-    d.start(450.0);
-    sim.run();
+    Deployment d(scenario(2), config(), pos, faulty(pos.size()));
+    d.run(450.0);
     ASSERT_GE(d.rounds().size(), 4u);
     for (const auto& r : d.rounds()) {
         EXPECT_GE(r.heads.size(), 1u) << "round " << r.round;
@@ -69,11 +62,9 @@ TEST(Deployment, ElectsHeadsEveryRound) {
 }
 
 TEST(Deployment, LeadershipRotates) {
-    sim::Simulator sim;
     auto pos = lattice();
-    Deployment d(sim, util::Rng(3), config(), pos, behaviors(pos.size()));
-    d.start(1000.0);
-    sim.run();
+    Deployment d(scenario(3), config(), pos, faulty(pos.size()));
+    d.run(1000.0);
     std::set<sim::ProcessId> ever_head;
     for (const auto& r : d.rounds()) {
         for (auto h : r.heads) ever_head.insert(h);
@@ -83,39 +74,57 @@ TEST(Deployment, LeadershipRotates) {
 }
 
 TEST(Deployment, DetectsEventsEndToEnd) {
-    sim::Simulator sim;
     auto pos = lattice();
-    Deployment d(sim, util::Rng(4), config(), pos, behaviors(pos.size()));
+    Deployment d(scenario(4), config(), pos, faulty(pos.size()));
     d.generator().schedule_events(30, 20.0, 10.0);
-    d.start(650.0);
-    sim.run();
-
-    std::size_t detected = 0;
-    for (const auto& ev : d.generator().history()) {
-        for (const auto& dec : d.decisions()) {
-            if (!dec.event_declared || !dec.has_location) continue;
-            if (dec.time < ev.time || dec.time > ev.time + 5.0) continue;
-            if (util::distance(dec.location, ev.location) <= 5.0) {
-                ++detected;
-                break;
-            }
-        }
-    }
+    d.run(650.0);
     // Self-organized clusters are lossier than the dedicated-CH harness
     // (events near cluster boundaries split their reports), but the bulk
     // of events must still be detected and located.
-    EXPECT_GE(detected * 10, d.generator().history().size() * 7);
+    EXPECT_GE(d.detected_events() * 10, d.generator().history().size() * 7);
+}
+
+// The scenario's channel reaches the sensors: with every report lost, no
+// head ever decides, while the reliable CH control traffic still elects.
+TEST(Deployment, ChannelLossComesFromTheScenario) {
+    auto pos = lattice();
+    Scenario s = scenario(4);
+    s.channel.drop_probability = 1.0;
+    Deployment d(s, config(), pos, faulty(pos.size()));
+    d.generator().schedule_events(30, 20.0, 10.0);
+    d.run(650.0);
+    EXPECT_TRUE(d.decisions().empty());
+    EXPECT_EQ(d.detected_events(), 0u);
+    EXPECT_GE(d.rounds().size(), 6u);
+}
+
+// check.mode=assert attaches the lockstep oracle to every co-located CH
+// role: it follows each leadership's archive hand-off and would throw on
+// the first divergence or invariant violation.
+TEST(Deployment, AssertModeOracleFollowsRotation) {
+    auto pos = lattice();
+    Scenario s = scenario(7);
+    s.check.mode = check::Mode::Assert;
+    Deployment d(s, config(), pos, faulty(pos.size(), 12));
+    d.generator().schedule_events(60, 15.0, 12.0);
+    EXPECT_NO_THROW(d.run(950.0));
+    EXPECT_FALSE(d.decisions().empty());
+}
+
+TEST(Deployment, RejectsCampaign) {
+    auto pos = lattice();
+    Scenario s = scenario(1);
+    s.campaign.compromises.push_back({100.0, 0.5});
+    EXPECT_THROW(Deployment(s, config(), pos, faulty(pos.size())), std::invalid_argument);
 }
 
 TEST(Deployment, EnergyDrainsOverTime) {
-    sim::Simulator sim;
     auto pos = lattice();
     auto cfg = config();
     cfg.initial_energy = 0.01;  // small battery so drain is visible
-    Deployment d(sim, util::Rng(5), cfg, pos, behaviors(pos.size()));
+    Deployment d(scenario(5), cfg, pos, faulty(pos.size()));
     d.generator().schedule_events(40, 10.0, 5.0);
-    d.start(450.0);
-    sim.run();
+    d.run(450.0);
     double min_frac = 1.0;
     for (std::size_t i = 0; i < pos.size(); ++i) {
         min_frac = std::min(min_frac, d.battery_fraction(static_cast<sim::ProcessId>(i)));
@@ -129,21 +138,19 @@ TEST(Deployment, EnergyDrainsOverTime) {
 }
 
 TEST(Deployment, DistrustedNodesNeverLead) {
-    sim::Simulator sim;
     auto pos = lattice();
     const std::size_t n_faulty = 10;
     auto cfg = config();
-    Deployment d(sim, util::Rng(6), cfg, pos, behaviors(pos.size(), n_faulty));
+    Deployment d(scenario(6), cfg, pos, faulty(pos.size(), n_faulty));
     // Pre-poison the archive: the faulty nodes have a record.
     // (In a live run the record accrues from decisions; keeping this test
     // fast by seeding it.)
     for (core::NodeId f = 0; f < n_faulty; ++f) {
         for (int k = 0; k < 5; ++k) {
-            const_cast<BaseStation&>(d.base_station()).archive().judge_faulty(f);
+            const_cast<cluster::BaseStation&>(d.base_station()).archive().judge_faulty(f);
         }
     }
-    d.start(1200.0);
-    sim.run();
+    d.run(1200.0);
     for (const auto& r : d.rounds()) {
         for (auto h : r.heads) {
             EXPECT_GE(h, n_faulty) << "distrusted node " << h << " led round " << r.round;
@@ -152,13 +159,11 @@ TEST(Deployment, DistrustedNodesNeverLead) {
 }
 
 TEST(Deployment, TrustAccruesInArchiveAcrossRounds) {
-    sim::Simulator sim;
     auto pos = lattice();
     const std::size_t n_faulty = 12;
-    Deployment d(sim, util::Rng(7), config(), pos, behaviors(pos.size(), n_faulty));
+    Deployment d(scenario(7), config(), pos, faulty(pos.size(), n_faulty));
     d.generator().schedule_events(60, 15.0, 12.0);
-    d.start(950.0);
-    sim.run();
+    d.run(950.0);
     // After many decisions + deposits, the archive separates the classes.
     double vf = 0.0, vc = 0.0;
     for (core::NodeId i = 0; i < pos.size(); ++i) {
@@ -171,16 +176,14 @@ TEST(Deployment, TrustAccruesInArchiveAcrossRounds) {
 
 TEST(Deployment, Deterministic) {
     auto run = [&] {
-        sim::Simulator sim;
         auto pos = lattice();
-        Deployment d(sim, util::Rng(8), config(), pos, behaviors(pos.size(), 6));
+        Deployment d(scenario(8), config(), pos, faulty(pos.size(), 6));
         d.generator().schedule_events(20, 15.0, 10.0);
-        d.start(350.0);
-        sim.run();
+        d.run(350.0);
         return d.decisions().size();
     };
     EXPECT_EQ(run(), run());
 }
 
 }  // namespace
-}  // namespace tibfit::cluster
+}  // namespace tibfit::exp

@@ -9,6 +9,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -289,22 +290,39 @@ TEST(Scenario, SeedRoundTripsExactlyAt2To53) {
     EXPECT_EQ(scenario_from_json_text(to_json(s)).seed, 9007199254740992u);
 }
 
-// The committed documents hold exactly the schema's fields.
-TEST(Scenario, CommittedDocumentsLoadUnchanged) {
-    const auto text = [](const std::string& relative) {
-        std::ifstream in(std::string(TIBFIT_SOURCE_DIR) + "/" + relative);
-        std::ostringstream os;
-        os << in.rdbuf();
-        EXPECT_FALSE(os.str().empty()) << relative;
-        return os.str();
-    };
-    for (const char* name : {"fig4_fanout", "collusion_burst_shadow", "binary_failover"}) {
-        std::string doc = text(std::string("tibbench/workloads/") + name + ".json");
+std::string read_text(const std::filesystem::path& path) {
+    std::ifstream in(path);
+    std::ostringstream os;
+    os << in.rdbuf();
+    EXPECT_FALSE(os.str().empty()) << path;
+    return os.str();
+}
+
+// The benchmark refuses a workload whose text is not exactly to_json of
+// the scenario it parses to, so write_json's form is frozen: a new field,
+// a renamed key or a reordered section must fail here first. Reads every
+// committed workload, as the benchmark's loader does (trailing whitespace
+// dropped), and writes none.
+TEST(Scenario, BenchmarkWorkloadsAreInWriteJsonForm) {
+    const std::filesystem::path dir =
+        std::filesystem::path(TIBFIT_SOURCE_DIR) / "tibbench" / "workloads";
+    std::size_t loaded = 0;
+    for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+        if (entry.path().extension() != ".json") continue;
+        std::string doc = read_text(entry.path());
         while (!doc.empty() && std::isspace(static_cast<unsigned char>(doc.back()))) doc.pop_back();
-        EXPECT_EQ(to_json(scenario_from_json_text(doc)), doc) << name;
+        const Scenario s = scenario_from_json_text(doc);
+        EXPECT_EQ(to_json(s), doc) << entry.path();
+        EXPECT_TRUE(s.validate().empty()) << entry.path();
+        ++loaded;
     }
-    const inject::CampaignSpec spec =
-        inject::campaign_from_json(obs::json::parse(text("ci/campaign_smoke.json")));
+    EXPECT_GE(loaded, 3u);
+}
+
+// The committed campaign holds exactly the schema's fields.
+TEST(Scenario, CommittedDocumentsLoadUnchanged) {
+    const inject::CampaignSpec spec = inject::campaign_from_json(obs::json::parse(
+        read_text(std::filesystem::path(TIBFIT_SOURCE_DIR) / "ci" / "campaign_smoke.json")));
     EXPECT_EQ(spec.degradations.size(), 1u);
     EXPECT_EQ(spec.failovers.size(), 1u);
     EXPECT_EQ(spec.compromises.size(), 1u);
@@ -370,16 +388,40 @@ TEST(Scenario, ApplyJsonMergesOntoExistingScenario) {
 }
 
 // A bench's key=value tokens that are neither declared options nor runs=
-// reach its base scenario by path.
+// reach its base scenario by path. trial_runs(), like option(), declares
+// its key before apply().
 TEST(BenchIo, ApplyOverridesScenarioFieldsByPath) {
     const char* argv[] = {"bench_x", "mobility.pause=2.5", "runs=3", "degrade=0.1", "seed=9"};
     BenchIo io("bench_x", 5, const_cast<char**>(argv));
     EXPECT_EQ(io.option("degrade", 0.45, "a bench knob"), 0.1);
+    EXPECT_EQ(io.trial_runs(7), 3u);
     Scenario s = Scenario::binary_defaults();
     io.apply(s);
     EXPECT_EQ(s.mobility.pause, 2.5);
     EXPECT_EQ(s.seed, 9u);
-    EXPECT_EQ(io.trial_runs(7), 3u);
+}
+
+// A first trial_runs() after apply() is a bench bug: apply() already
+// decided the bench reads no runs=.
+TEST(BenchIo, TrialRunsAfterApplyThrows) {
+    const char* argv[] = {"bench_x"};
+    BenchIo io("bench_x", 1, const_cast<char**>(argv));
+    Scenario s = Scenario::binary_defaults();
+    io.apply(s);
+    EXPECT_THROW(io.trial_runs(7), std::logic_error);
+}
+
+// A bench that never calls trial_runs() refuses runs= instead of ignoring
+// it.
+TEST(BenchIoDeathTest, ApplyExitsTwoOnRunsTheBenchDoesNotRead) {
+    const auto apply = [] {
+        const char* argv[] = {"bench_x", "runs=5"};
+        BenchIo io("bench_x", 2, const_cast<char**>(argv));
+        Scenario s = Scenario::location_defaults();
+        io.apply(s);
+    };
+    EXPECT_EXIT(apply(), ::testing::ExitedWithCode(2),
+                "bench_x: 'runs=5': this bench has no trial count to set");
 }
 
 // The reader accepts location.events=0; validate() refuses it.
