@@ -20,15 +20,14 @@
 #include "sensor/fault_model.h"
 #include "sensor/sensor_node.h"
 #include "sim/simulator.h"
-#include "util/config.h"
+#include "knobs.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
 
-    util::Config args;
-    args.parse_args(argc, argv);
-    const auto events = static_cast<std::size_t>(args.get_int("events", 20));
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 5));
+    const examples::Knobs knobs("ch_failover", argc, argv, {"events", "seed"});
+    const std::size_t events = knobs.count("events", 20);
+    const std::uint64_t seed = knobs.count("seed", 5);
 
     sim::Simulator simulator;
     util::Rng root(seed);
@@ -99,7 +98,7 @@ int main(int argc, char** argv) {
 
     std::printf("\n%zu events; the corrupt CH announced 'no event' every time.\n\n", events);
     std::printf("CH announcements (corrupt):   %zu decisions, all inverted\n",
-                ch.decisions().size());
+                ch.decisions_announced());
     std::printf("shadow alerts filed:          %zu + %zu\n", sch1.alerts_sent(),
                 sch2.alerts_sent());
     std::size_t corrected = 0;

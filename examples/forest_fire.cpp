@@ -13,25 +13,25 @@
 #include <cstdio>
 
 #include "exp/binary_experiment.h"
-#include "util/config.h"
+#include "knobs.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
 
-    util::Config args;
-    args.parse_args(argc, argv);
+    const examples::Knobs knobs("forest_fire", argc, argv, {"events", "faulty", "seed"});
 
     exp::Scenario cfg = exp::Scenario::binary_defaults();
     cfg.binary.n_nodes = 10;
-    cfg.binary.events = static_cast<std::size_t>(args.get_int("events", 100));
-    cfg.binary.pct_faulty = static_cast<double>(args.get_int("faulty", 6)) / 10.0;
+    cfg.binary.events = knobs.count("events", 100);
+    cfg.binary.pct_faulty = static_cast<double>(knobs.count("faulty", 6)) / 10.0;
     cfg.faults.natural_error_rate = 0.01;  // honest sensors still glitch occasionally
     cfg.faults.missed_alarm_rate = 0.5;    // compromised sensors suppress half the fires
     cfg.faults.false_alarm_rate = 0.3;     // ... and cry wolf
     cfg.engine.trust.lambda = 0.1;
     cfg.engine.trust.removal_ti = 0.05;    // diagnose and ignore hopeless sensors
     cfg.channel.drop_probability = 0.01;
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 7));
+    cfg.seed = knobs.count("seed", 7);
+    knobs.validate(cfg);
 
     std::printf("Forest-fire watch: %zu fire events, %d of 10 sensors compromised\n\n",
                 cfg.binary.events, static_cast<int>(cfg.binary.pct_faulty * 10));

@@ -18,16 +18,15 @@
 #include "cluster/energy.h"
 #include "cluster/leach.h"
 #include "core/trust.h"
-#include "util/config.h"
+#include "knobs.h"
 #include "util/rng.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
 
-    util::Config args;
-    args.parse_args(argc, argv);
-    const auto rounds = static_cast<std::uint32_t>(args.get_int("rounds", 24));
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 2));
+    const examples::Knobs knobs("leach_rounds", argc, argv, {"rounds", "seed"});
+    const auto rounds = static_cast<std::uint32_t>(knobs.count("rounds", 24));
+    const std::uint64_t seed = knobs.count("seed", 2);
 
     util::Rng rng(seed);
     constexpr std::size_t kNodes = 20;

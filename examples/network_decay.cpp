@@ -10,23 +10,23 @@
 #include <cstdio>
 
 #include "exp/location_experiment.h"
-#include "util/config.h"
+#include "knobs.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
 
-    util::Config args;
-    args.parse_args(argc, argv);
+    const examples::Knobs knobs("network_decay", argc, argv, {"epoch_events", "final", "seed"});
 
     exp::Scenario cfg = exp::Scenario::location_defaults();
     exp::LocationWorkload& wl = cfg.location;
     wl.decay = true;
     wl.decay_initial = 0.05;
     wl.decay_step = 0.05;
-    wl.decay_final = static_cast<double>(args.get_int("final", 75)) / 100.0;
-    wl.decay_epoch_events = static_cast<std::size_t>(args.get_int("epoch_events", 50));
+    wl.decay_final = static_cast<double>(knobs.count("final", 75)) / 100.0;
+    wl.decay_epoch_events = knobs.count("epoch_events", 50);
     wl.epoch_events = wl.decay_epoch_events;
-    cfg.seed = static_cast<std::uint64_t>(args.get_int("seed", 11));
+    cfg.seed = knobs.count("seed", 11);
+    knobs.validate(cfg);
 
     std::printf("Network decay: +5%% of the network compromised every %zu events, up to %.0f%%\n\n",
                 wl.decay_epoch_events, 100.0 * wl.decay_final);

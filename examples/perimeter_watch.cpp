@@ -22,16 +22,17 @@
 #include "sensor/sensor_node.h"
 #include "sim/simulator.h"
 #include "util/ascii_field.h"
-#include "util/config.h"
+#include "knobs.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
 
-    util::Config args;
-    args.parse_args(argc, argv);
-    const auto steps = static_cast<std::size_t>(args.get_int("steps", 12));
-    const double pct_faulty = static_cast<double>(args.get_int("faulty", 33)) / 100.0;
-    const auto seed = static_cast<std::uint64_t>(args.get_int("seed", 4));
+    const examples::Knobs knobs("perimeter_watch", argc, argv, {"steps", "faulty", "seed"});
+    const std::size_t steps = knobs.count("steps", 12);
+    const std::size_t faulty_pct = knobs.count("faulty", 33);
+    if (faulty_pct > 100) knobs.fail("knob 'faulty' is a percentage, at most 100");
+    const double pct_faulty = static_cast<double>(faulty_pct) / 100.0;
+    const std::uint64_t seed = knobs.count("seed", 4);
 
     sim::Simulator simulator;
     util::Rng root(seed);

@@ -12,19 +12,20 @@
 #include <cstdio>
 
 #include "exp/deployment.h"
-#include "util/config.h"
+#include "knobs.h"
 
 int main(int argc, char** argv) {
     using namespace tibfit;
 
-    util::Config args;
-    args.parse_args(argc, argv);
-    const auto rounds = static_cast<std::size_t>(args.get_int("rounds", 12));
-    const auto n_faulty = static_cast<std::size_t>(args.get_int("faulty", 16));
+    const examples::Knobs knobs("self_organizing", argc, argv, {"rounds", "faulty", "seed"});
+    const std::size_t rounds = knobs.count("rounds", 12);
+    const std::size_t n_faulty = knobs.count("faulty", 16);
+    if (n_faulty > 64) knobs.fail("knob 'faulty' counts sensors, at most 64");
 
     exp::Scenario s = exp::Scenario::location_defaults();
-    s.seed = static_cast<std::uint64_t>(args.get_int("seed", 9));
+    s.seed = knobs.count("seed", 9);
     s.faults.natural_error_rate = 0.01;  // correct sensors miss 1% of events
+    knobs.validate(s);
 
     exp::DeploymentConfig cfg;
     cfg.round_duration = 100.0;

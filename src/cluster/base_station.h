@@ -42,9 +42,6 @@ class BaseStation : public sim::Process {
     const core::TrustManager& archive() const { return archive_; }
     core::TrustManager& archive() { return archive_; }
 
-    /// Seeds the archive explicitly (e.g. fresh deployment).
-    void set_archive(core::TrustManager table) { archive_ = std::move(table); }
-
     /// Trust the station keeps about CH entities themselves (demoted when
     /// outvoted, Section 3.4).
     double ch_trust(sim::ProcessId ch) const;

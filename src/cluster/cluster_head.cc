@@ -61,21 +61,15 @@ const std::vector<util::Vec2>& ClusterHead::engine_positions() const {
 
 void ClusterHead::set_recorder(obs::Recorder* recorder) {
     recorder_ = recorder;
-    c_reports_ = c_windows_ = c_decisions_ = c_events_declared_ = nullptr;
     h_latency_ = h_margin_ = nullptr;
     if (recorder_) {
         auto& reg = recorder_->metrics();
-        c_reports_ = &reg.counter(obs::metric::kClusterReportsReceived);
-        c_windows_ = &reg.counter(obs::metric::kClusterWindowsOpened);
-        c_decisions_ = &reg.counter(obs::metric::kClusterDecisions);
-        c_events_declared_ = &reg.counter(obs::metric::kClusterEventsDeclared);
         h_latency_ = &obs::decision_latency_histogram(reg);
         h_margin_ = &obs::cti_margin_histogram(reg);
     }
     // The engine keeps the attachment and re-applies it on every
     // adopt_trust, so CH rotations / failovers can't shed telemetry.
     engine_.set_recorder(recorder_);
-    if (transport_) transport_->set_recorder(recorder_);
 }
 
 void ClusterHead::begin_leadership(core::TrustManager table) {
@@ -96,7 +90,6 @@ void ClusterHead::end_leadership() {
 
 void ClusterHead::enable_relay(const net::RoutingTable* routes, net::TransportParams params) {
     transport_.emplace(sim(), radio_, routes, params);
-    transport_->set_recorder(recorder_);
 }
 
 void ClusterHead::request_archive() {
@@ -137,14 +130,11 @@ void ClusterHead::handle_report(const net::Packet& packet, const net::ReportPayl
     if (reporter >= node_positions_.size()) return;  // not one of ours
     if (!is_member_.empty() && !is_member_[reporter]) return;  // other cluster's node
 
-    if (recorder_) {
-        c_reports_->inc();
-        if (recorder_->trace().enabled()) {
-            recorder_->trace().append(
-                sim().now(),
-                obs::ReportReceived{reporter, static_cast<std::uint32_t>(id()), report.positive,
-                                    report.has_location});
-        }
+    ++reports_received_;
+    if (recorder_ && recorder_->trace().enabled()) {
+        recorder_->trace().append(
+            sim().now(), obs::ReportReceived{reporter, static_cast<std::uint32_t>(id()),
+                                             report.positive, report.has_location});
     }
 
     if (binary_mode_) {
@@ -176,9 +166,8 @@ void ClusterHead::handle_report(const net::Packet& packet, const net::ReportPayl
 }
 
 void ClusterHead::note_window_opened(core::NodeId first_reporter) {
-    if (!recorder_) return;
-    c_windows_->inc();
-    if (recorder_->trace().enabled()) {
+    ++windows_opened_;
+    if (recorder_ && recorder_->trace().enabled()) {
         recorder_->trace().append(
             sim().now(), obs::WindowOpened{static_cast<std::uint32_t>(id()), first_reporter});
     }
@@ -186,8 +175,6 @@ void ClusterHead::note_window_opened(core::NodeId first_reporter) {
 
 void ClusterHead::note_decision(const DecisionRecord& rec) {
     if (!recorder_) return;
-    c_decisions_->inc();
-    if (rec.event_declared) c_events_declared_->inc();
     const double latency = rec.time - rec.window_opened;
     h_latency_->observe(latency);
     h_margin_->observe(rec.weight_reporters - rec.weight_silent);
@@ -222,7 +209,6 @@ void ClusterHead::decide_binary_window() {
     rec.weight_reporters = decision.weight_reporters;
     rec.weight_silent = decision.weight_silent;
     rec.n_reporters = decision.reporters.size();
-    log_.push_back(rec);
     note_decision(rec);
 
     // Only a trust-running CH has judgements to announce; the stateless
@@ -255,7 +241,6 @@ void ClusterHead::collect_location_windows() {
         rec.weight_reporters = d.weight_reporters;
         rec.weight_silent = d.weight_silent;
         rec.n_reporters = d.reporters.size();
-        log_.push_back(rec);
         note_decision(rec);
 
         std::vector<core::NodeId> correct, faulty;
@@ -275,6 +260,8 @@ void ClusterHead::collect_location_windows() {
 
 void ClusterHead::announce(const DecisionRecord& rec, std::vector<core::NodeId> judged_correct,
                            std::vector<core::NodeId> judged_faulty) {
+    ++decisions_announced_;
+    if (rec.event_declared) ++events_declared_;
     net::DecisionPayload payload;
     payload.decision_seq = rec.seq;
     payload.event_declared = rec.event_declared;

@@ -18,14 +18,13 @@
 #include "util/vec2.h"
 
 namespace tibfit::obs {
-class Counter;
 class HistogramMetric;
 class Recorder;
 }  // namespace tibfit::obs
 
 namespace tibfit::cluster {
 
-/// One entry of the CH's decision log — what the harness scores.
+/// One decision a CH announced — what the harness logs and scores.
 struct DecisionRecord {
     sim::ProcessId ch = sim::kNoProcess;  ///< the deciding CH
     std::uint64_t seq = 0;                ///< numbered per CH, from 0
@@ -109,17 +108,23 @@ class ClusterHead : public sim::Process {
     /// inactive.
     void end_leadership();
 
-    /// Decisions made so far (monotone append).
-    const std::vector<DecisionRecord>& decisions() const { return log_; }
-
-    /// Observer invoked at every decision (after logging/broadcasting).
+    /// Observer invoked at every decision, after its broadcast. The CH
+    /// keeps no log of its own: the observer is the only record.
     void on_decision(std::function<void(const DecisionRecord&)> cb) { decision_cb_ = std::move(cb); }
 
-    /// Attaches observability (nullptr detaches): cluster.* counters, the
-    /// decision-latency and CTI-margin histograms, report/window/decision
-    /// trace records. Propagates to the engine's trust table (and
-    /// re-propagates whenever an archive is adopted) and to the relay
-    /// transport, so one call instruments the whole CH stack.
+    // Telemetry. The run harness exports these counts, summed over every
+    // CH in the run, to a recorder's registry at the end of the run.
+    std::size_t reports_received() const { return reports_received_; }
+    std::size_t windows_opened() const { return windows_opened_; }
+    std::size_t decisions_announced() const { return decisions_announced_; }
+    /// Announced decisions that declared an event (a corrupt CH's inverted
+    /// verdicts included; a base station's later override is not seen).
+    std::size_t events_declared() const { return events_declared_; }
+
+    /// Attaches observability (nullptr detaches): the decision-latency and
+    /// CTI-margin histograms and report/window/decision trace records.
+    /// Propagates to the engine's trust table (and re-propagates whenever
+    /// an archive is adopted), so one call instruments the whole CH stack.
     void set_recorder(obs::Recorder* recorder);
 
     // sim::Process
@@ -157,14 +162,13 @@ class ClusterHead : public sim::Process {
     std::vector<core::NodeId> window_reporters_;
 
     std::uint64_t next_seq_ = 0;
-    std::vector<DecisionRecord> log_;
     std::function<void(const DecisionRecord&)> decision_cb_;
 
+    std::size_t reports_received_ = 0;
+    std::size_t windows_opened_ = 0;
+    std::size_t decisions_announced_ = 0;
+    std::size_t events_declared_ = 0;
     obs::Recorder* recorder_ = nullptr;
-    obs::Counter* c_reports_ = nullptr;
-    obs::Counter* c_windows_ = nullptr;
-    obs::Counter* c_decisions_ = nullptr;
-    obs::Counter* c_events_declared_ = nullptr;
     obs::HistogramMetric* h_latency_ = nullptr;
     obs::HistogramMetric* h_margin_ = nullptr;
 };

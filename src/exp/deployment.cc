@@ -99,6 +99,7 @@ void Deployment::run(double until) {
     until_ = until;
     h_.simulator.schedule(0.0, [this] { run_round(); });
     h_.simulator.run();
+    h_.export_tallies();
 }
 
 void Deployment::bill_energy() {

@@ -57,7 +57,8 @@ class Deployment {
                std::vector<util::Vec2> positions, std::vector<bool> faulty);
 
     /// Runs LEACH rounds until simulation time `until` (the first election
-    /// at time 0), then runs the simulator until it is idle.
+    /// at time 0), then runs the simulator until it is idle and exports the
+    /// run's tallies to the scenario's recorder. Call it once.
     void run(double until);
 
     /// The event source (configure schedules before run()).

@@ -20,7 +20,7 @@ RunHarness::RunHarness(const Scenario& s)
         obs::preregister_standard_metrics(rec->metrics());
         rec->set_clock([this] { return simulator.now(); });
     }
-    channel.set_recorder(rec);
+    channel.set_recorder(rec);  // traces drops; counts are exported at the end
     // One Campaign per run; its streams derive from the run's root, so a
     // campaign replayed under a different trial seed reshuffles its coins
     // exactly like every other component.
@@ -96,7 +96,6 @@ void RunHarness::check_engines(const core::EngineConfig& cfg) {
     check_scope_.emplace(abort ? util::InvariantAction::Throw : util::InvariantAction::Count);
     for (auto& h : heads) {
         shadows_.push_back(std::make_unique<check::ShadowArbiter>(cfg, abort));
-        shadows_.back()->set_recorder(rec);
         h->engine().set_checker(shadows_.back().get());
     }
 }
@@ -116,10 +115,7 @@ void RunHarness::rebuild_routes(const std::vector<util::Vec2>& positions, double
 void RunHarness::build_relay(const std::vector<util::Vec2>& positions, double node_range,
                              double head_range) {
     rebuild_routes(positions, node_range, head_range);
-    for (auto& n : nodes) {
-        n->enable_relay(&routes, scenario.transport);
-        if (auto* t = n->transport()) t->set_recorder(rec);
-    }
+    for (auto& n : nodes) n->enable_relay(&routes, scenario.transport);
     for (auto& h : heads) h->enable_relay(&routes, scenario.transport);
 }
 
@@ -185,9 +181,48 @@ std::size_t RunHarness::oracle_divergences() const {
     return n;
 }
 
+void RunHarness::export_tallies() const {
+    if (!rec) return;
+    auto& reg = rec->metrics();
+    const auto add = [&reg](const char* name, std::size_t n) { reg.counter(name).inc(n); };
+    add(obs::metric::kChannelDelivered, channel.delivered());
+    add(obs::metric::kChannelDropped, channel.dropped());
+    add(obs::metric::kChannelOutOfRange, channel.out_of_range());
+    add(obs::metric::kChannelCollisions, channel.collisions());
+    // Injection-free artifacts keep their shape: no injected_* names.
+    if (channel.fault_schedule_armed()) {
+        add(obs::metric::kInjectedDrops, channel.injected_drops());
+        add(obs::metric::kInjectedDuplicates, channel.injected_duplicates());
+        add(obs::metric::kInjectedDelays, channel.injected_delays());
+        add(obs::metric::kInjectedReorders, channel.injected_reorders());
+    }
+    const auto add_transport = [&add](const net::ReliableTransport* t) {
+        if (!t) return;
+        add(obs::metric::kTransportOriginated, t->originated());
+        add(obs::metric::kTransportForwarded, t->forwarded());
+        add(obs::metric::kTransportRetransmissions, t->retransmissions());
+        add(obs::metric::kTransportGaveUp, t->gave_up());
+        add(obs::metric::kTransportDuplicates, t->duplicates_suppressed());
+    };
+    for (const auto& n : nodes) add_transport(n->transport());
+    for (const auto& h : heads) {
+        add_transport(h->transport());
+        add(obs::metric::kClusterReportsReceived, h->reports_received());
+        add(obs::metric::kClusterWindowsOpened, h->windows_opened());
+        add(obs::metric::kClusterDecisions, h->decisions_announced());
+        add(obs::metric::kClusterEventsDeclared, h->events_declared());
+    }
+    // Likewise, check.* names appear only in runs with oracles attached.
+    if (!shadows_.empty()) {
+        add(obs::metric::kCheckDecisionsChecked, checked_decisions());
+        add(obs::metric::kCheckDivergences, oracle_divergences());
+    }
+}
+
 void RunHarness::record_outcome(double accuracy, std::size_t events, std::size_t detected,
                                 const TrustSplit& ti) const {
     if (!rec) return;
+    export_tallies();
     auto& reg = rec->metrics();
     reg.counter(obs::metric::kSimEventsExecuted).inc(simulator.executed());
     reg.gauge(obs::metric::kSimQueueHighWater)

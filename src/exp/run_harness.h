@@ -105,8 +105,9 @@ class RunHarness {
     /// Fills the fields every result shares — the final mean TI of correct
     /// and faulty nodes in `final_trust` and the oracle tallies — and
     /// records the end-of-run metrics every run exports: event count,
-    /// queue high water, accuracy, events, detected, the TI gauges and,
-    /// under a campaign, the decisions made inside a degraded window.
+    /// queue high water, the component tallies (export_tallies), accuracy,
+    /// events, detected, the TI gauges and, under a campaign, the
+    /// decisions made inside a degraded window.
     template <typename Result>
     void finish(Result& result, const core::TrustManager& final_trust) const {
         const TrustSplit ti = trust_split(final_trust);
@@ -116,6 +117,14 @@ class RunHarness {
         result.oracle_divergences = oracle_divergences();
         record_outcome(result.accuracy, result.events, result.detected, ti);
     }
+
+    /// Adds the run's tallies to the recorder's counters: the channel's
+    /// (its injected_* counts only when a fault schedule is armed), every
+    /// relay transport's, every head's and, when oracles are attached,
+    /// theirs. Components count on their own and the registry is written
+    /// here once, so call this exactly once, after the simulator has run
+    /// (finish() does). A no-op without a recorder.
+    void export_tallies() const;
 
     const Scenario& scenario;
     sim::Simulator simulator;

@@ -96,7 +96,8 @@ std::vector<std::string> Scenario::validate() const {
 
     // Channel / transport.
     // Non-finite channel timing would reach the event queue as a NaN or
-    // infinite time: `util::Config` parses "nan" and "inf".
+    // infinite time: overlay_from_tokens reads "nan" and "inf" as numbers
+    // (obs::json::parse_number).
     check_unit(errors, "channel drop_probability", channel.drop_probability);
     check_finite_non_negative(errors, "channel base_latency", channel.base_latency);
     if (!(std::isfinite(channel.propagation_speed) && channel.propagation_speed > 0.0)) {
@@ -169,6 +170,8 @@ std::vector<std::string> Scenario::validate() const {
         }
         if (location.decay) {
             if (location.decay_step <= 0.0) errors.push_back("scenario: decay_step must be > 0");
+            check_unit(errors, "location decay_initial", location.decay_initial);
+            check_unit(errors, "location decay_final", location.decay_final);
             if (location.decay_final < location.decay_initial) {
                 errors.push_back("scenario: decay_final < decay_initial");
             }

@@ -6,7 +6,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "obs/names.h"
 #include "obs/recorder.h"
 
 namespace tibfit::net {
@@ -82,36 +81,9 @@ void Channel::snoop(const std::shared_ptr<Packet>& body, const Endpoint& src,
     }
 }
 
-void Channel::set_recorder(obs::Recorder* recorder) {
-    recorder_ = recorder;
-    c_delivered_ = c_dropped_ = c_out_of_range_ = c_collisions_ = nullptr;
-    c_injected_drops_ = c_injected_duplicates_ = nullptr;
-    c_injected_delays_ = c_injected_reorders_ = nullptr;
-    if (!recorder_) return;
-    auto& reg = recorder_->metrics();
-    c_delivered_ = &reg.counter(obs::metric::kChannelDelivered);
-    c_dropped_ = &reg.counter(obs::metric::kChannelDropped);
-    c_out_of_range_ = &reg.counter(obs::metric::kChannelOutOfRange);
-    c_collisions_ = &reg.counter(obs::metric::kChannelCollisions);
-    resolve_injected_counters();
-}
-
 void Channel::set_fault_schedule(std::vector<ChannelFaultWindow> windows, util::Rng rng) {
     fault_windows_ = std::move(windows);
     fault_rng_ = rng;
-    resolve_injected_counters();
-}
-
-void Channel::resolve_injected_counters() {
-    // The injected_* metrics exist only in runs that armed a schedule:
-    // registering them unconditionally would change the artifact shape of
-    // every injection-free bench.
-    if (!recorder_ || fault_windows_.empty()) return;
-    auto& reg = recorder_->metrics();
-    c_injected_drops_ = &reg.counter(obs::metric::kInjectedDrops);
-    c_injected_duplicates_ = &reg.counter(obs::metric::kInjectedDuplicates);
-    c_injected_delays_ = &reg.counter(obs::metric::kInjectedDelays);
-    c_injected_reorders_ = &reg.counter(obs::metric::kInjectedReorders);
 }
 
 const ChannelFaultWindow* Channel::active_fault_window() const {
@@ -128,12 +100,10 @@ double Channel::injected_extra_delay(const ChannelFaultWindow& w) {
     if (w.delay_jitter > 0.0) {
         extra += fault_rng_.uniform(0.0, w.delay_jitter);
         ++injected_delays_;
-        if (c_injected_delays_) c_injected_delays_->inc();
     }
     if (w.reorder_probability > 0.0 && fault_rng_.chance(w.reorder_probability)) {
         extra += w.reorder_hold;
         ++injected_reorders_;
-        if (c_injected_reorders_) c_injected_reorders_->inc();
     }
     return extra;
 }
@@ -176,7 +146,6 @@ void Channel::deliver(Endpoint& to, const std::shared_ptr<Packet>& body, double 
     if (params_.airtime <= 0.0) {
         staged_.push_back(sim::FanoutItem{sim_->now() + delay, process, rssi});
         ++delivered_;
-        if (c_delivered_) c_delivered_->inc();
         return;
     }
 
@@ -197,15 +166,11 @@ void Channel::deliver(Endpoint& to, const std::shared_ptr<Packet>& body, double 
     for (auto& r : flights) {
         if (arrive < r.end && r.start < end) {
             collided = true;
-            if (sim_->cancel(r.timer)) {  // the victim dies mid-air
-                ++collisions_;
-                if (c_collisions_) c_collisions_->inc();
-            }
+            if (sim_->cancel(r.timer)) ++collisions_;  // the victim dies mid-air
         }
     }
     if (collided) {
         ++collisions_;
-        if (c_collisions_) c_collisions_->inc();
         note_drop(*body, obs::DropReason::Collision);
         flights.push_back(Reception{arrive, end, sim::Timer{}});  // jam marker
         return;
@@ -215,7 +180,6 @@ void Channel::deliver(Endpoint& to, const std::shared_ptr<Packet>& body, double 
     // Packet grows.
     auto closure = [this, process, body, rssi] {
         ++delivered_;
-        if (c_delivered_) c_delivered_->inc();
         body->rssi = rssi;
         process->handle_packet(*body);
     };
@@ -239,7 +203,6 @@ bool Channel::transmit(Endpoint& to, const std::shared_ptr<Packet>& body, double
                        const Endpoint& src) {
     if (rng_.chance(sender_drop_probability(src))) {
         ++dropped_;
-        if (c_dropped_) c_dropped_->inc();
         note_drop(*body, obs::DropReason::Natural);
         return false;
     }
@@ -253,14 +216,12 @@ bool Channel::transmit(Endpoint& to, const std::shared_ptr<Packet>& body, double
     }
     if (w->extra_drop > 0.0 && fault_rng_.chance(w->extra_drop)) {
         ++injected_drops_;
-        if (c_injected_drops_) c_injected_drops_->inc();
         note_drop(*body, obs::DropReason::Injected);
         return false;
     }
     const double extra = injected_extra_delay(*w);
     if (w->duplicate_probability > 0.0 && fault_rng_.chance(w->duplicate_probability)) {
         ++injected_duplicates_;
-        if (c_injected_duplicates_) c_injected_duplicates_->inc();
         deliver(to, body, dist, injected_extra_delay(*w));
     }
     deliver(to, body, dist, extra);
@@ -278,14 +239,12 @@ bool Channel::unicast(Packet packet) {
     Endpoint* dst = find(packet.dst);
     if (!dst) {
         ++out_of_range_;
-        if (c_out_of_range_) c_out_of_range_->inc();
         note_drop(packet, obs::DropReason::OutOfRange);
         return false;
     }
     const double dist = util::distance(src->position, dst->position);
     if (dist > src->range) {
         ++out_of_range_;
-        if (c_out_of_range_) c_out_of_range_->inc();
         note_drop(packet, obs::DropReason::OutOfRange);
         return false;
     }
@@ -339,7 +298,6 @@ std::size_t Channel::broadcast(Packet packet) {
 
     const Plan& plan = plan_for(body->src, src);
     out_of_range_ += plan.out_of_range;
-    if (c_out_of_range_) c_out_of_range_->inc(plan.out_of_range);
 
     // Same loss and injection stack as unicast, with independent coins per
     // receiver (broadcast receptions fail independently), drawn in plan
@@ -361,7 +319,6 @@ std::size_t Channel::broadcast(Packet packet) {
     for (const Hop& hop : plan.hops) {
         if (rng_.chance(p)) {
             ++dropped_;
-            if (c_dropped_) c_dropped_->inc();
             note_drop(*body, obs::DropReason::Natural);
             continue;
         }
@@ -369,7 +326,6 @@ std::size_t Channel::broadcast(Packet packet) {
     }
     const std::size_t n = staged_.size();
     delivered_ += n;
-    if (c_delivered_) c_delivered_->inc(n);
     flush(std::move(body));
     return n;
 }

@@ -17,7 +17,6 @@
 #include "util/vec2.h"
 
 namespace tibfit::obs {
-class Counter;
 class Recorder;
 enum class DropReason;
 }  // namespace tibfit::obs
@@ -108,7 +107,11 @@ class Channel {
     /// all. Replaces any previous schedule; an empty vector disarms.
     void set_fault_schedule(std::vector<ChannelFaultWindow> windows, util::Rng rng);
 
-    // Telemetry.
+    /// True while a non-empty fault schedule is installed.
+    bool fault_schedule_armed() const { return !fault_windows_.empty(); }
+
+    // Telemetry. The run harness exports these counts to a recorder's
+    // registry once, at the end of the run.
     std::size_t delivered() const { return delivered_; }
     std::size_t dropped() const { return dropped_; }
     std::size_t out_of_range() const { return out_of_range_; }
@@ -118,11 +121,10 @@ class Channel {
     std::size_t injected_delays() const { return injected_delays_; }
     std::size_t injected_reorders() const { return injected_reorders_; }
 
-    /// Mirrors the telemetry counters into `recorder` (nullptr detaches).
-    /// With tracing enabled, drops of report-carrying packets also emit
-    /// ReportDropped trace records. Counter pointers are resolved once here,
-    /// so the send path never does a name lookup.
-    void set_recorder(obs::Recorder* recorder);
+    /// Attaches `recorder` for tracing (nullptr detaches): with tracing
+    /// enabled, drops of report-carrying packets emit ReportDropped trace
+    /// records.
+    void set_recorder(obs::Recorder* recorder) { recorder_ = recorder; }
 
   private:
     /// One in-flight reception at an endpoint (collision model).
@@ -186,9 +188,6 @@ class Channel {
     /// Draws the injected delay-jitter / reorder-hold extras for one
     /// delivery under `w`. Consumes fault_rng_ only.
     double injected_extra_delay(const ChannelFaultWindow& w);
-    /// Resolves the injected_* counters (only once a schedule exists, so
-    /// injection-free artifacts keep their historical shape).
-    void resolve_injected_counters();
 
     /// Ids at or above this are refused by attach: the endpoint table
     /// needs a slot for every id below the one attached.
@@ -224,14 +223,6 @@ class Channel {
     std::size_t injected_delays_ = 0;
     std::size_t injected_reorders_ = 0;
     obs::Recorder* recorder_ = nullptr;
-    obs::Counter* c_delivered_ = nullptr;
-    obs::Counter* c_dropped_ = nullptr;
-    obs::Counter* c_out_of_range_ = nullptr;
-    obs::Counter* c_collisions_ = nullptr;
-    obs::Counter* c_injected_drops_ = nullptr;
-    obs::Counter* c_injected_duplicates_ = nullptr;
-    obs::Counter* c_injected_delays_ = nullptr;
-    obs::Counter* c_injected_reorders_ = nullptr;
 };
 
 }  // namespace tibfit::net

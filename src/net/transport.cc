@@ -2,25 +2,11 @@
 
 #include <utility>
 
-#include "obs/names.h"
-#include "obs/recorder.h"
-
 namespace tibfit::net {
 
 ReliableTransport::ReliableTransport(sim::Simulator& sim, Radio radio,
                                      const RoutingTable* routes, TransportParams params)
     : sim_(&sim), radio_(radio), routes_(routes), params_(params) {}
-
-void ReliableTransport::set_recorder(obs::Recorder* recorder) {
-    c_originated_ = c_forwarded_ = c_retransmissions_ = c_gave_up_ = c_duplicates_ = nullptr;
-    if (!recorder) return;
-    auto& reg = recorder->metrics();
-    c_originated_ = &reg.counter(obs::metric::kTransportOriginated);
-    c_forwarded_ = &reg.counter(obs::metric::kTransportForwarded);
-    c_retransmissions_ = &reg.counter(obs::metric::kTransportRetransmissions);
-    c_gave_up_ = &reg.counter(obs::metric::kTransportGaveUp);
-    c_duplicates_ = &reg.counter(obs::metric::kTransportDuplicates);
-}
 
 bool ReliableTransport::send(sim::ProcessId final_dst, ReportPayload report) {
     if (!routes_->reachable(id(), final_dst)) return false;
@@ -32,7 +18,6 @@ bool ReliableTransport::send(sim::ProcessId final_dst, ReportPayload report) {
     env.report = std::move(report);
     mark_seen(env.source, env.seq);  // don't loop back to self
     ++originated_;
-    if (c_originated_) c_originated_->inc();
     transmit_hop(env);
     return true;
 }
@@ -41,7 +26,6 @@ void ReliableTransport::transmit_hop(const RelayEnvelopePayload& envelope) {
     const sim::ProcessId hop = routes_->next_hop(id(), envelope.final_dst);
     if (hop == sim::kNoProcess || envelope.ttl == 0) {
         ++gave_up_;
-        if (c_gave_up_) c_gave_up_->inc();
         return;
     }
     const std::uint64_t key = make_key(envelope.source, envelope.seq);
@@ -80,13 +64,11 @@ void ReliableTransport::arm_retransmit(PendingHop& hop) {
         if (!pending) return;  // acked meanwhile
         if (pending->retries_left == 0) {
             ++gave_up_;
-            if (c_gave_up_) c_gave_up_->inc();
             erase_pending(*pending);
             return;
         }
         --pending->retries_left;
         ++retransmissions_;
-        if (c_retransmissions_) c_retransmissions_->inc();
         radio_.send(pending->next_hop, pending->envelope);
         arm_retransmit(*pending);
     });
@@ -125,7 +107,6 @@ std::optional<Delivered> ReliableTransport::on_packet(const Packet& packet) {
 
     if (!mark_seen(env->source, env->seq)) {
         ++duplicates_;
-        if (c_duplicates_) c_duplicates_->inc();
         return std::nullopt;
     }
 
@@ -137,7 +118,6 @@ std::optional<Delivered> ReliableTransport::on_packet(const Packet& packet) {
     }
 
     ++forwarded_;
-    if (c_forwarded_) c_forwarded_->inc();
     transmit_hop(*env);
     return std::nullopt;
 }

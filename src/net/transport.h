@@ -29,11 +29,6 @@
 #include "net/routing.h"
 #include "sim/simulator.h"
 
-namespace tibfit::obs {
-class Counter;
-class Recorder;
-}  // namespace tibfit::obs
-
 namespace tibfit::net {
 
 /// Transport tunables.
@@ -71,7 +66,8 @@ class ReliableTransport {
     /// envelope, the report is returned for the owner to process.
     std::optional<Delivered> on_packet(const Packet& packet);
 
-    // Telemetry.
+    // Telemetry. The run harness exports these counts, summed over every
+    // shim in the run, to a recorder's registry at the end of the run.
     std::size_t originated() const { return originated_; }
     std::size_t forwarded() const { return forwarded_; }
     std::size_t retransmissions() const { return retransmissions_; }
@@ -79,11 +75,6 @@ class ReliableTransport {
     std::size_t duplicates_suppressed() const { return duplicates_; }
     /// Envelopes currently awaiting a hop ack.
     std::size_t in_flight() const { return pending_.size(); }
-
-    /// Mirrors the telemetry counters into `recorder` (nullptr detaches).
-    /// Many shims share one recorder; the named counters aggregate over
-    /// every relay in the run.
-    void set_recorder(obs::Recorder* recorder);
 
   private:
     /// Starts (or restarts) the reliable transmission of an envelope to
@@ -125,11 +116,6 @@ class ReliableTransport {
     std::size_t retransmissions_ = 0;
     std::size_t gave_up_ = 0;
     std::size_t duplicates_ = 0;
-    obs::Counter* c_originated_ = nullptr;
-    obs::Counter* c_forwarded_ = nullptr;
-    obs::Counter* c_retransmissions_ = nullptr;
-    obs::Counter* c_gave_up_ = nullptr;
-    obs::Counter* c_duplicates_ = nullptr;
 };
 
 }  // namespace tibfit::net

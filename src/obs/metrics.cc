@@ -44,16 +44,27 @@ void Registry::merge(const Registry& other) {
     }
 }
 
-void Registry::emit(MetricSink& sink) const {
-    for (const auto& [name, c] : counters_) sink.on_counter(name, c.value());
-    for (const auto& [name, g] : gauges_) sink.on_gauge(name, g.value());
-    for (const auto& [name, h] : histograms_) sink.on_histogram(name, h);
-}
-
 void Registry::write_summary(std::ostream& os) const {
     os << "== metrics ==\n";
-    SummarySink sink(os);
-    emit(sink);
+    const auto label = [&os](const std::string& name) -> std::ostream& {
+        return os << std::left << std::setw(36) << name << ' ';
+    };
+    for (const auto& [name, c] : counters_) label(name) << c.value() << '\n';
+    for (const auto& [name, g] : gauges_) label(name) << json::number_to_string(g.value()) << '\n';
+    for (const auto& [name, h] : histograms_) {
+        label(name) << "n=" << h.count();
+        if (h.count()) {
+            os << " mean=" << json::number_to_string(h.stats().mean())
+               << " min=" << json::number_to_string(h.stats().min())
+               << " max=" << json::number_to_string(h.stats().max())
+               << " p50=" << json::number_to_string(h.bins().quantile(0.5))
+               << " p99=" << json::number_to_string(h.bins().quantile(0.99));
+            if (h.bins().underflow() || h.bins().overflow()) {
+                os << " under=" << h.bins().underflow() << " over=" << h.bins().overflow();
+            }
+        }
+        os << '\n';
+    }
 }
 
 void Registry::write_json(json::Writer& w) const {
@@ -88,29 +99,6 @@ void Registry::write_json(json::Writer& w) const {
     }
     w.end_object();
     w.end_object();
-}
-
-void SummarySink::on_counter(const std::string& name, std::uint64_t value) {
-    *os_ << std::left << std::setw(36) << name << ' ' << value << '\n';
-}
-
-void SummarySink::on_gauge(const std::string& name, double value) {
-    *os_ << std::left << std::setw(36) << name << ' ' << json::number_to_string(value) << '\n';
-}
-
-void SummarySink::on_histogram(const std::string& name, const HistogramMetric& h) {
-    *os_ << std::left << std::setw(36) << name << " n=" << h.count();
-    if (h.count()) {
-        *os_ << " mean=" << json::number_to_string(h.stats().mean())
-             << " min=" << json::number_to_string(h.stats().min())
-             << " max=" << json::number_to_string(h.stats().max())
-             << " p50=" << json::number_to_string(h.bins().quantile(0.5))
-             << " p99=" << json::number_to_string(h.bins().quantile(0.99));
-        if (h.bins().underflow() || h.bins().overflow()) {
-            *os_ << " under=" << h.bins().underflow() << " over=" << h.bins().overflow();
-        }
-    }
-    *os_ << '\n';
 }
 
 HistogramMetric& decision_latency_histogram(Registry& r) {

@@ -1,12 +1,12 @@
 // The simulation-wide metrics registry: named counters, gauges and
 // fixed-bin histograms, built on util::Running / util::Histogram. One
-// Registry spans one run; every instrumented layer resolves its metrics by
-// name once (pointers into the registry are stable) and then increments
-// raw integers/doubles on the hot path — no lookups, no allocation.
+// Registry spans one run. Components keep their own counts and the run
+// harness adds them here once, at the end of the run; the few metrics that
+// must be live (histograms, trust counters) are resolved by name once
+// (references into the registry are stable).
 //
-// Export is pull-based through the MetricSink visitor: an in-memory sink
-// for tests, a human-readable summary sink, and a JSON sink (see
-// Registry::write_json) for the bench run artifacts.
+// Export: write_summary (human-readable lines) and write_json (the bench
+// run artifacts).
 #pragma once
 
 #include <cstdint>
@@ -90,16 +90,6 @@ class HistogramMetric {
     util::Running stats_;
 };
 
-/// Visitor over a registry snapshot. Metrics arrive name-sorted within
-/// each kind; kinds arrive counters, then gauges, then histograms.
-class MetricSink {
-  public:
-    virtual ~MetricSink() = default;
-    virtual void on_counter(const std::string& name, std::uint64_t value) = 0;
-    virtual void on_gauge(const std::string& name, double value) = 0;
-    virtual void on_histogram(const std::string& name, const HistogramMetric& h) = 0;
-};
-
 /// The registry. Metric objects live as long as the registry and never
 /// move: references returned by counter()/gauge()/histogram() stay valid.
 class Registry {
@@ -119,18 +109,18 @@ class Registry {
     /// Folds another registry in: counters add, gauges merge per their
     /// write mode (see Gauge::merge), histograms combine bin-wise (layouts
     /// must match). Metrics absent here are created. Merging the per-trial
-    /// registries of a parallel sweep in trial-index order yields the same
-    /// registry as the old serial loop sharing one registry — and the same
-    /// bytes regardless of thread count (docs/PARALLELISM.md).
+    /// registries of a parallel sweep in trial-index order yields the
+    /// registry a serial loop sharing one registry builds, except that
+    /// histogram means and deviations agree only up to rounding — and the
+    /// same bytes regardless of thread count (docs/PARALLELISM.md).
     void merge(const Registry& other);
 
     /// Total distinct named metrics.
     std::size_t size() const { return counters_.size() + gauges_.size() + histograms_.size(); }
 
-    /// Feeds every metric to the sink.
-    void emit(MetricSink& sink) const;
-
-    /// Human-readable summary (one line per metric).
+    /// Human-readable summary: one aligned line per metric, name-sorted
+    /// within each kind, counters then gauges then histograms. A histogram
+    /// line appends ` under=N over=M` when out-of-range samples exist.
     void write_summary(std::ostream& os) const;
 
     /// JSON object {"counters": {...}, "gauges": {...}, "histograms":
@@ -142,34 +132,6 @@ class Registry {
     std::map<std::string, Counter> counters_;
     std::map<std::string, Gauge> gauges_;
     std::map<std::string, HistogramMetric> histograms_;
-};
-
-/// In-memory sink for tests: captures a snapshot into plain maps.
-class MemorySink : public MetricSink {
-  public:
-    void on_counter(const std::string& name, std::uint64_t value) override {
-        counters[name] = value;
-    }
-    void on_gauge(const std::string& name, double value) override { gauges[name] = value; }
-    void on_histogram(const std::string& name, const HistogramMetric& h) override {
-        histogram_counts[name] = h.count();
-    }
-
-    std::map<std::string, std::uint64_t> counters;
-    std::map<std::string, double> gauges;
-    std::map<std::string, std::size_t> histogram_counts;
-};
-
-/// Human-readable summary sink: one aligned line per metric.
-class SummarySink : public MetricSink {
-  public:
-    explicit SummarySink(std::ostream& os) : os_(&os) {}
-    void on_counter(const std::string& name, std::uint64_t value) override;
-    void on_gauge(const std::string& name, double value) override;
-    void on_histogram(const std::string& name, const HistogramMetric& h) override;
-
-  private:
-    std::ostream* os_;
 };
 
 }  // namespace tibfit::obs

@@ -69,8 +69,6 @@ class SensorNode : public sim::Process {
     const net::ReliableTransport* transport() const {
         return transport_ ? &*transport_ : nullptr;
     }
-    /// Mutable access to the relay shim (observability attachment).
-    net::ReliableTransport* transport() { return transport_ ? &*transport_ : nullptr; }
 
     /// Swaps the behaviour (Experiment 3: a correct node being compromised
     /// mid-run). Trust history at the CH is unaffected, as in the paper.

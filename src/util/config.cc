@@ -108,10 +108,6 @@ bool Config::parse_assignment(const std::string& token) {
     return true;
 }
 
-void Config::parse_args(int argc, char** argv) {
-    for (int i = 1; i < argc; ++i) parse_assignment(argv[i]);
-}
-
 std::vector<std::string> Config::keys() const {
     std::vector<std::string> out;
     out.reserve(values_.size());

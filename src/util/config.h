@@ -42,9 +42,6 @@ class Config {
     /// consumes the whole token wins. Returns false if the token has no '='.
     bool parse_assignment(const std::string& token);
 
-    /// Parses argv tokens of the form key=value; ignores other tokens.
-    void parse_args(int argc, char** argv);
-
     /// Keys in lexicographic order — used by benches to print Table 1/2.
     std::vector<std::string> keys() const;
     /// Renders a value for display.

@@ -45,6 +45,7 @@ class ClusterHeadTest : public ::testing::Test {
         // 5 nodes in a row, CH and BS nearby.
         for (int i = 0; i < 5; ++i) positions_.push_back({static_cast<double>(4 * i), 0.0});
         ch_.set_topology(positions_);
+        ch_.on_decision([this](const DecisionRecord& r) { decisions_.push_back(r); });
         channel_.attach(ch_, {8, 5}, 1000.0);
         channel_.attach(bs_, {8, 50}, 1000.0);
         for (int i = 0; i < 5; ++i) {
@@ -75,6 +76,7 @@ class ClusterHeadTest : public ::testing::Test {
     Sink bs_;
     std::vector<std::unique_ptr<Sink>> sinks_;
     std::vector<util::Vec2> positions_;
+    std::vector<DecisionRecord> decisions_;  ///< what the CH announced, in order
 };
 
 TEST_F(ClusterHeadTest, BinaryWindowDeclaresOnMajority) {
@@ -83,19 +85,19 @@ TEST_F(ClusterHeadTest, BinaryWindowDeclaresOnMajority) {
     send_report(1);
     send_report(2);
     simulator_.run();
-    ASSERT_EQ(ch_.decisions().size(), 1u);
-    EXPECT_TRUE(ch_.decisions()[0].event_declared);
-    EXPECT_EQ(ch_.decisions()[0].n_reporters, 3u);
+    ASSERT_EQ(decisions_.size(), 1u);
+    EXPECT_TRUE(decisions_[0].event_declared);
+    EXPECT_EQ(decisions_[0].n_reporters, 3u);
     // Window closes T_out after the first report arrived.
-    EXPECT_NEAR(ch_.decisions()[0].time - ch_.decisions()[0].window_opened, 1.0, 1e-9);
+    EXPECT_NEAR(decisions_[0].time - decisions_[0].window_opened, 1.0, 1e-9);
 }
 
 TEST_F(ClusterHeadTest, BinaryMinorityRejected) {
     ch_.set_binary_mode(true);
     send_report(0);
     simulator_.run();
-    ASSERT_EQ(ch_.decisions().size(), 1u);
-    EXPECT_FALSE(ch_.decisions()[0].event_declared);
+    ASSERT_EQ(decisions_.size(), 1u);
+    EXPECT_FALSE(decisions_[0].event_declared);
 }
 
 TEST_F(ClusterHeadTest, DuplicateReportsCountedOnce) {
@@ -104,8 +106,8 @@ TEST_F(ClusterHeadTest, DuplicateReportsCountedOnce) {
     send_report(0);
     send_report(0);
     simulator_.run();
-    ASSERT_EQ(ch_.decisions().size(), 1u);
-    EXPECT_EQ(ch_.decisions()[0].n_reporters, 1u);
+    ASSERT_EQ(decisions_.size(), 1u);
+    EXPECT_EQ(decisions_[0].n_reporters, 1u);
 }
 
 TEST_F(ClusterHeadTest, DecisionBroadcastCarriesJudgements) {
@@ -133,8 +135,8 @@ TEST_F(ClusterHeadTest, LocationWindowDecidesAndLocates) {
     send_report(1, true, util::Vec2{8.2, 0.1});
     send_report(2, true, util::Vec2{7.9, -0.1});
     simulator_.run();
-    ASSERT_EQ(ch_.decisions().size(), 1u);
-    const auto& d = ch_.decisions()[0];
+    ASSERT_EQ(decisions_.size(), 1u);
+    const auto& d = decisions_[0];
     EXPECT_TRUE(d.event_declared);
     EXPECT_TRUE(d.has_location);
     EXPECT_LT(util::distance(d.location, {8, 0}), 0.5);
@@ -146,7 +148,7 @@ TEST_F(ClusterHeadTest, InactiveChIgnoresReports) {
     send_report(0);
     send_report(1);
     simulator_.run();
-    EXPECT_TRUE(ch_.decisions().empty());
+    EXPECT_TRUE(decisions_.empty());
 }
 
 TEST_F(ClusterHeadTest, CorruptChAnnouncesInverse) {
@@ -156,9 +158,30 @@ TEST_F(ClusterHeadTest, CorruptChAnnouncesInverse) {
     send_report(1);
     send_report(2);
     simulator_.run();
-    ASSERT_EQ(ch_.decisions().size(), 1u);
+    ASSERT_EQ(decisions_.size(), 1u);
     // Engine concluded "event", the corrupt CH logs/announces "no event".
-    EXPECT_FALSE(ch_.decisions()[0].event_declared);
+    EXPECT_FALSE(decisions_[0].event_declared);
+}
+
+TEST_F(ClusterHeadTest, TalliesCountWhatTheChAnnounces) {
+    ch_.set_binary_mode(true);
+    ch_.set_corrupt(true);
+    send_report(0);
+    send_report(0);
+    send_report(1);
+    send_report(2);
+    simulator_.run();
+    send_report(2);
+    simulator_.run();
+    EXPECT_EQ(ch_.reports_received(), 5u);  // the duplicate too
+    EXPECT_EQ(ch_.windows_opened(), 2u);
+    EXPECT_EQ(ch_.decisions_announced(), 2u);
+    // The engine declared only the first window (3 of 5 reported); the
+    // corrupt CH inverted both, so it announced and counts the second.
+    ASSERT_EQ(decisions_.size(), 2u);
+    EXPECT_FALSE(decisions_[0].event_declared);
+    EXPECT_TRUE(decisions_[1].event_declared);
+    EXPECT_EQ(ch_.events_declared(), 1u);
 }
 
 TEST_F(ClusterHeadTest, EndLeadershipShipsTrustToBaseStation) {
@@ -210,7 +233,7 @@ TEST_F(ClusterHeadTest, ReportsFromUnknownNodesIgnored) {
     p.payload = net::ReportPayload{{}, true, false};
     channel_.unicast(std::move(p));
     simulator_.run();
-    EXPECT_TRUE(ch_.decisions().empty());
+    EXPECT_TRUE(decisions_.empty());
 }
 
 TEST_F(ClusterHeadTest, AdvertisementResetsAndAffiliationRebuildsMembership) {
@@ -239,14 +262,14 @@ TEST_F(ClusterHeadTest, AdvertisementResetsAndAffiliationRebuildsMembership) {
     // A non-member's report is ignored; members can still trigger windows.
     send_report(4);  // node 4 never affiliated
     simulator_.run();
-    EXPECT_TRUE(ch_.decisions().empty());
+    EXPECT_TRUE(decisions_.empty());
     send_report(0);
     send_report(1);
     simulator_.run();
-    ASSERT_EQ(ch_.decisions().size(), 1u);
+    ASSERT_EQ(decisions_.size(), 1u);
     // Event neighbours = the 3 members only; 2 of 3 reported.
-    EXPECT_TRUE(ch_.decisions()[0].event_declared);
-    EXPECT_EQ(ch_.decisions()[0].n_reporters, 2u);
+    EXPECT_TRUE(decisions_[0].event_declared);
+    EXPECT_EQ(decisions_[0].n_reporters, 2u);
 }
 
 TEST_F(ClusterHeadTest, AddMemberIdempotent) {
@@ -271,9 +294,9 @@ TEST_F(ClusterHeadTest, TwoSequentialWindows) {
         send_report(3);
     });
     simulator_.run();
-    ASSERT_EQ(ch_.decisions().size(), 2u);
-    EXPECT_TRUE(ch_.decisions()[1].event_declared);
-    EXPECT_EQ(ch_.decisions()[1].seq, 1u);
+    ASSERT_EQ(decisions_.size(), 2u);
+    EXPECT_TRUE(decisions_[1].event_declared);
+    EXPECT_EQ(decisions_[1].seq, 1u);
 }
 
 }  // namespace

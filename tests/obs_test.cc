@@ -1,12 +1,13 @@
-// Unit tests for the observability layer: registry semantics, sinks, the
-// JSON writer/parser pair, trace JSONL round-trips, and the bench run
-// artifact document.
+// Unit tests for the observability layer: registry semantics, the summary
+// writer, the JSON writer/parser pair, trace JSONL round-trips, the bench
+// run artifact document, and which tallies a run exports.
 #include <gtest/gtest.h>
 
 #include <sstream>
 #include <stdexcept>
 
 #include "exp/binary_experiment.h"
+#include "exp/location_experiment.h"
 #include "obs/artifact.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
@@ -64,31 +65,32 @@ TEST(Registry, FindWithoutCreation) {
     EXPECT_EQ(r.size(), 1u);
 }
 
-TEST(Registry, MemorySinkSnapshot) {
-    obs::Registry r;
-    r.counter("c").inc(7);
-    r.gauge("g").set(0.5);
-    r.histogram("h", 0.0, 1.0, 4).observe(0.25);
-    r.histogram("h", 0.0, 1.0, 4).observe(0.75);
-
-    obs::MemorySink sink;
-    r.emit(sink);
-    EXPECT_EQ(sink.counters.at("c"), 7u);
-    EXPECT_DOUBLE_EQ(sink.gauges.at("g"), 0.5);
-    EXPECT_EQ(sink.histogram_counts.at("h"), 2u);
-}
-
 TEST(Registry, SummaryListsEveryMetric) {
     obs::Registry r;
-    r.counter("alpha").inc();
-    r.gauge("beta").set(2.0);
-    r.histogram("gamma", 0.0, 1.0, 2).observe(0.5);
+    r.counter("alpha").inc(7);
+    r.counter("a.zero");
+    r.gauge("beta").set(0.5);
+    r.histogram("gamma", 0.0, 1.0, 4).observe(0.25);
+    r.histogram("gamma", 0.0, 1.0, 4).observe(0.75);
+    auto& wide = r.histogram("delta", 0.0, 1.0, 2);
+    wide.observe(-1.0);
+    wide.observe(0.5);
+    wide.observe(3.0);
+    r.histogram("empty", 0.0, 1.0, 2);
     std::ostringstream os;
     r.write_summary(os);
-    const std::string s = os.str();
-    EXPECT_NE(s.find("alpha"), std::string::npos);
-    EXPECT_NE(s.find("beta"), std::string::npos);
-    EXPECT_NE(s.find("gamma"), std::string::npos);
+    // Name-sorted within each kind: counters, then gauges, then histograms,
+    // whose out-of-range counts appear only when there are some.
+    EXPECT_EQ(os.str(),
+              "== metrics ==\n"
+              "a.zero                               0\n"
+              "alpha                                7\n"
+              "beta                                 0.5\n"
+              "delta                                n=3 mean=0.8333333333333333 min=-1 max=3 "
+              "p50=1 p99=1 under=1 over=1\n"
+              "empty                                n=0\n"
+              "gamma                                n=2 mean=0.5 min=0.25 max=0.75 p50=0.5 "
+              "p99=1\n");
 }
 
 TEST(Registry, JsonRoundTrip) {
@@ -274,6 +276,110 @@ TEST(Artifact, CarriesMetricsScenarioAndTables) {
     const auto& tables = doc.find("tables")->as_array();
     ASSERT_EQ(tables.size(), 1u);
     EXPECT_EQ(tables[0].string_or("title", ""), "demo");
+}
+
+// The run harness adds every component tally to the registry once, at the
+// end of the run, under the presence rules the live counters had: the
+// injected_* counters only when a fault schedule is armed, check.* only
+// when oracles are attached, and cluster.* as the CHs announced.
+TEST(RunExport, TalliesFollowThePresenceRules) {
+    struct Case {
+        const char* name;
+        exp::Scenario scenario;
+        bool injected;  ///< net.channel.injected_* registered (all four at 0)
+        bool checked;   ///< check.* registered
+        bool overridden = false;  ///< the base station overrides some verdicts
+    };
+    std::vector<Case> cases;
+    {
+        exp::Scenario s = exp::Scenario::location_defaults();
+        s.location.events = 30;
+        cases.push_back({"plain location run", s, false, false});
+    }
+    {
+        exp::Scenario s = exp::Scenario::binary_defaults();
+        s.binary.events = 30;
+        net::ChannelFaultWindow late;  // opens after the last event
+        late.start = 1e6;
+        late.end = 2e6;
+        late.extra_drop = 0.5;
+        s.campaign.degradations.push_back(late);
+        cases.push_back({"idle degradation window", s, true, false});
+    }
+    {
+        exp::Scenario s = exp::Scenario::location_defaults();
+        s.location.events = 30;
+        s.check.mode = check::Mode::Shadow;
+        cases.push_back({"shadow oracle", s, false, true});
+    }
+    {
+        exp::Scenario s = exp::Scenario::binary_defaults();
+        s.binary.events = 30;
+        s.binary.use_shadows = true;
+        s.binary.corrupt_ch = true;
+        s.keep_decisions = true;
+        cases.push_back({"station overrides a corrupt CH", s, false, false, true});
+    }
+
+    const char* const injected_names[] = {obs::metric::kInjectedDrops,
+                                          obs::metric::kInjectedDuplicates,
+                                          obs::metric::kInjectedDelays,
+                                          obs::metric::kInjectedReorders};
+    for (Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        ASSERT_TRUE(c.scenario.validate().empty());
+        obs::Recorder rec;
+        rec.trace().set_enabled(true);
+        c.scenario.recorder = &rec;
+        std::size_t checked = 0, divergences = 0, overrides = 0, declared_in_log = 0;
+        if (c.scenario.kind == exp::Scenario::Kind::Binary) {
+            const exp::BinaryResult r = exp::run_binary_experiment(c.scenario);
+            checked = r.checked_decisions;
+            divergences = r.oracle_divergences;
+            overrides = r.ch_overrides;
+            for (const auto& d : r.decisions) declared_in_log += d.event_declared ? 1 : 0;
+        } else {
+            const exp::LocationResult r = exp::run_location_experiment(c.scenario);
+            checked = r.checked_decisions;
+            divergences = r.oracle_divergences;
+        }
+        const obs::Registry& reg = rec.metrics();
+
+        for (const char* name : injected_names) {
+            const obs::Counter* counter = reg.find_counter(name);
+            EXPECT_EQ(counter != nullptr, c.injected) << name;
+            if (counter) {
+                EXPECT_EQ(counter->value(), 0u) << name;
+            }
+        }
+
+        const obs::Counter* n_checked = reg.find_counter(obs::metric::kCheckDecisionsChecked);
+        const obs::Counter* n_diverged = reg.find_counter(obs::metric::kCheckDivergences);
+        EXPECT_EQ(n_checked != nullptr, c.checked);
+        EXPECT_EQ(n_diverged != nullptr, c.checked);
+        if (n_checked && n_diverged) {
+            EXPECT_GT(checked, 0u);
+            EXPECT_EQ(n_checked->value(), checked);
+            EXPECT_EQ(n_diverged->value(), divergences);
+        }
+
+        // cluster.* count what the CHs announced, which the trace records.
+        std::size_t made = 0, declared = 0;
+        for (const auto& record : rec.trace().records()) {
+            if (const auto* d = std::get_if<obs::DecisionMade>(&record.data)) {
+                ++made;
+                declared += d->event_declared ? 1 : 0;
+            }
+        }
+        EXPECT_GT(made, 0u);
+        EXPECT_EQ(reg.find_counter(obs::metric::kClusterDecisions)->value(), made);
+        EXPECT_EQ(reg.find_counter(obs::metric::kClusterEventsDeclared)->value(), declared);
+        EXPECT_EQ(overrides > 0, c.overridden);
+        if (c.overridden) {
+            // The station rewrote the scored log; the counter did not follow.
+            EXPECT_NE(declared_in_log, declared);
+        }
+    }
 }
 
 TEST(Artifact, BuildRevisionIsNonEmpty) {

@@ -3,6 +3,8 @@
 // traces — is bit-identical whatever --jobs is set to.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -21,6 +23,35 @@ class JobsGuard {
     JobsGuard() = default;
     ~JobsGuard() { par::set_jobs(0); }
 };
+
+/// Expects two write_json registry documents to agree at every leaf.
+/// Histogram means and standard deviations may differ by rounding only:
+/// merging combines running statistics with Chan's formula, which is not
+/// bit-equal to folding the same samples in one at a time.
+void expect_same_registry(const obs::json::Value& a, const obs::json::Value& b,
+                          const std::string& path) {
+    if (a.is_object()) {
+        ASSERT_TRUE(b.is_object()) << path;
+        ASSERT_EQ(a.as_object().size(), b.as_object().size()) << path;
+        for (const auto& [key, value] : a.as_object()) {
+            const obs::json::Value* other = b.find(key);
+            ASSERT_NE(other, nullptr) << path << '.' << key;
+            expect_same_registry(value, *other, path + '.' + key);
+        }
+    } else if (a.is_array()) {
+        ASSERT_TRUE(b.is_array()) << path;
+        ASSERT_EQ(a.as_array().size(), b.as_array().size()) << path;
+        for (std::size_t i = 0; i < a.as_array().size(); ++i) {
+            expect_same_registry(a.as_array()[i], b.as_array()[i],
+                                 path + '[' + std::to_string(i) + ']');
+        }
+    } else if (path.ends_with(".mean") || path.ends_with(".stddev")) {
+        EXPECT_NEAR(a.as_number(), b.as_number(), 1e-12 * std::max(1.0, std::abs(a.as_number())))
+            << path;
+    } else {
+        EXPECT_EQ(a.as_number(), b.as_number()) << path;
+    }
+}
 
 Scenario small_binary() {
     Scenario c = Scenario::binary_defaults();
@@ -180,12 +211,15 @@ TEST(ParallelDeterminism, MergedRegistryMatchesSharedSerialRegistry) {
         }
     }
 
-    obs::MemorySink a, b;
-    merged.metrics().emit(a);
-    shared.metrics().emit(b);
-    EXPECT_EQ(a.counters, b.counters);
-    EXPECT_EQ(a.gauges, b.gauges);
-    EXPECT_EQ(a.histogram_counts, b.histogram_counts);
+    // The whole registry as the artifact writes it: every counter, gauge,
+    // histogram statistic and bin.
+    const auto json_of = [](const obs::Registry& r) {
+        std::ostringstream os;
+        obs::json::Writer w(os);
+        r.write_json(w);
+        return obs::json::parse(os.str());
+    };
+    expect_same_registry(json_of(merged.metrics()), json_of(shared.metrics()), "metrics");
 }
 
 }  // namespace
