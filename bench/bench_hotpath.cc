@@ -33,6 +33,13 @@
 //                         and a staged delivery per receiver. 105
 //                         receivers plus 15 out of range; ops are
 //                         deliveries.
+//   decision_delivery_105 — one CH decision body per round delivered
+//                         to 105 sensor::SensorNodes, which look up their
+//                         own verdict in the body's verdict index (built
+//                         once per body), vs. the previous receivers, which
+//                         scanned both judgement lists for their id. Each
+//                         body names 11 of the 105 (the fig4_fanout
+//                         shape); ops are deliveries.
 //   location_decide_100 — core::LocationArbiter::decide (dense epoch-
 //                         stamped marks) vs. the same decision with the
 //                         two per-call std::unordered_sets, on a
@@ -61,6 +68,7 @@
 #include <iostream>
 #include <map>
 #include <memory>
+#include <type_traits>
 #include <unordered_map>
 #include <unordered_set>
 #include <utility>
@@ -76,6 +84,8 @@
 #include "net/channel.h"
 #include "net/packet.h"
 #include "sensor/event_generator.h"
+#include "sensor/fault_model.h"
+#include "sensor/sensor_node.h"
 #include "sim/event_queue.h"
 #include "sim/process.h"
 #include "util/rng.h"
@@ -303,6 +313,32 @@ std::vector<core::LocationDecision> legacy_location_decide(
     }
     return out;
 }
+
+/// The previous decision handling: the receiver scanned both judgement
+/// lists for its own id (SensorNode::handle_packet before the verdict
+/// index) and mirrored its TI from every mention.
+class LegacyDecisionNode : public sim::Process {
+  public:
+    LegacyDecisionNode(sim::Simulator& s, sim::ProcessId id) : sim::Process(s, id) {}
+
+    void handle_packet(const net::Packet& packet) override {
+        if (packet.as<net::RelayEnvelopePayload>() || packet.as<net::RelayAckPayload>()) return;
+        if (const auto* d = packet.as<net::DecisionPayload>()) {
+            for (core::NodeId n : d->judged_correct) {
+                if (n == id()) tracked_.record_correct(params_);
+            }
+            for (core::NodeId n : d->judged_faulty) {
+                if (n == id()) tracked_.record_faulty(params_);
+            }
+        }
+    }
+
+    double tracked_ti() const { return tracked_.ti(params_); }
+
+  private:
+    core::TrustParams params_;
+    core::TrustIndex tracked_;
+};
 
 // ---------------------------------------------------------------------------
 // Workloads. Each is templated over the implementation and returns a
@@ -647,6 +683,60 @@ double broadcast_rounds(std::size_t rounds, std::size_t parked,
     return sum + static_cast<double>(medium.out_of_range());
 }
 
+/// `count` decision broadcasts, each naming `named` distinct ids of
+/// 0..receivers-1: the first three quarters judged correct, the rest
+/// faulty, each list in ascending id order as a CH announces them.
+std::vector<net::Packet> decision_bodies(util::Rng rng, std::size_t count,
+                                         std::size_t receivers, std::size_t named) {
+    std::vector<core::NodeId> ids(receivers);
+    for (std::size_t i = 0; i < receivers; ++i) ids[i] = static_cast<core::NodeId>(i);
+    std::vector<net::Packet> bodies(count);
+    for (net::Packet& p : bodies) {
+        for (std::size_t i = 0; i < named; ++i) {
+            std::swap(ids[i], ids[i + rng.uniform_index(receivers - i)]);
+        }
+        net::DecisionPayload d;
+        const auto split = static_cast<std::ptrdiff_t>(named * 3 / 4);
+        d.judged_correct.assign(ids.begin(), ids.begin() + split);
+        d.judged_faulty.assign(ids.begin() + split,
+                               ids.begin() + static_cast<std::ptrdiff_t>(named));
+        std::sort(d.judged_correct.begin(), d.judged_correct.end());
+        std::sort(d.judged_faulty.begin(), d.judged_faulty.end());
+        p.src = static_cast<sim::ProcessId>(receivers);
+        p.dst = net::kBroadcast;
+        p.payload = std::move(d);
+    }
+    return bodies;
+}
+
+/// Delivers every body to every receiver in turn; each round copies its
+/// body first, so an index is built once per body as on the air. Returns
+/// the sum of the receivers' tracked TIs.
+template <typename Node>
+double deliver_decisions(std::size_t receivers, const std::vector<net::Packet>& bodies) {
+    sim::Simulator sim;
+    net::Channel channel(sim, util::Rng(1));
+    std::vector<std::unique_ptr<Node>> nodes;
+    for (std::size_t i = 0; i < receivers; ++i) {
+        const auto id = static_cast<sim::ProcessId>(i);
+        if constexpr (std::is_same_v<Node, sensor::SensorNode>) {
+            nodes.push_back(std::make_unique<Node>(
+                sim, id, util::Vec2{}, 20.0, net::Radio(channel, id),
+                std::make_unique<sensor::CorrectBehavior>(sensor::FaultParams{}), util::Rng(i),
+                core::TrustParams{}));
+        } else {
+            nodes.push_back(std::make_unique<Node>(sim, id));
+        }
+    }
+    for (const net::Packet& heard : bodies) {
+        const net::Packet body = heard;
+        for (const auto& node : nodes) node->handle_packet(body);
+    }
+    double acc = 0.0;
+    for (const auto& node : nodes) acc += node->tracked_ti();
+    return acc;
+}
+
 double decisions_checksum(const std::vector<core::LocationDecision>& ds) {
     double acc = 0.0;
     for (const auto& d : ds) {
@@ -922,6 +1012,19 @@ int main(int argc, char** argv) {
                                                       positions, kRange);
             });
         ok = report.pair("broadcast_plan_105", ops, legacy, opt) && ok;
+    }
+
+    // --- Decision delivery --------------------------------------------------
+    {
+        // A fig4_fanout decision: 105 receivers, 11 of them named.
+        constexpr std::size_t kReceivers = 105, kNamed = 11;
+        const std::vector<net::Packet> bodies =
+            decision_bodies(rng.stream("decisions"), kBroadcastRounds, kReceivers, kNamed);
+        const std::size_t ops = kBroadcastRounds * kReceivers;
+        const auto [legacy, opt] = time_pair(
+            ops, [&] { return deliver_decisions<LegacyDecisionNode>(kReceivers, bodies); },
+            [&] { return deliver_decisions<sensor::SensorNode>(kReceivers, bodies); });
+        ok = report.pair("decision_delivery_105", ops, legacy, opt) && ok;
     }
 
     // --- Location decision --------------------------------------------------

@@ -20,9 +20,9 @@
 // Parallelism: with runs>1 the replications fan out across threads —
 // `--jobs <n>` or env TIBFIT_JOBS picks the width (default: hardware
 // concurrency) and the printed mean is bit-identical at any value (see
-// docs/PARALLELISM.md).
+// docs/PARALLELISM.md). A --jobs value that is not a positive integer
+// exits 2.
 #include <cstdio>
-#include <cstdlib>
 #include <exception>
 #include <fstream>
 #include <stdexcept>
@@ -32,12 +32,12 @@
 #include <vector>
 
 #include "check/config.h"
+#include "exp/bench_io.h"
 #include "exp/binary_experiment.h"
 #include "exp/location_experiment.h"
 #include "exp/sweep.h"
 #include "exp/trace.h"
 #include "obs/recorder.h"
-#include "par/jobs.h"
 #include "util/config.h"
 #include "util/invariant.h"
 
@@ -199,11 +199,9 @@ int main(int argc, char** argv) {
         } else if (a.rfind("--trace=", 0) == 0) {
             trace_path = a.substr(std::string_view("--trace=").size());
         } else if (a == "--jobs" && i + 1 < argc) {
-            const long n = std::atol(argv[++i]);
-            if (n > 0) tibfit::par::set_jobs(static_cast<std::size_t>(n));
+            exp::apply_jobs(argv[++i], "tibfit_cli");
         } else if (a.rfind("--jobs=", 0) == 0) {
-            const long n = std::atol(a.substr(std::string_view("--jobs=").size()).c_str());
-            if (n > 0) tibfit::par::set_jobs(static_cast<std::size_t>(n));
+            exp::apply_jobs(a.substr(std::string_view("--jobs=").size()), "tibfit_cli");
         } else if (a == "--metrics" || a == "--trace" || a == "--jobs") {
             std::fprintf(stderr, "%s requires an argument\n", argv[i]);
             return 2;

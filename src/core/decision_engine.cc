@@ -1,5 +1,6 @@
 #include "core/decision_engine.h"
 
+#include <iterator>
 #include <stdexcept>
 
 #include "core/check_hooks.h"
@@ -77,7 +78,8 @@ std::vector<LocationDecision> DecisionEngine::collect(
             checker_->on_location_decisions(reports, node_positions, apply_trust_updates,
                                             decisions, trust_);
         }
-        out.insert(out.end(), decisions.begin(), decisions.end());
+        out.insert(out.end(), std::make_move_iterator(decisions.begin()),
+                   std::make_move_iterator(decisions.end()));
     }
     // All windows drained: the buffer indices are no longer referenced.
     if (windows_.idle()) pending_.clear();

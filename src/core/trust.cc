@@ -43,10 +43,6 @@ TrustManager::Cell& TrustManager::touch(NodeId node) {
     return c;
 }
 
-double TrustManager::ti(NodeId node) const {
-    return node < cells_.size() && cells_[node].seen ? cells_[node].ti : 1.0;
-}
-
 double TrustManager::v(NodeId node) const {
     return node < cells_.size() && cells_[node].seen ? cells_[node].v : 0.0;
 }
@@ -119,11 +115,6 @@ void TrustManager::quarantine(NodeId node) {
     }
     TIBFIT_CHECK(c.v > 0.0 && (params_.removal_ti <= 0.0 || is_isolated(node)),
                  cell_detail(node, c.v, c.ti));
-}
-
-bool TrustManager::is_isolated(NodeId node) const {
-    if (params_.removal_ti <= 0.0) return false;
-    return ti(node) < params_.removal_ti;
 }
 
 void TrustManager::forget(NodeId node) {

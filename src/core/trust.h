@@ -102,8 +102,11 @@ class TrustManager {
 
     const TrustParams& params() const { return params_; }
 
-    /// Current TI of a node (1.0 if never seen).
-    double ti(NodeId node) const;
+    /// Current TI of a node (1.0 if never seen). Inline with is_isolated():
+    /// the arbiters read them for every neighbour of every decision.
+    double ti(NodeId node) const {
+        return node < cells_.size() && cells_[node].seen ? cells_[node].ti : 1.0;
+    }
 
     /// Raw v accumulator of a node (0.0 if never seen).
     double v(NodeId node) const;
@@ -119,7 +122,9 @@ class TrustManager {
 
     /// True if the node has been diagnosed (TI < removal_ti) and should no
     /// longer be treated as an event neighbour.
-    bool is_isolated(NodeId node) const;
+    bool is_isolated(NodeId node) const {
+        return params_.removal_ti > 0.0 && ti(node) < params_.removal_ti;
+    }
 
     /// All nodes currently isolated, in ascending id order.
     std::vector<NodeId> isolated_nodes() const;

@@ -28,16 +28,6 @@ namespace {
     std::exit(2);
 }
 
-void apply_jobs(const std::string& value, const std::string& bench) {
-    std::size_t n = 0;
-    const char* end = value.data() + value.size();
-    const auto [stop, ec] = std::from_chars(value.data(), end, n);
-    if (ec != std::errc{} || stop != end || n == 0) {
-        reject(bench, "--jobs needs a positive integer, got '" + value + "'");
-    }
-    par::set_jobs(n);
-}
-
 /// `read()`, or exit 2 with its message when the typed value is refused.
 template <class Read>
 auto checked(const std::string& bench, Read read) {
@@ -49,6 +39,16 @@ auto checked(const std::string& bench, Read read) {
 }
 
 }  // namespace
+
+void apply_jobs(const std::string& value, const std::string& program) {
+    std::size_t n = 0;
+    const char* end = value.data() + value.size();
+    const auto [stop, ec] = std::from_chars(value.data(), end, n);
+    if (ec != std::errc{} || stop != end || n == 0) {
+        reject(program, "--jobs needs a positive integer, got '" + value + "'");
+    }
+    par::set_jobs(n);
+}
 
 BenchIo::BenchIo(std::string name, int argc, char** argv) : name_(std::move(name)) {
     // The value of flag argv[i] is the next token, which must exist.

@@ -20,6 +20,11 @@ namespace tibfit::exp {
 
 struct Scenario;
 
+/// Sets par::set_jobs from the value of a `--jobs` flag; a value that is
+/// not a positive integer prints "<program>: --jobs needs a positive
+/// integer, got '<value>'" and exits with status 2.
+void apply_jobs(const std::string& value, const std::string& program);
+
 class BenchIo {
   public:
     /// Parses argv: `--csv`, `--timing`, `--help`/`-h`, `--json <path>` /

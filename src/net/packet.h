@@ -35,9 +35,15 @@ struct AffiliatePayload {
     std::uint32_t round = 0;
 };
 
+/// A node's verdict bits in one decision: kJudgedCorrect if the node is in
+/// judged_correct, kJudgedFaulty if in judged_faulty (both if in both).
+inline constexpr unsigned kJudgedCorrect = 1;
+inline constexpr unsigned kJudgedFaulty = 2;
+
 /// CH decision broadcast. Includes the per-node judgements so nodes (and
 /// shadow CHs, and "smart" adversaries mirroring their own TI) can track
-/// the CH's bookkeeping.
+/// the CH's bookkeeping. The lists are the record; a receiver asks
+/// verdict_of(own id), which costs one bit test whatever the lists' length.
 struct DecisionPayload {
     std::uint64_t decision_seq = 0;  ///< per-CH decision counter (matches SCH alerts)
     bool event_declared = false;
@@ -45,6 +51,67 @@ struct DecisionPayload {
     util::Vec2 location;
     std::vector<core::NodeId> judged_correct;
     std::vector<core::NodeId> judged_faulty;
+
+    /// kJudgedCorrect / kJudgedFaulty bits of `id` (each counts once, even
+    /// for an id a list repeats). The first query indexes the lists: edit
+    /// them only before it, or in a copy. Not thread-safe: a body is read
+    /// by one simulator's receivers only.
+    unsigned verdict_of(core::NodeId id) const {
+        return verdicts_.lookup(judged_correct, judged_faulty, id);
+    }
+
+  private:
+    /// The verdict bits of every node id a decision names, two bits per id,
+    /// built from the judgement lists on the first query. A copy starts
+    /// unbuilt (the copy's lists may be edited before its first query); a move
+    /// carries the index with the lists.
+    class VerdictIndex {
+      public:
+        VerdictIndex() = default;
+        VerdictIndex(const VerdictIndex&) noexcept {}
+        VerdictIndex& operator=(const VerdictIndex&) noexcept {
+            words_.clear();
+            return *this;
+        }
+        VerdictIndex(VerdictIndex&& o) noexcept : words_(std::move(o.words_)) { o.words_.clear(); }
+        VerdictIndex& operator=(VerdictIndex&& o) noexcept {
+            words_ = std::move(o.words_);
+            o.words_.clear();
+            return *this;
+        }
+
+        /// The verdict bits of `id`; 0 for an id in neither list. Empty lists
+        /// leave the index empty, so they "rebuild" on every query for free.
+        unsigned lookup(const std::vector<core::NodeId>& correct,
+                        const std::vector<core::NodeId>& faulty, core::NodeId id) {
+            if (words_.empty()) build(correct, faulty);
+            const std::size_t word = id / kIdsPerWord;
+            if (word >= words_.size()) return 0;
+            return static_cast<unsigned>(words_[word] >> (2 * (id % kIdsPerWord))) & 3u;
+        }
+
+      private:
+        static constexpr std::size_t kIdsPerWord = 32;
+
+        /// Out of line: it runs once per body, the lookup once per receiver.
+        [[gnu::noinline]] void build(const std::vector<core::NodeId>& correct,
+                                     const std::vector<core::NodeId>& faulty) {
+            if (correct.empty() && faulty.empty()) return;
+            core::NodeId top = 0;
+            for (core::NodeId n : correct) top = n > top ? n : top;
+            for (core::NodeId n : faulty) top = n > top ? n : top;
+            words_.assign(top / kIdsPerWord + 1, 0);
+            const auto mark = [this](core::NodeId n, std::uint64_t bit) {
+                words_[n / kIdsPerWord] |= bit << (2 * (n % kIdsPerWord));
+            };
+            for (core::NodeId n : correct) mark(n, kJudgedCorrect);
+            for (core::NodeId n : faulty) mark(n, kJudgedFaulty);
+        }
+
+        std::vector<std::uint64_t> words_;
+    };
+
+    mutable VerdictIndex verdicts_;
 };
 
 /// Trust-table transfer: (node id, raw v accumulator) pairs. Sent CH ->

@@ -87,6 +87,15 @@ void SensorNode::transmit(const SenseAction& action) {
 }
 
 void SensorNode::handle_packet(const net::Packet& packet) {
+    // Mirror the CH's judgements to track our own TI (smart adversaries).
+    // Decision broadcasts are most of what a node hears, so they go first.
+    if (const auto* d = packet.as<net::DecisionPayload>()) {
+        const unsigned verdict = d->verdict_of(id());
+        if (verdict & net::kJudgedCorrect) tracked_.record_correct(trust_params_);
+        if (verdict & net::kJudgedFaulty) tracked_.record_faulty(trust_params_);
+        return;
+    }
+
     // Relay traffic is consumed by the transport shim (this node forwards
     // for others; reports never terminate at a sensing node).
     if (packet.as<net::RelayEnvelopePayload>() || packet.as<net::RelayAckPayload>()) {
@@ -94,16 +103,8 @@ void SensorNode::handle_packet(const net::Packet& packet) {
         return;
     }
 
-    // Mirror the CH's judgements to track our own TI (smart adversaries);
-    // also learn the current CH from its advertisements.
-    if (const auto* d = packet.as<net::DecisionPayload>()) {
-        for (core::NodeId n : d->judged_correct) {
-            if (n == id()) tracked_.record_correct(trust_params_);
-        }
-        for (core::NodeId n : d->judged_faulty) {
-            if (n == id()) tracked_.record_faulty(trust_params_);
-        }
-    } else if (packet.as<net::ChAdvertPayload>()) {
+    // Learn the current CH from its advertisements.
+    if (packet.as<net::ChAdvertPayload>()) {
         if (affiliating_) {
             // Section 2: "affiliates itself with a single CH based on the
             // strength of the signal received".

@@ -36,10 +36,11 @@ namespace tibfit::sim {
 class BodyPool {
   public:
     /// Size of every block: a shared net::Packet body (the shared_ptr
-    /// control block, its copy of the allocator and the packet) is 136
-    /// bytes with libstdc++. BodyAllocator refuses, at compile time, a type
+    /// control block, its copy of the allocator and the packet, whose
+    /// largest payload is a decision with its verdict index) is 160 bytes
+    /// with libstdc++. BodyAllocator refuses, at compile time, a type
     /// that does not fit.
-    static constexpr std::size_t kBlockSize = 136;
+    static constexpr std::size_t kBlockSize = 160;
 
     BodyPool() = default;
     BodyPool(const BodyPool&) = delete;

@@ -248,28 +248,43 @@ class EventQueue {
     /// released after the last one runs. Storage is pooled: once the pool
     /// has grown to the number of fan-outs in flight and their sizes, a
     /// push allocates nothing; items already in time order skip the sort.
-    /// Throws std::invalid_argument on a null handler; an empty `items`
-    /// schedules nothing.
+    /// Throws std::invalid_argument on a null handler, or on an item time
+    /// before `not_before` or NaN; either way nothing is scheduled and no
+    /// seq is used. An empty `items` schedules nothing.
     void push_fanout(FanoutHandler handler, std::shared_ptr<void> body,
-                     std::span<const FanoutItem> items) {
+                     std::span<const FanoutItem> items,
+                     Time not_before = -std::numeric_limits<Time>::infinity()) {
         if (!handler) throw std::invalid_argument("EventQueue::push_fanout: empty handler");
         if (items.empty()) return;
         const std::uint32_t index = acquire_fanout();
         Fanout& f = fanouts_[index];
+        // One pass validates each time, assigns its key and checks the
+        // order. Keys rise in item order, so the items are sorted by (at,
+        // key) iff their times never fall (the channel stages its
+        // broadcasts that way).
+        std::uint64_t seq = next_seq_;
+        Time prev = not_before;
+        bool sorted = true;
+        for (const FanoutItem& item : items) {
+            if (!(item.at >= not_before)) {
+                f.items.clear();
+                free_fanouts_.push_back(index);
+                throw std::invalid_argument("EventQueue::push_fanout: time in the past or NaN");
+            }
+            sorted &= item.at >= prev;
+            prev = item.at;
+            f.items.push_back(
+                Delivery{item.at, (seq++ << kSlotBits) | kFanoutBit | index, item.target,
+                         item.arg});
+        }
+        next_seq_ = seq;
         f.handler = handler;
         f.body = std::move(body);
-        for (const FanoutItem& item : items) {
-            f.items.push_back(Delivery{item.at, (next_seq_++ << kSlotBits) | kFanoutBit | index,
-                                       item.target, item.arg});
-        }
-        // Keys rise in item order, so items given in time order (the
-        // channel stages its broadcasts that way) are already sorted.
-        const auto by_time_then_key = [](const Delivery& a, const Delivery& b) {
-            if (a.at != b.at) return a.at < b.at;
-            return a.key < b.key;
-        };
-        if (!std::is_sorted(f.items.begin(), f.items.end(), by_time_then_key)) {
-            std::sort(f.items.begin(), f.items.end(), by_time_then_key);
+        if (!sorted) {
+            std::sort(f.items.begin(), f.items.end(), [](const Delivery& a, const Delivery& b) {
+                if (a.at != b.at) return a.at < b.at;
+                return a.key < b.key;
+            });
         }
         heap_push(Entry{f.items.front().at, f.items.front().key});
         ++live_entries_;

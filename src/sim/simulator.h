@@ -81,8 +81,7 @@ class Simulator {
     /// null handler or any item time in the past or NaN, scheduling nothing.
     void schedule_fanout(FanoutHandler handler, std::shared_ptr<void> body,
                          std::span<const FanoutItem> items) {
-        for (const FanoutItem& item : items) check_time(item.at, "Simulator::schedule_fanout");
-        queue_.push_fanout(handler, std::move(body), items);
+        queue_.push_fanout(handler, std::move(body), items, now_);
         if (queue_.size() > queue_high_water_) queue_high_water_ = queue_.size();
     }
 

@@ -14,10 +14,6 @@ std::uint64_t splitmix64(std::uint64_t& x) {
     return z ^ (z >> 31);
 }
 
-constexpr std::uint64_t rotl(std::uint64_t x, int k) {
-    return (x << k) | (x >> (64 - k));
-}
-
 // FNV-1a over a label, used to mix stream names into seeds.
 std::uint64_t hash_label(std::string_view label) {
     std::uint64_t h = 0xcbf29ce484222325ULL;
@@ -46,18 +42,6 @@ Rng::Rng(std::uint64_t seed) {
     for (auto& s : s_) s = splitmix64(sm);
 }
 
-Rng::result_type Rng::operator()() {
-    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
-    const std::uint64_t t = s_[1] << 17;
-    s_[2] ^= s_[0];
-    s_[3] ^= s_[1];
-    s_[1] ^= s_[2];
-    s_[0] ^= s_[3];
-    s_[2] ^= t;
-    s_[3] = rotl(s_[3], 45);
-    return result;
-}
-
 Rng Rng::stream(std::string_view label, std::uint64_t index) const {
     // Derive a child seed from the parent state (without advancing it),
     // the label hash, and the index.
@@ -67,13 +51,6 @@ Rng Rng::stream(std::string_view label, std::uint64_t index) const {
     return Rng(mix);
 }
 
-double Rng::uniform() {
-    // 53 high bits -> double in [0, 1).
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
-}
-
-double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
-
 std::uint64_t Rng::uniform_index(std::uint64_t n) {
     // Rejection sampling to avoid modulo bias.
     const std::uint64_t threshold = (~n + 1) % n;  // = 2^64 mod n
@@ -81,12 +58,6 @@ std::uint64_t Rng::uniform_index(std::uint64_t n) {
         const std::uint64_t r = (*this)();
         if (r >= threshold) return r % n;
     }
-}
-
-bool Rng::chance(double p) {
-    if (p <= 0.0) return false;
-    if (p >= 1.0) return true;
-    return uniform() < p;
 }
 
 double Rng::gaussian() {

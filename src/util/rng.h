@@ -35,20 +35,36 @@ class Rng {
     static constexpr result_type min() { return 0; }
     static constexpr result_type max() { return ~static_cast<result_type>(0); }
 
-    result_type operator()();
+    /// Next raw 64-bit draw. Inline with uniform() and chance(): they sit
+    /// on every fault coin, channel drop and sensing-noise draw.
+    result_type operator()() {
+        const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+        const std::uint64_t t = s_[1] << 17;
+        s_[2] ^= s_[0];
+        s_[3] ^= s_[1];
+        s_[1] ^= s_[2];
+        s_[0] ^= s_[3];
+        s_[2] ^= t;
+        s_[3] = rotl(s_[3], 45);
+        return result;
+    }
 
     /// Derives an independent child stream identified by a label and index.
     /// The same (seed, label, index) always yields the same stream.
     Rng stream(std::string_view label, std::uint64_t index = 0) const;
 
-    /// Uniform double in [0, 1).
-    double uniform();
+    /// Uniform double in [0, 1): the 53 high bits of a draw.
+    double uniform() { return static_cast<double>((*this)() >> 11) * 0x1.0p-53; }
     /// Uniform double in [lo, hi).
-    double uniform(double lo, double hi);
+    double uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
     /// Uniform integer in [0, n) for n > 0.
     std::uint64_t uniform_index(std::uint64_t n);
     /// Bernoulli trial: true with probability p (clamped to [0, 1]).
-    bool chance(double p);
+    bool chance(double p) {
+        if (p <= 0.0) return false;
+        if (p >= 1.0) return true;
+        return uniform() < p;
+    }
     /// Standard normal via Marsaglia polar method.
     double gaussian();
     /// Normal with given mean and standard deviation.
@@ -62,6 +78,10 @@ class Rng {
     Vec2 gaussian_offset(double sigma);
 
   private:
+    static constexpr std::uint64_t rotl(std::uint64_t x, int k) {
+        return (x << k) | (x >> (64 - k));
+    }
+
     std::uint64_t s_[4];
     bool have_spare_ = false;
     double spare_ = 0.0;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "net/channel.h"
 
 namespace tibfit::cluster {
@@ -127,6 +129,62 @@ TEST_F(ClusterHeadTest, DecisionBroadcastCarriesJudgements) {
     EXPECT_TRUE(d->event_declared);
     EXPECT_EQ(d->judged_correct, (std::vector<core::NodeId>{0, 1, 2}));
     EXPECT_EQ(d->judged_faulty, (std::vector<core::NodeId>{3, 4}));
+}
+
+/// The decision bodies `sink` heard, in order.
+std::vector<net::DecisionPayload> heard_decisions(const Sink& sink) {
+    std::vector<net::DecisionPayload> out;
+    for (const auto& p : sink.received) {
+        if (const auto* d = p.as<net::DecisionPayload>()) out.push_back(*d);
+    }
+    return out;
+}
+
+/// Receivers count one verdict per list they are named in, so an announced
+/// list must never repeat an id, and no id may be in both lists.
+void expect_unique_and_disjoint(const net::DecisionPayload& d) {
+    std::vector<core::NodeId> all = d.judged_correct;
+    all.insert(all.end(), d.judged_faulty.begin(), d.judged_faulty.end());
+    std::sort(all.begin(), all.end());
+    EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end())
+        << "an id is named twice in one decision";
+}
+
+TEST_F(ClusterHeadTest, BinaryJudgementListsNameEachNodeOnce) {
+    ch_.set_binary_mode(true);
+    send_report(0);
+    send_report(2);
+    send_report(0);  // a repeat reporter
+    send_report(1);
+    send_report(2);
+    simulator_.run();
+    const auto decisions = heard_decisions(*sinks_[0]);
+    ASSERT_EQ(decisions.size(), 1u);
+    expect_unique_and_disjoint(decisions[0]);
+    EXPECT_EQ(decisions[0].judged_correct, (std::vector<core::NodeId>{0, 1, 2}));
+    EXPECT_EQ(decisions[0].judged_faulty, (std::vector<core::NodeId>{3, 4}));
+}
+
+TEST_F(ClusterHeadTest, LocationJudgementListsNameEachNodeOnce) {
+    // Node 5 sits 52 m from the event it claims: its report is thrown out
+    // and it is judged faulty, besides the silent neighbours 3 and 4.
+    positions_.push_back({60.0, 0.0});
+    ch_.set_topology(positions_);
+    sinks_.push_back(std::make_unique<Sink>(simulator_, 5));
+    channel_.attach(*sinks_.back(), positions_[5], 1000.0);
+    ch_.set_binary_mode(false);
+    send_report(0, true, util::Vec2{8, 0});
+    send_report(1, true, util::Vec2{8.2, 0.1});
+    send_report(5, true, util::Vec2{8.0, 0.1});
+    send_report(0, true, util::Vec2{8.1, 0.0});  // a repeat reporter
+    send_report(2, true, util::Vec2{7.9, -0.1});
+    simulator_.run();
+    const auto decisions = heard_decisions(*sinks_[0]);
+    ASSERT_EQ(decisions.size(), 1u);
+    expect_unique_and_disjoint(decisions[0]);
+    EXPECT_TRUE(decisions[0].event_declared);
+    EXPECT_EQ(decisions[0].judged_correct, (std::vector<core::NodeId>{0, 1, 2}));
+    EXPECT_EQ(decisions[0].judged_faulty, (std::vector<core::NodeId>{3, 4, 5}));
 }
 
 TEST_F(ClusterHeadTest, LocationWindowDecidesAndLocates) {

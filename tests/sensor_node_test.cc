@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+#include <variant>
+
 #include "net/channel.h"
 #include "sensor/event_generator.h"
 
@@ -116,6 +120,142 @@ TEST_F(SensorNodeTest, IgnoresJudgementsOfOtherNodes) {
     p.payload = d;
     node->handle_packet(p);
     EXPECT_DOUBLE_EQ(node->tracked_ti(), 1.0);
+}
+
+/// Applies `d` to node `self`'s mirror `t` by the list scan the index
+/// replaced: one judgement per mention, correct ones first.
+void scan(core::TrustIndex& t, const net::DecisionPayload& d, core::NodeId self) {
+    const core::TrustParams params;
+    for (core::NodeId n : d.judged_correct) {
+        if (n == self) t.record_correct(params);
+    }
+    for (core::NodeId n : d.judged_faulty) {
+        if (n == self) t.record_faulty(params);
+    }
+}
+
+/// The TI node `self` tracks after hearing `d` `times` times, by the scan.
+double scanned_ti(const net::DecisionPayload& d, core::NodeId self, int times) {
+    core::TrustIndex t;
+    for (int i = 0; i < times; ++i) scan(t, d, self);
+    return t.ti(core::TrustParams{});
+}
+
+/// The TI node `self` tracks after handling `d` `times` times.
+double handled_ti(const net::DecisionPayload& d, core::NodeId self, int times) {
+    sim::Simulator sim;
+    net::Channel channel(sim, util::Rng(1));
+    SensorNode node(sim, self, {0, 0}, 20.0, net::Radio(channel, self),
+                    std::make_unique<CorrectBehavior>(honest()), util::Rng(2),
+                    core::TrustParams{});
+    net::Packet p;
+    p.src = 500;
+    p.dst = net::kBroadcast;
+    p.payload = d;
+    for (int i = 0; i < times; ++i) node.handle_packet(p);
+    return node.tracked_ti();
+}
+
+TEST_F(SensorNodeTest, DecisionHandlingMatchesTheListScan) {
+    struct Case {
+        const char* name;
+        core::NodeId self;
+        std::vector<core::NodeId> correct, faulty;
+    };
+    const std::vector<Case> cases{
+        {"first id", 0, {0, 5, 63}, {64, 127}},
+        {"last id of a word", 63, {62, 63}, {64}},
+        {"first id of a word", 64, {63}, {64, 65}},
+        {"faulty at a word end", 127, {128}, {126, 127}},
+        {"top id", 128, {0}, {127, 128}},
+        {"beyond the index", 129, {0, 64}, {127, 128}},
+        {"far beyond the index", 100000, {1, 2}, {3}},
+        {"empty lists", 0, {}, {}},
+        {"empty lists, high id", 128, {}, {}},
+        {"in neither list", 65, {64, 66}, {63, 67, 128}},
+        {"only correct list", 127, {127}, {}},
+        {"only faulty list", 0, {}, {0}},
+        {"in both lists", 7, {7, 8}, {6, 7}},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        net::DecisionPayload d;
+        d.judged_correct = c.correct;
+        d.judged_faulty = c.faulty;
+        for (int times : {1, 3}) {
+            EXPECT_EQ(handled_ti(d, c.self, times), scanned_ti(d, c.self, times));
+        }
+    }
+}
+
+TEST_F(SensorNodeTest, CopiedThenMutatedDecisionIsReadFresh) {
+    // A body that receivers have already read, copied and edited, must be
+    // read from its edited lists. Each node mirrors its own scan.
+    std::map<core::NodeId, std::unique_ptr<SensorNode>> nodes;
+    std::map<core::NodeId, core::TrustIndex> expected;
+    for (core::NodeId id : {1u, 3u, 9u, 64u, 200u}) {
+        nodes[id] = make_node(id, {40, 40}, std::make_unique<CorrectBehavior>(honest()));
+    }
+    const auto hear = [&](const net::Packet& p) {
+        const auto& d = std::get<net::DecisionPayload>(p.payload);
+        for (auto& [id, node] : nodes) {
+            node->handle_packet(p);
+            scan(expected[id], d, id);
+            EXPECT_EQ(node->tracked_ti(), expected[id].ti(core::TrustParams{})) << "node " << id;
+        }
+    };
+
+    net::Packet heard;
+    heard.src = 10;
+    heard.dst = net::kBroadcast;
+    net::DecisionPayload d;
+    d.judged_correct = {1, 2};
+    d.judged_faulty = {64};
+    heard.payload = d;
+    hear(heard);
+
+    net::Packet copy = heard;
+    auto& edited = std::get<net::DecisionPayload>(copy.payload);
+    edited.judged_faulty = {3};
+    edited.judged_correct.push_back(64);
+    edited.judged_correct.push_back(200);
+    hear(copy);
+    hear(heard);
+
+    net::Packet assigned = heard;
+    std::get<net::DecisionPayload>(assigned.payload).judged_faulty = {9};
+    hear(assigned);
+    assigned = copy;  // over a body that was already read
+    std::get<net::DecisionPayload>(assigned.payload).judged_correct.clear();
+    hear(assigned);
+}
+
+TEST(DecisionPayloadTest, VerdictOfMatchesListMembership) {
+    util::Rng rng(7);
+    for (int trial = 0; trial < 50; ++trial) {
+        net::DecisionPayload d;
+        const std::uint64_t span = 1 + rng.uniform_index(300);
+        for (std::uint64_t k = rng.uniform_index(40); k > 0; --k) {
+            auto& list = rng.chance(0.5) ? d.judged_correct : d.judged_faulty;
+            list.push_back(static_cast<core::NodeId>(rng.uniform_index(span)));
+        }
+        const auto in = [](const std::vector<core::NodeId>& list, core::NodeId id) {
+            return std::find(list.begin(), list.end(), id) != list.end();
+        };
+        for (core::NodeId id = 0; id < span + 70; ++id) {
+            const unsigned want = (in(d.judged_correct, id) ? net::kJudgedCorrect : 0u) |
+                                  (in(d.judged_faulty, id) ? net::kJudgedFaulty : 0u);
+            ASSERT_EQ(d.verdict_of(id), want) << "trial " << trial << " id " << id;
+        }
+        EXPECT_EQ(d.verdict_of(core::kNoNode), 0u);
+        // A move carries the index with the lists.
+        const net::DecisionPayload moved = std::move(d);
+        for (core::NodeId id = 0; id < span; ++id) {
+            const unsigned want = (in(moved.judged_correct, id) ? net::kJudgedCorrect : 0u) |
+                                  (in(moved.judged_faulty, id) ? net::kJudgedFaulty : 0u);
+            ASSERT_EQ(moved.verdict_of(id), want) << "trial " << trial << " id " << id;
+        }
+    }
 }
 
 TEST_F(SensorNodeTest, TxJitterDelaysButDelivers) {

@@ -583,6 +583,61 @@ TEST(Simulator, FanoutValidatesLikeScheduleAt) {
     EXPECT_EQ(s.run(), 1u);
 }
 
+TEST(Simulator, RejectedFanoutLeavesQueueAndOrderUntouched) {
+    const double nan = std::numeric_limits<double>::quiet_NaN();
+    // The same schedule twice; `rejecting` also tries two fan-outs with a
+    // bad item in the middle of the span.
+    const auto run = [nan](bool rejecting) {
+        Simulator s;
+        FanoutLog log{&s, {}};
+        s.schedule(1.0, [] {});
+        s.run();
+        s.schedule_at(2.0, [&] { log.runs.emplace_back(-1.0, s.now()); });
+        const std::vector<FanoutItem> first{{2.0, &log, 1.0}, {2.0, &log, 2.0}};
+        s.schedule_fanout(&log_delivery, nullptr, first);
+        if (rejecting) {
+            const std::vector<FanoutItem> with_nan{
+                {2.0, &log, 10.0}, {nan, &log, 11.0}, {2.0, &log, 12.0}};
+            EXPECT_THROW(s.schedule_fanout(&log_delivery, nullptr, with_nan),
+                         std::invalid_argument);
+            EXPECT_EQ(s.pending(), 3u);
+            const std::vector<FanoutItem> with_past{
+                {2.0, &log, 13.0}, {0.5, &log, 14.0}, {3.0, &log, 15.0}};
+            EXPECT_THROW(s.schedule_fanout(&log_delivery, nullptr, with_past),
+                         std::invalid_argument);
+            EXPECT_EQ(s.pending(), 3u);
+        }
+        // Same-instant pushes after the rejections keep their order.
+        s.schedule_at(2.0, [&] { log.runs.emplace_back(-2.0, s.now()); });
+        const std::vector<FanoutItem> second{{2.0, &log, 3.0}};
+        s.schedule_fanout(&log_delivery, nullptr, second);
+        EXPECT_EQ(s.pending(), 5u);
+        s.run();
+        return log.runs;
+    };
+    const std::vector<std::pair<double, Time>> expected{
+        {-1.0, 2.0}, {1.0, 2.0}, {2.0, 2.0}, {-2.0, 2.0}, {3.0, 2.0}};
+    EXPECT_EQ(run(false), expected);
+    EXPECT_EQ(run(true), expected);
+}
+
+TEST(EventQueue, RejectedFanoutUsesNoSeq) {
+    // A rejected fan-out (an item before not_before) consumes no seq: the
+    // next push gets the id it would have got without it.
+    const auto next_id = [](bool rejecting) {
+        EventQueue q;
+        int target = 0;
+        q.push(1.0, [] {});
+        if (rejecting) {
+            const std::vector<FanoutItem> items{{2.0, &target, 0.0}, {0.5, &target, 1.0}};
+            EXPECT_THROW(q.push_fanout(&log_tag, nullptr, items, 1.0), std::invalid_argument);
+            EXPECT_EQ(q.size(), 1u);
+        }
+        return q.push(1.0, [] {});
+    };
+    EXPECT_EQ(next_id(true), next_id(false));
+}
+
 TEST(Simulator, FanoutBodyLivesUntilItsLastItemRuns) {
     std::weak_ptr<int> watch;
     bool alive_in_last = false;
