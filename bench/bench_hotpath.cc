@@ -40,6 +40,14 @@
 //                         scanned both judgement lists for their id. Each
 //                         body names 11 of the 105 (the fig4_fanout
 //                         shape); ops are deliveries.
+//   report_hop          — a relay envelope sent to a CH through
+//                         net::Radio and the CH's ack sent back, the
+//                         binary_failover hop: the payload moves once,
+//                         into the send's pooled body, vs. the previous
+//                         Radio::send, which assembled a Packet around
+//                         it and passed that by value to
+//                         Channel::unicast(Packet) (three moves, three
+//                         moved-from destructions). ops are sends.
 //   location_decide_100 — core::LocationArbiter::decide (dense epoch-
 //                         stamped marks) vs. the same decision with the
 //                         two per-call std::unordered_sets, on a
@@ -83,6 +91,7 @@
 #include "exp/scoring.h"
 #include "net/channel.h"
 #include "net/packet.h"
+#include "net/radio.h"
 #include "sensor/event_generator.h"
 #include "sensor/fault_model.h"
 #include "sensor/sensor_node.h"
@@ -737,6 +746,75 @@ double deliver_decisions(std::size_t receivers, const std::vector<net::Packet>& 
     return acc;
 }
 
+/// The previous net::Radio::send: assembles a Packet around the payload and
+/// hands it to Channel::unicast(Packet) by value.
+class LegacyRadio {
+  public:
+    LegacyRadio(net::Channel& channel, sim::ProcessId id) : channel_(&channel), id_(id) {}
+
+    bool send(sim::ProcessId dst, net::Payload payload) {
+        net::Packet p;
+        p.src = id_;
+        p.dst = dst;
+        p.payload = std::move(payload);
+        return channel_->unicast(std::move(p));
+    }
+
+  private:
+    net::Channel* channel_;
+    sim::ProcessId id_;
+};
+
+/// One end of a report hop, sending through `RadioT`: acknowledges every
+/// envelope it hears, and folds everything it hears into a checksum.
+template <typename RadioT>
+class HopEnd : public sim::Process {
+  public:
+    HopEnd(sim::Simulator& sim, sim::ProcessId id, net::Channel& channel, double* sum)
+        : sim::Process(sim, id), radio_(channel, id), sum_(sum) {}
+
+    RadioT& radio() { return radio_; }
+
+    void handle_packet(const net::Packet& p) override {
+        *sum_ += p.sent_at + p.rssi;
+        if (const auto* env = p.as<net::RelayEnvelopePayload>()) {
+            *sum_ += static_cast<double>(env->seq) + env->report.offset.r;
+            radio_.send(p.src, net::RelayAckPayload{env->source, env->seq});
+        } else if (const auto* ack = p.as<net::RelayAckPayload>()) {
+            *sum_ += 2.0 * static_cast<double>(ack->seq);
+        }
+    }
+
+  private:
+    RadioT radio_;
+    double* sum_;
+};
+
+/// `rounds` report hops over a lossy channel: a sensor sends one relay
+/// envelope to its CH, and the CH acknowledges it. Returns an
+/// order-sensitive checksum of everything delivered.
+template <typename RadioT>
+double report_hops(std::size_t rounds) {
+    sim::Simulator sim;
+    net::Channel channel(sim, util::Rng(7), net::ChannelParams{});
+    double sum = 0.0;
+    HopEnd<RadioT> sensor(sim, 0, channel, &sum);
+    HopEnd<RadioT> ch(sim, 1, channel, &sum);
+    channel.attach(sensor, {0.0, 0.0}, 30.0);
+    channel.attach(ch, {12.0, 5.0}, 30.0);
+    for (std::size_t r = 0; r < rounds; ++r) {
+        net::RelayEnvelopePayload env;
+        env.source = 0;
+        env.final_dst = 1;
+        env.seq = static_cast<std::uint32_t>(r);
+        env.report.offset = core::PolarOffset{1.0 + static_cast<double>(r % 7), 0.5};
+        env.report.positive = r % 3 != 0;
+        sum += sensor.radio().send(1, env) ? 1.0 : 0.0;
+        sim.run();
+    }
+    return sum + static_cast<double>(channel.delivered() + channel.dropped());
+}
+
 double decisions_checksum(const std::vector<core::LocationDecision>& ds) {
     double acc = 0.0;
     for (const auto& d : ds) {
@@ -1025,6 +1103,16 @@ int main(int argc, char** argv) {
             ops, [&] { return deliver_decisions<LegacyDecisionNode>(kReceivers, bodies); },
             [&] { return deliver_decisions<sensor::SensorNode>(kReceivers, bodies); });
         ok = report.pair("decision_delivery_105", ops, legacy, opt) && ok;
+    }
+
+    // --- Report hop ------------------------------------------------------------
+    {
+        const std::size_t rounds = scaled(200000);
+        const std::size_t ops = 2 * rounds;  // an envelope and its ack per round
+        const auto [legacy, opt] =
+            time_pair(ops, [&] { return report_hops<LegacyRadio>(rounds); },
+                      [&] { return report_hops<net::Radio>(rounds); });
+        ok = report.pair("report_hop", ops, legacy, opt) && ok;
     }
 
     // --- Location decision --------------------------------------------------

@@ -33,7 +33,10 @@ void BaseStation::handle_packet(const net::Packet& packet) {
         PendingVote& vote = pending_.try_emplace(key, decision->decision_seq, packet.src)
                                 .first->second;
         if (vote.announced) return;
-        vote.announced = *decision;
+        vote.announced = true;
+        vote.event_declared = decision->event_declared;
+        vote.has_location = decision->has_location;
+        vote.location = decision->location;
         vote.vote_at = sim().now() + alert_wait_;
         sim().schedule(alert_wait_, [this, key] { finalize(key); });
     } else if (const auto* alert = packet.as<net::SchAlertPayload>()) {
@@ -66,7 +69,7 @@ void BaseStation::finalize(std::uint64_t key) {
     f.ch = vote.ch;
     f.seq = vote.seq;
     f.time = sim().now();
-    f.has_location = vote.announced->has_location;
+    f.has_location = vote.has_location;
 
     // Simple vote over three conclusions: the CH plus two shadows. A
     // silent shadow agrees. Two dissents outvote the CH.
@@ -79,8 +82,8 @@ void BaseStation::finalize(std::uint64_t key) {
         ch_trust_.judge_faulty(static_cast<core::NodeId>(vote.ch));
         if (reelect_cb_) reelect_cb_(vote.ch);
     } else {
-        f.event_declared = vote.announced->event_declared;
-        f.location = vote.announced->location;
+        f.event_declared = vote.event_declared;
+        f.location = vote.location;
         ch_trust_.judge_correct(static_cast<core::NodeId>(vote.ch));
     }
     finals_.push_back(f);

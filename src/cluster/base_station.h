@@ -5,7 +5,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -65,7 +64,11 @@ class BaseStation : public sim::Process {
     struct PendingVote {
         std::uint64_t seq;
         sim::ProcessId ch;
-        std::optional<net::DecisionPayload> announced;  ///< the CH's copy, once heard
+        bool announced = false;  ///< the CH's copy has been heard
+        /// What the vote reads of the CH's copy: not its judgement lists.
+        bool event_declared = false;
+        bool has_location = false;
+        util::Vec2 location;
         double vote_at = 0.0;  ///< when the vote closes; set by the CH's copy
         std::size_t disagreements = 0;
         bool shadow_conclusion = false;  ///< last dissenting conclusion

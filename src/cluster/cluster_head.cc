@@ -102,19 +102,13 @@ void ClusterHead::handle_packet(const net::Packet& packet) {
     if (packet.as<net::RelayEnvelopePayload>() || packet.as<net::RelayAckPayload>()) {
         if (!transport_) return;
         if (auto delivered = transport_->on_packet(packet)) {
-            if (!active_) return;
             // Unwrap: process as if the originating sensor sent directly.
-            net::Packet synth;
-            synth.src = delivered->source;
-            synth.dst = id();
-            synth.sent_at = packet.sent_at;
-            synth.payload = delivered->report;
-            handle_report(synth, delivered->report);
+            if (active_) handle_report(delivered->source, delivered->report);
         }
         return;
     }
     if (const auto* report = packet.as<net::ReportPayload>()) {
-        if (active_) handle_report(packet, *report);
+        if (active_) handle_report(packet.src, *report);
     } else if (packet.as<net::AffiliatePayload>()) {
         if (active_) add_member(static_cast<core::NodeId>(packet.src));
     } else if (const auto* transfer = packet.as<net::TiTransferPayload>()) {
@@ -125,8 +119,8 @@ void ClusterHead::handle_packet(const net::Packet& packet) {
     }
 }
 
-void ClusterHead::handle_report(const net::Packet& packet, const net::ReportPayload& report) {
-    const auto reporter = static_cast<core::NodeId>(packet.src);
+void ClusterHead::handle_report(sim::ProcessId src, const net::ReportPayload& report) {
+    const auto reporter = static_cast<core::NodeId>(src);
     if (reporter >= node_positions_.size()) return;  // not one of ours
     if (!is_member_.empty() && !is_member_[reporter]) return;  // other cluster's node
 
@@ -191,13 +185,12 @@ void ClusterHead::note_decision(const DecisionRecord& rec) {
 void ClusterHead::decide_binary_window() {
     window_open_ = false;
     // Binary model (Section 3.1): every cluster member is an event neighbour.
-    std::vector<core::NodeId> all;
-    all.reserve(node_positions_.size());
+    window_neighbours_.clear();
     for (core::NodeId n = 0; n < node_positions_.size(); ++n) {
-        if (is_member_.empty() || is_member_[n]) all.push_back(n);
+        if (is_member_.empty() || is_member_[n]) window_neighbours_.push_back(n);
     }
 
-    auto decision = engine_.decide_binary(all, window_reporters_);
+    auto decision = engine_.decide_binary(window_neighbours_, window_reporters_);
     window_reporters_.clear();
 
     DecisionRecord rec;

@@ -131,7 +131,8 @@ class ClusterHead : public sim::Process {
     void handle_packet(const net::Packet& packet) override;
 
   private:
-    void handle_report(const net::Packet& packet, const net::ReportPayload& report);
+    /// One report from sensor `src`, sent directly or unwrapped from a relay.
+    void handle_report(sim::ProcessId src, const net::ReportPayload& report);
     void decide_binary_window();
     void collect_location_windows();
     void note_window_opened(core::NodeId first_reporter);
@@ -160,6 +161,7 @@ class ClusterHead : public sim::Process {
     bool window_open_ = false;
     double window_opened_at_ = 0.0;
     std::vector<core::NodeId> window_reporters_;
+    std::vector<core::NodeId> window_neighbours_;  ///< decide_binary_window's (reused)
 
     std::uint64_t next_seq_ = 0;
     std::function<void(const DecisionRecord&)> decision_cb_;

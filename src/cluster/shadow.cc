@@ -25,7 +25,7 @@ void ShadowClusterHead::set_topology(std::vector<util::Vec2> node_positions) {
 void ShadowClusterHead::handle_packet(const net::Packet& packet) {
     if (const auto* report = packet.as<net::ReportPayload>()) {
         // Only overheard traffic addressed to the watched CH matters.
-        if (packet.dst == watched_ch_) handle_report(packet, *report);
+        if (packet.dst == watched_ch_) handle_report(packet.src, *report);
     } else if (const auto* env = packet.as<net::RelayEnvelopePayload>()) {
         // Multi-hop deployments: the shadow overhears the *final hop* of a
         // relayed report into the CH. Retransmissions are deduplicated by
@@ -34,12 +34,7 @@ void ShadowClusterHead::handle_packet(const net::Packet& packet) {
         const std::uint64_t key =
             (static_cast<std::uint64_t>(env->source) << 32) | env->seq;
         if (!relay_seen_.insert(key).second) return;
-        net::Packet synth;
-        synth.src = env->source;
-        synth.dst = watched_ch_;
-        synth.sent_at = packet.sent_at;
-        synth.payload = env->report;
-        handle_report(synth, env->report);
+        handle_report(env->source, env->report);
     } else if (const auto* decision = packet.as<net::DecisionPayload>()) {
         if (packet.src == watched_ch_) check_announcement(*decision);
     } else if (const auto* transfer = packet.as<net::TiTransferPayload>()) {
@@ -52,9 +47,8 @@ void ShadowClusterHead::handle_packet(const net::Packet& packet) {
     }
 }
 
-void ShadowClusterHead::handle_report(const net::Packet& packet,
-                                      const net::ReportPayload& report) {
-    const auto reporter = static_cast<core::NodeId>(packet.src);
+void ShadowClusterHead::handle_report(sim::ProcessId src, const net::ReportPayload& report) {
+    const auto reporter = static_cast<core::NodeId>(src);
     if (reporter >= node_positions_.size()) return;
 
     if (binary_mode_) {

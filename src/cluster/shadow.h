@@ -52,7 +52,9 @@ class ShadowClusterHead : public sim::Process {
         util::Vec2 location;
     };
 
-    void handle_report(const net::Packet& packet, const net::ReportPayload& report);
+    /// One report from sensor `src`, overheard directly or unwrapped from
+    /// a relay's final hop.
+    void handle_report(sim::ProcessId src, const net::ReportPayload& report);
     void decide_binary_window();
     void collect_location_windows();
     void check_announcement(const net::DecisionPayload& d);

@@ -22,7 +22,13 @@ BinaryDecision BinaryArbiter::decide(std::span<const NodeId> event_neighbours,
         if (n < universe) reported_.insert(n);
     }
 
+    // Each list is sized once, to its bound before isolation filtering; a
+    // side with no one on it allocates nothing.
+    std::size_t reported = 0;
+    for (NodeId n : event_neighbours) reported += reported_.contains(n) ? 1 : 0;
     BinaryDecision d;
+    d.reporters.reserve(reported);
+    d.silent.reserve(event_neighbours.size() - reported);
     for (NodeId n : event_neighbours) {
         if (stateful && trust_->is_isolated(n)) continue;
         const double w = stateful ? trust_->ti(n) : 1.0;

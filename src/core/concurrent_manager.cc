@@ -1,7 +1,7 @@
 #include "core/concurrent_manager.h"
 
-#include <algorithm>
 #include <stdexcept>
+#include <utility>
 
 namespace tibfit::core {
 
@@ -21,70 +21,74 @@ bool ConcurrentEventManager::add_report(double now, std::size_t report_index,
         }
     }
     const double deadline = now + t_out_;
-    circles_.push_back(CircleState{
-        util::Circle{loc, r_error_},
-        deadline,
-        {report_index},
-    });
+    // A released circle's member list, if there is one, keeps its capacity.
+    std::vector<std::size_t> members;
+    if (!spare_.empty()) {
+        members = std::move(spare_.back());
+        spare_.pop_back();
+    }
+    members.push_back(report_index);
+    circles_.push_back(CircleState{util::Circle{loc, r_error_}, deadline, std::move(members)});
     if (!next_deadline_ || deadline < *next_deadline_) next_deadline_ = deadline;
     return true;
 }
 
-std::vector<ReportGroup> ConcurrentEventManager::collect_ready(double now) {
+std::span<const ReportGroup> ConcurrentEventManager::collect_ready(double now) {
     const std::size_t n = circles_.size();
-    std::vector<ReportGroup> out;
-    if (n == 0) return out;
+    if (n == 0) return {};
 
     // Union-find over overlapping circles.
-    std::vector<std::size_t> parent(n);
-    for (std::size_t i = 0; i < n; ++i) parent[i] = i;
-    auto find = [&](std::size_t x) {
-        while (parent[x] != x) x = parent[x] = parent[parent[x]];
+    parent_.resize(n);
+    for (std::size_t i = 0; i < n; ++i) parent_[i] = i;
+    auto find = [this](std::size_t x) {
+        while (parent_[x] != x) x = parent_[x] = parent_[parent_[x]];
         return x;
     };
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j) {
             if (util::circles_overlap(circles_[i].circle, circles_[j].circle)) {
-                parent[find(j)] = find(i);
+                parent_[find(j)] = find(i);
             }
         }
     }
+    // From here on parent_[i] is circle i's root.
+    for (std::size_t i = 0; i < n; ++i) parent_[i] = find(i);
 
     // A component is ready when every member circle's deadline has passed.
-    std::vector<bool> component_ready(n, true);
+    // Ready components take group slots in root order.
+    constexpr std::size_t kBlocked = static_cast<std::size_t>(-1);
+    slot_.assign(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
-        if (circles_[i].deadline > now) component_ready[find(i)] = false;
+        if (circles_[i].deadline > now) slot_[parent_[i]] = kBlocked;
     }
+    std::size_t released = 0;
+    for (std::size_t r = 0; r < n; ++r) {
+        if (parent_[r] == r && slot_[r] != kBlocked) slot_[r] = released++;
+    }
+    if (groups_.size() < released) groups_.resize(released);
+    for (std::size_t g = 0; g < released; ++g) groups_[g].clear();
 
     // Gather ready components into groups (arrival order = circle creation
-    // order, then within-circle arrival order).
-    std::vector<ReportGroup> group_of_root(n);
-    std::vector<bool> released(n, false);
-    for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t r = find(i);
-        if (!component_ready[r]) continue;
-        auto& g = group_of_root[r];
-        g.insert(g.end(), circles_[i].members.begin(), circles_[i].members.end());
-        released[i] = true;
-    }
-    for (std::size_t r = 0; r < n; ++r) {
-        if (!group_of_root[r].empty()) out.push_back(std::move(group_of_root[r]));
-    }
-
-    // Compact away released circles and re-establish the cached minimum
-    // deadline over whatever stays open.
-    std::vector<CircleState> rest;
-    rest.reserve(n);
+    // order, then within-circle arrival order), compact away the released
+    // circles, recycling their member lists, and re-establish the cached
+    // minimum deadline over whatever stays open.
     next_deadline_.reset();
+    std::size_t open = 0;
     for (std::size_t i = 0; i < n; ++i) {
-        if (released[i]) continue;
-        if (!next_deadline_ || circles_[i].deadline < *next_deadline_) {
-            next_deadline_ = circles_[i].deadline;
+        CircleState& c = circles_[i];
+        const std::size_t slot = slot_[parent_[i]];
+        if (slot != kBlocked) {
+            groups_[slot].insert(groups_[slot].end(), c.members.begin(), c.members.end());
+            c.members.clear();
+            spare_.push_back(std::move(c.members));
+            continue;
         }
-        rest.push_back(std::move(circles_[i]));
+        if (!next_deadline_ || c.deadline < *next_deadline_) next_deadline_ = c.deadline;
+        if (open != i) circles_[open] = std::move(c);
+        ++open;
     }
-    circles_ = std::move(rest);
-    return out;
+    circles_.erase(circles_.begin() + static_cast<std::ptrdiff_t>(open), circles_.end());
+    return {groups_.data(), released};
 }
 
 }  // namespace tibfit::core

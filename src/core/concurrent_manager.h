@@ -14,6 +14,7 @@
 
 #include <cstddef>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "util/geometry.h"
@@ -48,8 +49,10 @@ class ConcurrentEventManager {
 
     /// Releases every overlap component whose circles have all expired by
     /// `now`. Each returned group is the union of the component's report
-    /// indices, in arrival order. Released circles are forgotten.
-    std::vector<ReportGroup> collect_ready(double now);
+    /// indices, in arrival order. Released circles are forgotten. The groups
+    /// live in the manager's reused storage: the span is valid until the
+    /// next call.
+    std::span<const ReportGroup> collect_ready(double now);
 
     /// True if no un-released circles remain.
     bool idle() const { return circles_.empty(); }
@@ -69,6 +72,13 @@ class ConcurrentEventManager {
     std::vector<CircleState> circles_;
     /// Invariant: min deadline over circles_, nullopt when none are open.
     std::optional<double> next_deadline_;
+
+    // collect_ready's storage, reused from call to call so that a window
+    // allocates nothing it throws away.
+    std::vector<std::size_t> parent_;  ///< union-find over circles, then each circle's root
+    std::vector<std::size_t> slot_;    ///< per root: its group's index, or kBlocked
+    std::vector<ReportGroup> groups_;  ///< collect_ready's span covers the first ones
+    std::vector<std::vector<std::size_t>> spare_;  ///< released circles' member lists
 };
 
 }  // namespace tibfit::core

@@ -69,17 +69,20 @@ std::vector<LocationDecision> DecisionEngine::collect(
     double now, std::span<const util::Vec2> node_positions, bool apply_trust_updates) {
     std::vector<LocationDecision> out;
     for (const auto& group : windows_.collect_ready(now)) {
-        std::vector<EventReport> reports;
-        reports.reserve(group.size());
-        for (std::size_t idx : group) reports.push_back(pending_[idx]);
-        if (apply_trust_updates) run_collusion_defense(reports);
-        auto decisions = location_.decide(reports, node_positions, apply_trust_updates);
+        group_reports_.clear();
+        for (std::size_t idx : group) group_reports_.push_back(pending_[idx]);
+        if (apply_trust_updates) run_collusion_defense(group_reports_);
+        auto decisions = location_.decide(group_reports_, node_positions, apply_trust_updates);
         if (checker_) {
-            checker_->on_location_decisions(reports, node_positions, apply_trust_updates,
+            checker_->on_location_decisions(group_reports_, node_positions, apply_trust_updates,
                                             decisions, trust_);
         }
-        out.insert(out.end(), std::make_move_iterator(decisions.begin()),
-                   std::make_move_iterator(decisions.end()));
+        if (out.empty()) {
+            out = std::move(decisions);
+        } else {
+            out.insert(out.end(), std::make_move_iterator(decisions.begin()),
+                       std::make_move_iterator(decisions.end()));
+        }
     }
     // All windows drained: the buffer indices are no longer referenced.
     if (windows_.idle()) pending_.clear();

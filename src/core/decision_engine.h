@@ -121,6 +121,7 @@ class DecisionEngine {
     ConcurrentEventManager windows_;
     CollusionDetector collusion_;
     std::vector<EventReport> pending_;
+    std::vector<EventReport> group_reports_;  ///< collect()'s current group (reused)
     obs::Recorder* recorder_ = nullptr;
     DecisionChecker* checker_ = nullptr;
 };

@@ -13,51 +13,55 @@ namespace tibfit::core {
 
 namespace {
 
-/// Nearest-centre assignment: returns per-point centre index.
-std::vector<std::size_t> assign_nearest(std::span<const util::Vec2> points,
-                                        const std::vector<util::Vec2>& centres) {
-    std::vector<std::size_t> assign(points.size());
+/// Nearest-centre assignment: per-point centre index into `assign`.
+void assign_nearest(std::span<const util::Vec2> points, const std::vector<util::Vec2>& centres,
+                    std::vector<std::size_t>& assign) {
+    assign.resize(points.size());
     for (std::size_t i = 0; i < points.size(); ++i) {
         assign[i] = util::nearest_index(centres, points[i]);
     }
-    return assign;
 }
 
-/// Centres of gravity per cluster; drops empty clusters and compacts the
-/// assignment accordingly. Returns (centres, sizes).
-std::pair<std::vector<util::Vec2>, std::vector<std::size_t>> recompute_cgs(
-    std::span<const util::Vec2> points, std::vector<std::size_t>& assign,
-    std::size_t ncentres) {
-    std::vector<util::Vec2> sums(ncentres);
-    std::vector<std::size_t> sizes(ncentres, 0);
+}  // namespace
+
+/// Centres of gravity per cluster into (`centres`, `sizes`); drops empty
+/// clusters and compacts the assignment accordingly.
+void EventClusterer::recompute_cgs(std::span<const util::Vec2> points,
+                                   std::vector<std::size_t>& assign, std::size_t ncentres,
+                                   std::vector<util::Vec2>& centres,
+                                   std::vector<std::size_t>& sizes) const {
+    Work& w = work_;
+    w.sums.assign(ncentres, util::Vec2{});
+    w.counts.assign(ncentres, 0);
     for (std::size_t i = 0; i < points.size(); ++i) {
-        sums[assign[i]] += points[i];
-        ++sizes[assign[i]];
+        w.sums[assign[i]] += points[i];
+        ++w.counts[assign[i]];
     }
     // Compact away empty clusters, remapping assignments.
-    std::vector<util::Vec2> centres;
-    std::vector<std::size_t> out_sizes;
-    std::vector<std::size_t> remap(ncentres, 0);
+    centres.clear();
+    sizes.clear();
+    w.remap.assign(ncentres, 0);
     for (std::size_t c = 0; c < ncentres; ++c) {
-        if (sizes[c] == 0) continue;
-        remap[c] = centres.size();
-        centres.push_back(sums[c] / static_cast<double>(sizes[c]));
-        out_sizes.push_back(sizes[c]);
+        if (w.counts[c] == 0) continue;
+        w.remap[c] = centres.size();
+        centres.push_back(w.sums[c] / static_cast<double>(w.counts[c]));
+        sizes.push_back(w.counts[c]);
     }
-    for (auto& a : assign) a = remap[a];
-    return {std::move(centres), std::move(out_sizes)};
+    for (auto& a : assign) a = w.remap[a];
 }
 
 /// Step 5: merges all groups of centres lying within r_error of each other
 /// (transitively) into their size-weighted average. Returns true if any
 /// merge happened.
-bool merge_close_centres(std::vector<util::Vec2>& centres, std::vector<std::size_t>& sizes,
-                         double r_error) {
+bool EventClusterer::merge_close_centres(std::vector<util::Vec2>& centres,
+                                         std::vector<std::size_t>& sizes) const {
     const std::size_t n = centres.size();
     if (n < 2) return false;
+    Work& w = work_;
 
     // Union-find over centres closer than r_error.
-    std::vector<std::size_t> parent(n);
+    std::vector<std::size_t>& parent = w.parent;
+    parent.resize(n);
     for (std::size_t i = 0; i < n; ++i) parent[i] = i;
     auto find = [&](std::size_t x) {
         while (parent[x] != x) x = parent[x] = parent[parent[x]];
@@ -65,7 +69,7 @@ bool merge_close_centres(std::vector<util::Vec2>& centres, std::vector<std::size
     };
 
     bool any = false;
-    const double r2 = r_error * r_error;
+    const double r2 = r_error_ * r_error_;
     for (std::size_t i = 0; i < n; ++i) {
         for (std::size_t j = i + 1; j < n; ++j) {
             if (util::distance2(centres[i], centres[j]) <= r2) {
@@ -79,29 +83,27 @@ bool merge_close_centres(std::vector<util::Vec2>& centres, std::vector<std::size
     }
     if (!any) return false;
 
-    std::vector<util::Vec2> merged;
-    std::vector<std::size_t> merged_sizes;
-    std::vector<std::size_t> root_to_new(n, static_cast<std::size_t>(-1));
-    std::vector<util::Vec2> weighted_sum(n);
-    std::vector<std::size_t> weight(n, 0);
+    w.merged.clear();
+    w.merged_sizes.clear();
+    w.root_to_new.assign(n, static_cast<std::size_t>(-1));
+    w.sums.assign(n, util::Vec2{});
+    w.counts.assign(n, 0);
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t r = find(i);
-        weighted_sum[r] += centres[i] * static_cast<double>(sizes[i]);
-        weight[r] += sizes[i];
+        w.sums[r] += centres[i] * static_cast<double>(sizes[i]);
+        w.counts[r] += sizes[i];
     }
     for (std::size_t i = 0; i < n; ++i) {
         const std::size_t r = find(i);
-        if (root_to_new[r] != static_cast<std::size_t>(-1)) continue;
-        root_to_new[r] = merged.size();
-        merged.push_back(weighted_sum[r] / static_cast<double>(weight[r]));
-        merged_sizes.push_back(weight[r]);
+        if (w.root_to_new[r] != static_cast<std::size_t>(-1)) continue;
+        w.root_to_new[r] = w.merged.size();
+        w.merged.push_back(w.sums[r] / static_cast<double>(w.counts[r]));
+        w.merged_sizes.push_back(w.counts[r]);
     }
-    centres = std::move(merged);
-    sizes = std::move(merged_sizes);
+    centres.swap(w.merged);
+    sizes.swap(w.merged_sizes);
     return true;
 }
-
-}  // namespace
 
 EventClusterer::EventClusterer(double r_error, std::size_t max_rounds)
     : r_error_(r_error), max_rounds_(max_rounds) {
@@ -109,16 +111,24 @@ EventClusterer::EventClusterer(double r_error, std::size_t max_rounds)
     if (max_rounds == 0) throw std::invalid_argument("EventClusterer: max_rounds must be > 0");
 }
 
-std::vector<EventCluster> EventClusterer::cluster(std::span<const util::Vec2> points) const {
-    std::vector<EventCluster> out;
-    if (points.empty()) return out;
-    if (points.size() == 1) {
-        out.push_back({points[0], {0}});
+const std::vector<EventCluster>& EventClusterer::cluster(
+    std::span<const util::Vec2> points) const {
+    std::vector<EventCluster>& out = clusters_;
+    if (points.empty()) {
+        out.clear();
         return out;
     }
+    if (points.size() == 1) {
+        out.resize(1);
+        out[0].cg = points[0];
+        out[0].members.assign(1, 0);
+        return out;
+    }
+    Work& w = work_;
 
     // Steps 1-2: seed with the farthest pair...
-    std::vector<util::Vec2> centres;
+    std::vector<util::Vec2>& centres = w.centres;
+    centres.clear();
     const auto [i0, i1] = util::farthest_pair(points);
     if (util::distance(points[i0], points[i1]) <= r_error_) {
         // ... unless everything already fits one r_error disc: one cluster.
@@ -149,20 +159,23 @@ std::vector<EventCluster> EventClusterer::cluster(std::span<const util::Vec2> po
     }
 
     // Step 4: nearest-centre assignment + cg update.
-    auto assign = assign_nearest(points, centres);
-    auto [cgs, sizes] = recompute_cgs(points, assign, centres.size());
+    std::vector<std::size_t>& assign = w.assign;
+    std::vector<util::Vec2>& cgs = w.cgs;
+    std::vector<std::size_t>& sizes = w.sizes;
+    assign_nearest(points, centres, assign);
+    recompute_cgs(points, assign, centres.size(), cgs, sizes);
 
     // Step 5: merge-close-centres / reassign rounds until the constituency
     // stops changing (or the round cap is hit).
     bool converged = false;
     for (std::size_t round = 0; round < max_rounds_; ++round) {
-        const bool merged = merge_close_centres(cgs, sizes, r_error_);
-        auto new_assign = assign_nearest(points, cgs);
-        auto [new_cgs, new_sizes] = recompute_cgs(points, new_assign, cgs.size());
-        const bool stable = !merged && new_assign == assign;
-        assign = std::move(new_assign);
-        cgs = std::move(new_cgs);
-        sizes = std::move(new_sizes);
+        const bool merged = merge_close_centres(cgs, sizes);
+        assign_nearest(points, cgs, w.new_assign);
+        recompute_cgs(points, w.new_assign, cgs.size(), w.new_cgs, w.new_sizes);
+        const bool stable = !merged && w.new_assign == assign;
+        assign.swap(w.new_assign);
+        cgs.swap(w.new_cgs);
+        sizes.swap(w.new_sizes);
         if (stable) {
             converged = true;
             break;
@@ -196,7 +209,10 @@ std::vector<EventCluster> EventClusterer::cluster(std::span<const util::Vec2> po
     }
 
     out.resize(cgs.size());
-    for (std::size_t c = 0; c < cgs.size(); ++c) out[c].cg = cgs[c];
+    for (std::size_t c = 0; c < cgs.size(); ++c) {
+        out[c].cg = cgs[c];
+        out[c].members.clear();
+    }
     for (std::size_t i = 0; i < points.size(); ++i) out[assign[i]].members.push_back(i);
     return out;
 }

@@ -62,13 +62,39 @@ class EventClusterer {
 
     /// Groups `points` into event clusters. Empty input yields no clusters;
     /// a single point yields one singleton cluster. Every input point is a
-    /// member of exactly one output cluster.
-    std::vector<EventCluster> cluster(std::span<const util::Vec2> points) const;
+    /// member of exactly one output cluster. The clusters live in the
+    /// clusterer's reused storage: the reference is valid until the next
+    /// call.
+    const std::vector<EventCluster>& cluster(std::span<const util::Vec2> points) const;
 
   private:
+    /// cluster()'s working storage, reused from call to call so that a
+    /// window allocates nothing it throws away.
+    struct Work {
+        std::vector<util::Vec2> centres;
+        std::vector<std::size_t> assign, new_assign;
+        std::vector<util::Vec2> cgs, new_cgs;
+        std::vector<std::size_t> sizes, new_sizes;
+        std::vector<util::Vec2> sums;        ///< per-cluster sums (recompute, merge)
+        std::vector<std::size_t> counts;     ///< per-cluster counts (recompute, merge)
+        std::vector<std::size_t> remap;      ///< old -> compacted cluster index
+        std::vector<std::size_t> parent;     ///< union-find over centres
+        std::vector<std::size_t> root_to_new;
+        std::vector<util::Vec2> merged;
+        std::vector<std::size_t> merged_sizes;
+    };
+
+    void recompute_cgs(std::span<const util::Vec2> points, std::vector<std::size_t>& assign,
+                       std::size_t ncentres, std::vector<util::Vec2>& centres,
+                       std::vector<std::size_t>& sizes) const;
+    bool merge_close_centres(std::vector<util::Vec2>& centres,
+                             std::vector<std::size_t>& sizes) const;
+
     double r_error_;
     std::size_t max_rounds_;
     obs::Recorder* recorder_ = nullptr;
+    mutable Work work_;
+    mutable std::vector<EventCluster> clusters_;  ///< cluster()'s result
 };
 
 }  // namespace tibfit::core

@@ -25,20 +25,19 @@ std::vector<LocationDecision> LocationArbiter::decide(
     // table has diagnosed and isolated are "removed from the network"
     // (Section 3.1): their reports do not even reach the clusterer, so
     // they can no longer drag a cluster's centre of gravity.
-    std::vector<std::size_t> kept;  // indices into `reports`
+    kept_.clear();
     marks_.reset(node_positions.size());
     for (std::size_t i = 0; i < reports.size(); ++i) {
         if (!reports[i].has_location()) continue;
         if (reports[i].reporter >= node_positions.size()) continue;
         if (stateful && trust_->is_isolated(reports[i].reporter)) continue;
-        if (marks_.insert(reports[i].reporter)) kept.push_back(i);
+        if (marks_.insert(reports[i].reporter)) kept_.push_back(i);
     }
 
-    std::vector<util::Vec2> locations;
-    locations.reserve(kept.size());
-    for (std::size_t i : kept) locations.push_back(*reports[i].location);
+    locations_.clear();
+    for (std::size_t i : kept_) locations_.push_back(*reports[i].location);
 
-    const auto clusters = clusterer_.cluster(locations);
+    const auto& clusters = clusterer_.cluster(locations_);
 
     // A reporter within r_s of the cg is an expected sensor of the event; we
     // extend the plausibility cutoff by r_error so a correct node right at
@@ -61,7 +60,7 @@ std::vector<LocationDecision> LocationArbiter::decide(
             util::Vec2 sum;
             double total = 0.0;
             for (std::size_t m : cl.members) {
-                const auto& r = reports[kept[m]];
+                const auto& r = reports[kept_[m]];
                 const double w = trust_->ti(r.reporter);
                 sum += *r.location * w;
                 total += w;
@@ -70,26 +69,32 @@ std::vector<LocationDecision> LocationArbiter::decide(
         }
 
         marks_.reset(node_positions.size());  // now: this cluster's reporters
-        for (std::size_t m : cl.members) marks_.insert(reports[kept[m]].reporter);
+        for (std::size_t m : cl.members) marks_.insert(reports[kept_[m]].reporter);
 
         // Partition: reporters into this cluster (plausible ones), silent
-        // event neighbours, and thrown-out reporters.
+        // event neighbours, and thrown-out reporters. The lists leave with
+        // the decision, so each is gathered in reused storage first and
+        // then allocated once, at its size.
+        for (auto* list : {&reporters_, &silent_, &thrown_out_}) list->clear();
         for (NodeId n = 0; n < node_positions.size(); ++n) {
             if (stateful && trust_->is_isolated(n)) continue;
             const double d2 = util::distance2(node_positions[n], d.location);
             const bool is_reporter = marks_.contains(n);
             if (is_reporter) {
                 if (d2 <= plaus2) {
-                    d.reporters.push_back(n);
+                    reporters_.push_back(n);
                     d.weight_reporters += stateful ? trust_->ti(n) : 1.0;
                 } else {
-                    d.thrown_out.push_back(n);
+                    thrown_out_.push_back(n);
                 }
             } else if (d2 <= rs2) {
-                d.silent.push_back(n);
+                silent_.push_back(n);
                 d.weight_silent += stateful ? trust_->ti(n) : 1.0;
             }
         }
+        d.reporters.assign(reporters_.begin(), reporters_.end());
+        d.silent.assign(silent_.begin(), silent_.end());
+        d.thrown_out.assign(thrown_out_.begin(), thrown_out_.end());
 
         d.event_declared = !d.reporters.empty() && d.weight_reporters >= d.weight_silent;
 

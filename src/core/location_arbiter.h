@@ -72,7 +72,13 @@ class LocationArbiter {
     double sensing_radius_;
     EventClusterer clusterer_;
     bool weighted_location_ = false;
-    NodeMarks marks_;  ///< decide()'s scratch: deduplicated, then cluster reporters
+    // decide()'s scratch, reused from window to window.
+    NodeMarks marks_;  ///< deduplicated, then cluster reporters
+    std::vector<std::size_t> kept_;     ///< indices of the deduplicated reports
+    std::vector<util::Vec2> locations_; ///< their locations, the clusterer's input
+    std::vector<NodeId> reporters_;     ///< one cluster's lists, before they are sized
+    std::vector<NodeId> silent_;
+    std::vector<NodeId> thrown_out_;
 };
 
 }  // namespace tibfit::core

@@ -5,6 +5,7 @@
 #include <memory>
 #include <stdexcept>
 #include <utility>
+#include <variant>
 
 #include "obs/recorder.h"
 
@@ -16,7 +17,7 @@ Channel::Channel(sim::Simulator& sim, util::Rng rng, ChannelParams params)
 void Channel::attach(sim::Process& process, const util::Vec2& position, double radio_range) {
     const sim::ProcessId id = process.id();
     // The endpoint table holds one slot per id up to the largest attached.
-    if (id >= kMaxProcessId) throw std::out_of_range("Channel::attach: process id too large");
+    if (id >= sim::kMaxProcessId) throw std::out_of_range("Channel::attach: process id too large");
     if (id >= endpoints_.size()) endpoints_.resize(std::size_t{id} + 1);
     std::unique_ptr<Endpoint>& slot = endpoints_[id];
     // A re-attach starts afresh, except for the monitors listening on it.
@@ -108,14 +109,18 @@ double Channel::injected_extra_delay(const ChannelFaultWindow& w) {
     return extra;
 }
 
-void Channel::note_drop(const Packet& packet, obs::DropReason reason) {
+void Channel::note_drop(sim::ProcessId src, sim::ProcessId dst, const Payload& payload,
+                        obs::DropReason reason) {
     if (!recorder_ || !recorder_->trace().enabled()) return;
     // Only report-carrying packets are trace-worthy; control traffic
     // (adverts, affiliations, acks, ...) would drown the stream.
-    if (!packet.as<ReportPayload>() && !packet.as<RelayEnvelopePayload>()) return;
+    if (!std::holds_alternative<ReportPayload>(payload) &&
+        !std::holds_alternative<RelayEnvelopePayload>(payload)) {
+        return;
+    }
     recorder_->trace().append(
-        sim_->now(), obs::ReportDropped{static_cast<std::uint32_t>(packet.src),
-                                        static_cast<std::uint32_t>(packet.dst), reason});
+        sim_->now(), obs::ReportDropped{static_cast<std::uint32_t>(src),
+                                        static_cast<std::uint32_t>(dst), reason});
 }
 
 double Channel::sender_drop_probability(const Endpoint& sender) const {
@@ -228,29 +233,30 @@ bool Channel::transmit(Endpoint& to, const std::shared_ptr<Packet>& body, double
     return true;
 }
 
-std::shared_ptr<Packet> Channel::make_body(Packet&& packet) {
-    return std::allocate_shared<Packet>(sim::BodyAllocator<Packet>(sim_->body_pool()),
-                                        std::move(packet));
+std::shared_ptr<Packet> Channel::make_body(sim::ProcessId src, sim::ProcessId dst,
+                                           Payload&& payload) {
+    // Aggregate-initialised in the pool block: the payload's only move.
+    return std::allocate_shared<Packet>(sim::BodyAllocator<Packet>(sim_->body_pool()), src, dst,
+                                        sim_->now(), 0.0, std::move(payload));
 }
 
-bool Channel::unicast(Packet packet) {
-    Endpoint* src = find(packet.src);
+bool Channel::unicast(sim::ProcessId src_id, sim::ProcessId dst_id, Payload&& payload) {
+    Endpoint* src = find(src_id);
     if (!src) throw std::out_of_range("Channel::unicast: unknown sender");
-    Endpoint* dst = find(packet.dst);
+    Endpoint* dst = find(dst_id);
     if (!dst) {
         ++out_of_range_;
-        note_drop(packet, obs::DropReason::OutOfRange);
+        note_drop(src_id, dst_id, payload, obs::DropReason::OutOfRange);
         return false;
     }
     const double dist = util::distance(src->position, dst->position);
     if (dist > src->range) {
         ++out_of_range_;
-        note_drop(packet, obs::DropReason::OutOfRange);
+        note_drop(src_id, dst_id, payload, obs::DropReason::OutOfRange);
         return false;
     }
-    packet.sent_at = sim_->now();
     // One body for the delivery, every monitor copy and any duplicate.
-    auto body = make_body(std::move(packet));
+    auto body = make_body(src_id, dst_id, std::move(payload));
     snoop(body, *src, *dst);
     const bool sent = transmit(*dst, body, dist, *src);
     flush(std::move(body));
@@ -287,16 +293,14 @@ const Channel::Plan& Channel::plan_for(sim::ProcessId id, Endpoint& src) {
     return plan;
 }
 
-std::size_t Channel::broadcast(Packet packet) {
-    Endpoint* sender = find(packet.src);
+std::size_t Channel::broadcast(sim::ProcessId src_id, Payload&& payload) {
+    Endpoint* sender = find(src_id);
     if (!sender) throw std::out_of_range("Channel::broadcast: unknown sender");
     Endpoint& src = *sender;
-    packet.sent_at = sim_->now();
-    packet.dst = kBroadcast;
     // Built once: every receiver's delivery shares this body.
-    auto body = make_body(std::move(packet));
+    auto body = make_body(src_id, kBroadcast, std::move(payload));
 
-    const Plan& plan = plan_for(body->src, src);
+    const Plan& plan = plan_for(src_id, src);
     out_of_range_ += plan.out_of_range;
 
     // Same loss and injection stack as unicast, with independent coins per

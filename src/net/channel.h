@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "net/packet.h"
@@ -86,10 +87,17 @@ class Channel {
     /// Removes a monitor registration (a no-op if there is none).
     void remove_monitor(sim::ProcessId monitor, sim::ProcessId target);
 
-    /// Sends to one destination. The packet is lost if the destination is
-    /// detached, out of the sender's radio range, or the loss coin fires.
-    /// Returns true if delivery was scheduled.
-    bool unicast(Packet packet);
+    /// Sends `payload` from `src` to `dst`. The packet is lost if the
+    /// destination is detached, out of the sender's radio range, or the loss
+    /// coin fires. Returns true if delivery was scheduled. The payload moves
+    /// once, into the send's shared body.
+    bool unicast(sim::ProcessId src, sim::ProcessId dst, Payload&& payload);
+
+    /// The same send, addressed by `packet.src` and `packet.dst`; the
+    /// packet's sent_at and rssi are the channel's to stamp.
+    bool unicast(Packet packet) {
+        return unicast(packet.src, packet.dst, std::move(packet.payload));
+    }
 
     /// Sends to every other attached process within the sender's radio
     /// range, with an independent loss coin per receiver, drawn in (delay,
@@ -97,8 +105,13 @@ class Channel {
     /// receivers, distances and delays come from the sender's cached plan
     /// (rebuilt after any attach, detach or set_position), so a send does
     /// no distance walk and, without airtime or an active fault window,
-    /// stages its deliveries already in time order.
-    std::size_t broadcast(Packet packet);
+    /// stages its deliveries already in time order. The payload moves once,
+    /// into the send's shared body.
+    std::size_t broadcast(sim::ProcessId src, Payload&& payload);
+
+    /// The same send from `packet.src`; its dst, sent_at and rssi are the
+    /// channel's to stamp.
+    std::size_t broadcast(Packet packet) { return broadcast(packet.src, std::move(packet.payload)); }
 
     /// Installs an injected-fault schedule. `rng` must be a dedicated
     /// substream (never the stream natural loss draws from): injection
@@ -181,7 +194,11 @@ class Channel {
     void flush(std::shared_ptr<Packet> body);
     /// Copies a unicast to the monitors of its sender and its receiver.
     void snoop(const std::shared_ptr<Packet>& body, const Endpoint& src, const Endpoint& dst);
-    void note_drop(const Packet& packet, obs::DropReason reason);
+    void note_drop(sim::ProcessId src, sim::ProcessId dst, const Payload& payload,
+                   obs::DropReason reason);
+    void note_drop(const Packet& body, obs::DropReason reason) {
+        note_drop(body.src, body.dst, body.payload, reason);
+    }
 
     /// Fault window covering the current simulation time, or nullptr.
     const ChannelFaultWindow* active_fault_window() const;
@@ -189,16 +206,13 @@ class Channel {
     /// delivery under `w`. Consumes fault_rng_ only.
     double injected_extra_delay(const ChannelFaultWindow& w);
 
-    /// Ids at or above this are refused by attach: the endpoint table
-    /// needs a slot for every id below the one attached.
-    static constexpr sim::ProcessId kMaxProcessId = sim::ProcessId{1} << 20;
-
     /// The attached endpoint with this id, or nullptr.
     Endpoint* find(sim::ProcessId id) const {
         return id < endpoints_.size() ? endpoints_[id].get() : nullptr;
     }
-    /// A shared body for one send, from the simulator's body pool.
-    std::shared_ptr<Packet> make_body(Packet&& packet);
+    /// The shared body of one send, from the simulator's body pool, built
+    /// in place around `payload` and stamped with the current time.
+    std::shared_ptr<Packet> make_body(sim::ProcessId src, sim::ProcessId dst, Payload&& payload);
 
     sim::Simulator* sim_;
     util::Rng rng_;

@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cstddef>
+#include <utility>
 
 #include "net/channel.h"
 
@@ -20,10 +21,21 @@ class Radio {
     Channel& channel() const { return *channel_; }
 
     /// Sends `payload` to `dst`. Returns true if delivery was scheduled.
-    bool send(sim::ProcessId dst, Payload payload);
+    /// The payload moves once more, into the send's shared body.
+    bool send(sim::ProcessId dst, Payload payload) {
+        const bool ok = channel_->unicast(id_, dst, std::move(payload));
+        ++sent_;
+        if (!ok) ++failures_;
+        return ok;
+    }
 
     /// Broadcasts `payload` to everyone in range; returns deliveries.
-    std::size_t broadcast(Payload payload);
+    std::size_t broadcast(Payload payload) {
+        const std::size_t n = channel_->broadcast(id_, std::move(payload));
+        ++sent_;
+        if (n == 0) ++failures_;
+        return n;
+    }
 
     std::size_t sent() const { return sent_; }
     std::size_t send_failures() const { return failures_; }

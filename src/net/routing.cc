@@ -2,6 +2,8 @@
 
 #include <deque>
 #include <limits>
+#include <stdexcept>
+#include <string>
 
 namespace tibfit::net {
 
@@ -14,11 +16,24 @@ RoutingTable::RoutingTable(std::vector<RouterEntry> entries) {
 }
 
 void RoutingTable::rebuild(std::vector<RouterEntry> entries) {
+    std::vector<std::size_t> index;
+    for (std::size_t i = 0; i < entries.size(); ++i) {
+        const sim::ProcessId id = entries[i].id;
+        if (id >= sim::kMaxProcessId) {
+            throw std::invalid_argument("RoutingTable: id " + std::to_string(id) +
+                                        " is too large");
+        }
+        if (id >= index.size()) index.resize(std::size_t{id} + 1, kUnknown);
+        if (index[id] != kUnknown) {
+            throw std::invalid_argument("RoutingTable: id " + std::to_string(id) +
+                                        " appears twice");
+        }
+        index[id] = i;
+    }
     entries_ = std::move(entries);
-    index_.clear();
-    memo_.clear();
+    index_ = std::move(index);
+    memo_.assign(entries_.size(), {});
     adjacency_.assign(entries_.size(), {});
-    for (std::size_t i = 0; i < entries_.size(); ++i) index_[entries_[i].id] = i;
     for (std::size_t u = 0; u < entries_.size(); ++u) {
         const double r2 = entries_[u].range * entries_[u].range;
         for (std::size_t v = 0; v < entries_.size(); ++v) {
@@ -31,14 +46,13 @@ void RoutingTable::rebuild(std::vector<RouterEntry> entries) {
 }
 
 const RoutingTable::Routes& RoutingTable::routes_to(std::size_t dst_index) const {
-    auto it = memo_.find(dst_index);
-    if (it != memo_.end()) return it->second;
+    Routes& r = memo_[dst_index];
+    if (!r.next.empty()) return r;
 
     // BFS over *reverse* edges from the destination: dist[u] is u's hop
     // count to dst, next[u] the first hop on a shortest path. Reverse
     // edges matter when ranges are asymmetric (u hears v but not vice
     // versa).
-    Routes r;
     r.next.assign(entries_.size(), kUnreachable);
     r.dist.assign(entries_.size(), kUnreachable);
     r.dist[dst_index] = 0;
@@ -64,23 +78,22 @@ const RoutingTable::Routes& RoutingTable::routes_to(std::size_t dst_index) const
             frontier.push_back(u);
         }
     }
-    return memo_.emplace(dst_index, std::move(r)).first->second;
+    return r;
 }
 
 sim::ProcessId RoutingTable::next_hop(sim::ProcessId from, sim::ProcessId to) const {
-    auto fi = index_.find(from);
-    auto ti = index_.find(to);
-    if (fi == index_.end() || ti == index_.end()) return sim::kNoProcess;
-    const Routes& r = routes_to(ti->second);
-    const std::size_t nh = r.next[fi->second];
+    const std::size_t fi = index_of(from);
+    const std::size_t ti = index_of(to);
+    if (fi == kUnknown || ti == kUnknown) return sim::kNoProcess;
+    const std::size_t nh = routes_to(ti).next[fi];
     return nh == kUnreachable ? sim::kNoProcess : entries_[nh].id;
 }
 
 std::size_t RoutingTable::hops(sim::ProcessId from, sim::ProcessId to) const {
-    auto fi = index_.find(from);
-    auto ti = index_.find(to);
-    if (fi == index_.end() || ti == index_.end()) return kUnreachable;
-    return routes_to(ti->second).dist[fi->second];
+    const std::size_t fi = index_of(from);
+    const std::size_t ti = index_of(to);
+    if (fi == kUnknown || ti == kUnknown) return kUnreachable;
+    return routes_to(ti).dist[fi];
 }
 
 bool RoutingTable::reachable(sim::ProcessId from, sim::ProcessId to) const {
@@ -88,10 +101,10 @@ bool RoutingTable::reachable(sim::ProcessId from, sim::ProcessId to) const {
 }
 
 std::vector<sim::ProcessId> RoutingTable::neighbours(sim::ProcessId id) const {
-    auto it = index_.find(id);
+    const std::size_t i = index_of(id);
     std::vector<sim::ProcessId> out;
-    if (it == index_.end()) return out;
-    for (std::size_t v : adjacency_[it->second]) out.push_back(entries_[v].id);
+    if (i == kUnknown) return out;
+    for (std::size_t v : adjacency_[i]) out.push_back(entries_[v].id);
     return out;
 }
 

@@ -6,11 +6,11 @@
 // The graph has an edge u -> v when v lies within u's radio range. Routes
 // are computed by breadth-first search from each destination (so every
 // node's next hop toward that destination falls out of one BFS) and
-// memoized; call rebuild() after moving nodes.
+// memoized; call rebuild() after moving nodes. Ids are dense, like the
+// channel's: a lookup is an index into a vector, never a hash probe.
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "sim/process.h"
@@ -31,7 +31,9 @@ class RoutingTable {
     RoutingTable() = default;
     explicit RoutingTable(std::vector<RouterEntry> entries);
 
-    /// Replaces the topology and clears all memoized routes.
+    /// Replaces the topology and clears all memoized routes. Throws
+    /// std::invalid_argument, leaving the table as it was, on an id of 2^20
+    /// or more (kNoProcess included) or an id that appears twice.
     void rebuild(std::vector<RouterEntry> entries);
 
     /// Number of nodes known to the router.
@@ -54,17 +56,23 @@ class RoutingTable {
   private:
     struct Routes {
         // Indexed like entries_: next-hop index and hop count toward one
-        // destination.
+        // destination. Empty until the first query toward it.
         std::vector<std::size_t> next;
         std::vector<std::size_t> dist;
     };
 
+    /// The entry index of `id`, or kUnknown.
+    std::size_t index_of(sim::ProcessId id) const {
+        return id < index_.size() ? index_[id] : kUnknown;
+    }
     const Routes& routes_to(std::size_t dst_index) const;
 
+    static constexpr std::size_t kUnknown = static_cast<std::size_t>(-1);
+
     std::vector<RouterEntry> entries_;
-    std::unordered_map<sim::ProcessId, std::size_t> index_;
+    std::vector<std::size_t> index_;  ///< index_[id]: entry index, or kUnknown
     std::vector<std::vector<std::size_t>> adjacency_;  ///< out-edges per index
-    mutable std::unordered_map<std::size_t, Routes> memo_;
+    mutable std::vector<Routes> memo_;  ///< memo_[i]: routes toward entry i
 };
 
 }  // namespace tibfit::net

@@ -2,6 +2,7 @@
 
 #include <memory>
 #include <stdexcept>
+#include <utility>
 
 namespace tibfit::sensor {
 
@@ -74,8 +75,9 @@ void EventGenerator::schedule_quiet_windows(std::size_t count, double interval, 
 }
 
 void EventGenerator::fire_event(const util::Vec2& location) {
+    const std::uint64_t id = next_id_++;
     GeneratedEvent ev;
-    ev.id = next_id_++;
+    ev.id = id;
     ev.time = sim_->now();
     ev.location = location;
     // Event neighbours: one scan over the population in order, so the
@@ -83,14 +85,13 @@ void EventGenerator::fire_event(const util::Vec2& location) {
     // counts (distance 0 <= radius 0).
     hits_.clear();
     for (SensorNode* n : nodes_) {
-        if (util::distance(n->position(), location) <= n->sensing_radius()) {
-            hits_.push_back(n);
-            ev.event_neighbours.push_back(n->id());
-        }
+        if (util::distance(n->position(), location) <= n->sensing_radius()) hits_.push_back(n);
     }
-    history_.push_back(ev);
+    ev.event_neighbours.reserve(hits_.size());
+    for (SensorNode* n : hits_) ev.event_neighbours.push_back(n->id());
+    history_.push_back(std::move(ev));
     if (event_cb_) event_cb_(history_.back());
-    for (SensorNode* n : hits_) n->on_event(ev.id, location);
+    for (SensorNode* n : hits_) n->on_event(id, location);
 }
 
 void EventGenerator::fire_quiet(double spread) {

@@ -1,6 +1,7 @@
 // Fixed-size block recycler for the shared bodies of messages in flight.
 // Each send allocates one body (shared_ptr control block and packet in one
-// allocate_shared block), about 100k per binary trial. Released blocks go
+// allocate_shared block), about 122 k per binary_failover trial (117 k
+// unicasts, 4.4 k broadcasts). Released blocks go
 // on a LIFO free list rather than back to malloc, so once the pool has
 // grown to the number of bodies in flight at once, a send allocates
 // nothing.

@@ -19,6 +19,11 @@ using ProcessId = std::uint32_t;
 /// Sentinel for "no process".
 inline constexpr ProcessId kNoProcess = static_cast<ProcessId>(-1);
 
+/// Ids are dense (node i has id i), so the tables keyed by id (the
+/// channel's endpoints, the router's index) hold a slot for every id below
+/// the largest they know. They refuse an id at or above this.
+inline constexpr ProcessId kMaxProcessId = ProcessId{1} << 20;
+
 /// Base class for simulated actors. Subclasses receive packets via
 /// handle_packet and schedule their own timers through sim().
 class Process {

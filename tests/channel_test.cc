@@ -10,6 +10,8 @@
 #include <new>
 #include <ostream>
 #include <random>
+#include <sstream>
+#include <string>
 #include <vector>
 
 #include "net/radio.h"
@@ -545,6 +547,140 @@ TEST_F(ChannelTest, SharedBodyFreedWhenSimulatorDestroyedWithPendingDeliveries) 
     }
     EXPECT_EQ(pending, 4u);  // two broadcast receivers, the unicast, one snoop
     EXPECT_EQ(live_allocations(), before);
+}
+
+// ---- The kept Packet entry points vs the Radio path ----
+
+/// Every packet a process received, with its delivery time, as text.
+class Transcript : public sim::Process {
+  public:
+    Transcript(sim::Simulator& s, sim::ProcessId id) : sim::Process(s, id) {}
+    void handle_packet(const Packet& p) override {
+        std::ostringstream os;
+        os << sim().now() << " " << p.src << "->" << p.dst << " sent " << p.sent_at << " rssi "
+           << p.rssi << " kind " << p.payload.index();
+        if (const auto* r = p.as<ReportPayload>()) {
+            os << " report " << r->offset.r << "," << r->offset.theta << "," << r->positive << ","
+               << r->has_location;
+        } else if (const auto* d = p.as<DecisionPayload>()) {
+            os << " decision " << d->decision_seq << "," << d->event_declared << ",";
+            for (core::NodeId n : d->judged_correct) os << "c" << n;
+            for (core::NodeId n : d->judged_faulty) os << "f" << n;
+        } else if (const auto* e = p.as<RelayEnvelopePayload>()) {
+            os << " envelope " << e->source << "," << e->final_dst << "," << e->seq << ","
+               << int{e->ttl} << "," << e->report.positive;
+        } else if (const auto* a = p.as<RelayAckPayload>()) {
+            os << " ack " << a->source << "," << a->seq;
+        }
+        lines.push_back(os.str());
+    }
+    std::vector<std::string> lines;
+};
+
+/// Sends the same mixed traffic through a lossy channel inside an active
+/// fault window (drop, duplicate, jitter, reorder), with one monitor, either
+/// through Radio or through Channel's Packet entry points, then probes both
+/// loss streams with a tail of broadcasts. Returns everything observable.
+std::vector<std::string> entry_point_run(bool via_packet) {
+    sim::Simulator sim;
+    ChannelParams params;
+    params.drop_probability = 0.2;
+    Channel ch(sim, util::Rng(21), params);
+    ChannelFaultWindow w;
+    w.start = 0.0;
+    w.end = 1e9;
+    w.extra_drop = 0.2;
+    w.duplicate_probability = 0.3;
+    w.delay_jitter = 0.01;
+    w.reorder_probability = 0.2;
+    w.reorder_hold = 0.05;
+    ch.set_fault_schedule({w}, util::Rng(99));
+    std::vector<std::unique_ptr<Transcript>> nodes;
+    for (sim::ProcessId id = 0; id < 5; ++id) {
+        nodes.push_back(std::make_unique<Transcript>(sim, id));
+        ch.attach(*nodes.back(), {7.0 * id, 3.0 * (id % 2)}, 40.0);
+    }
+    ch.add_monitor(4, 1);  // node 4 overhears traffic to and from node 1
+
+    const auto unicast = [&](sim::ProcessId src, sim::ProcessId dst, Payload payload) {
+        if (!via_packet) return Radio(ch, src).send(dst, std::move(payload));
+        Packet p;
+        p.src = src;
+        p.dst = dst;
+        p.sent_at = -1.0;  // the channel stamps its own
+        p.rssi = -1.0;
+        p.payload = std::move(payload);
+        return ch.unicast(p);  // an lvalue, as the benchmark's probes pass it
+    };
+    const auto broadcast = [&](sim::ProcessId src, Payload payload) {
+        if (!via_packet) return Radio(ch, src).broadcast(std::move(payload));
+        Packet p;
+        p.src = src;
+        p.dst = 3;  // the channel addresses a broadcast itself
+        p.payload = std::move(payload);
+        return ch.broadcast(p);
+    };
+
+    std::vector<std::string> out;
+    for (int round = 0; round < 40; ++round) {
+        const auto src = static_cast<sim::ProcessId>(round % 4);
+        const auto dst = static_cast<sim::ProcessId>((round + 1) % 5);
+        ReportPayload report;
+        report.offset = core::PolarOffset{1.0 + round, 0.1 * round};
+        report.positive = round % 3 != 0;
+        report.has_location = round % 2 == 0;
+        RelayEnvelopePayload env;
+        env.source = src;
+        env.final_dst = dst;
+        env.seq = static_cast<std::uint32_t>(round);
+        env.report = report;
+        DecisionPayload decision;
+        decision.decision_seq = static_cast<std::uint64_t>(round);
+        decision.event_declared = round % 2 == 1;
+        decision.judged_correct = {src, dst};
+        decision.judged_faulty = {static_cast<core::NodeId>(round % 5)};
+        sim.schedule(0.1 * round, [&, src, dst, report, env, decision, round] {
+            std::ostringstream os;
+            os << unicast(src, dst, report) << unicast(dst, src, env)
+               << unicast(src, 1, RelayAckPayload{src, static_cast<std::uint32_t>(round)})
+               << unicast(src, 99, report) << broadcast(src, decision);
+            out.push_back(os.str());
+        });
+    }
+    sim.run();
+    // The tail: 20 more broadcasts each draw from both loss streams, so
+    // they differ unless both streams stand where they stood in the other
+    // run.
+    for (int i = 0; i < 20; ++i) out.push_back(std::to_string(broadcast(0, ChAdvertPayload{})));
+    sim.run();
+
+    for (const auto& n : nodes) out.insert(out.end(), n->lines.begin(), n->lines.end());
+    std::ostringstream counters;
+    counters << ch.delivered() << " " << ch.dropped() << " " << ch.out_of_range() << " "
+             << ch.injected_drops() << " " << ch.injected_duplicates() << " "
+             << ch.injected_delays() << " " << ch.injected_reorders();
+    out.push_back(counters.str());
+    return out;
+}
+
+// Channel::unicast(Packet) and broadcast(Packet) forward into the path
+// Radio takes: same deliveries, receivers, rssi, payloads, counters and
+// loss-stream positions.
+TEST_F(ChannelTest, PacketEntryPointsMatchRadio) {
+    const std::vector<std::string> radio = entry_point_run(false);
+    const std::vector<std::string> packet = entry_point_run(true);
+    EXPECT_EQ(radio, packet);
+    // The run exercised every fault the window injects.
+    std::istringstream counters(radio.back());
+    std::size_t delivered, dropped, out_of_range, drops, duplicates, delays, reorders;
+    counters >> delivered >> dropped >> out_of_range >> drops >> duplicates >> delays >> reorders;
+    EXPECT_GT(delivered, 100u);
+    EXPECT_GT(dropped, 0u);
+    EXPECT_EQ(out_of_range, 40u);
+    EXPECT_GT(drops, 0u);
+    EXPECT_GT(duplicates, 0u);
+    EXPECT_GT(delays, 0u);
+    EXPECT_GT(reorders, 0u);
 }
 
 // ---- Differential test: cached broadcast plans vs the per-send walk ----
